@@ -9,8 +9,8 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
-from .cache import ResultCache
-from .errors import NilprobError
+from .cache import ResultCache, default_cache_dir
+from .errors import BudgetExceeded, NilprobError
 from .exact import (
     DEFAULT_SHIFT_BUDGET,
     DEFAULT_TUPLE_BUDGET,
@@ -102,14 +102,23 @@ def _parse_indices(text: str, order: int) -> list[int]:
     return out
 
 
+def _check_k(k: int) -> None:
+    if k < 1:
+        raise _UsageError(f"--k must be at least 1, got {k}")
+
+
 def _open_cache(args) -> Optional[ResultCache]:
     if args.no_cache:
         return None
-    directory = Path(args.cache_dir) if args.cache_dir else None
+    directory = Path(args.cache_dir) if args.cache_dir else default_cache_dir()
     try:
+        # Created up front, so that a path naming a file is reported here
+        # and not as a traceback at the first write.
+        directory.mkdir(parents=True, exist_ok=True)
         return ResultCache(directory)
-    except OSError:
-        return None
+    except OSError as exc:
+        reason = exc.strerror or exc
+        raise _UsageError(f"cannot use cache directory {directory}: {reason}") from exc
 
 
 def _emit(args, payload: dict, csv_rows: tuple[list[str], list[list]]) -> None:
@@ -130,6 +139,7 @@ def _emit(args, payload: dict, csv_rows: tuple[list[str], list[list]]) -> None:
 
 
 def cmd_np(args, parser) -> int:
+    _check_k(args.k)
     g = _resolve_group(args, parser)
     h = _resolve_subgroup(g, args)
     cache = _open_cache(args)
@@ -195,6 +205,7 @@ def cmd_estimate(args, parser) -> int:
         parser.error("--samples must be at least 1")
     if bool(args.group) == bool(args.gens_file):
         parser.error("exactly one of --group / --gens-file is required")
+    _check_k(args.k)
     try:
         if args.group:
             _, gens, label = catalog_generators(args.group)
@@ -242,6 +253,8 @@ def cmd_verify(args, parser) -> int:
             parser.error(f"unknown check {c!r}; known: {', '.join(ALL_CHECKS)}")
 
     ks = tuple(args.k) if args.k else (1, 2, 3)
+    for k in ks:
+        _check_k(k)
     cfg = CorpusConfig(
         group_names=names,
         definitions=definitions,
@@ -426,7 +439,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 2
     except NilprobError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        if "budget" in str(exc):
+        if isinstance(exc, BudgetExceeded):
             print("hint: raise --budget-tuples/--budget-shifts or use `estimate`",
                   file=sys.stderr)
         return 2

@@ -16,6 +16,17 @@ left-normed commutator [x_1 y_1, .., x_{k+1} y_{k+1}] is the identity.
 The value depends on each shift x_i only through its left coset x_i H, so
 suprema over shifts are taken over canonical (least-index) coset
 representatives.
+
+``iter_shift_values`` evaluates all n^(k+1) representative tuples, n =
+[G:H], as a lexicographic depth-first walk over shift prefixes.  W_m of
+a prefix (r_1, .., r_m) is computed once and shared by its n^(k+1-m)
+extensions, so stage m runs n^m times instead of the n^(k+1) full DPs a
+tuple-by-tuple evaluation needs.  The last coordinate is batched: for
+each accumulated commutator w the counts |C_G(w) ∩ rH| for all reps r
+come from one pass over G, are memoised for the rest of the enumeration,
+and one pass over W_k gives all n final counts of a length-k prefix.
+``np_fast``, ``commutator_distribution`` and ``iter_shift_values`` share
+one stage-advance step.
 """
 
 from __future__ import annotations
@@ -103,6 +114,43 @@ def np_bruteforce(
     return NpResult(Fraction(count, total), "brute_force", count, total)
 
 
+def _advance(
+    mul: Sequence[Sequence[int]],
+    inv: Sequence[int],
+    weights: dict[int, int],
+    coset: Sequence[int],
+) -> dict[int, int]:
+    """One DP stage: W_{m+1}(c) sums W_m(w) over t in the coset with [w, t] = c."""
+    nxt: dict[int, int] = {}
+    for w, cnt in weights.items():
+        row_wi = mul[inv[w]]
+        for t in coset:
+            c = mul[mul[row_wi[inv[t]]][w]][t]
+            if c in nxt:
+                nxt[c] += cnt
+            else:
+                nxt[c] = cnt
+    return nxt
+
+
+def _commuting(mul: Sequence[Sequence[int]], w: int, coset: Sequence[int]) -> int:
+    """Number of t in the coset that commute with w."""
+    row_w = mul[w]
+    return sum(1 for t in coset if row_w[t] == mul[t][w])
+
+
+def _distribution(
+    mul: Sequence[Sequence[int]],
+    inv: Sequence[int],
+    cosets: Sequence[Sequence[int]],
+) -> dict[int, int]:
+    """W_m for the m given cosets, one element chosen from each."""
+    weights: dict[int, int] = dict.fromkeys(cosets[0], 1)
+    for coset in cosets[1:]:
+        weights = _advance(mul, inv, weights, coset)
+    return weights
+
+
 def _dp_count(
     mul: Sequence[Sequence[int]],
     inv: Sequence[int],
@@ -111,29 +159,9 @@ def _dp_count(
     """Core DP: number of commutator-trivial selections, one per coset."""
     if len(cosets) == 1:
         return sum(1 for t in cosets[0] if t == 0)
-    weights: dict[int, int] = dict.fromkeys(cosets[0], 1)
-    for coset in cosets[1:-1]:
-        nxt: dict[int, int] = {}
-        for w, cnt in weights.items():
-            row_wi = mul[inv[w]]
-            for t in coset:
-                c = mul[mul[row_wi[inv[t]]][w]][t]
-                if c in nxt:
-                    nxt[c] += cnt
-                else:
-                    nxt[c] = cnt
-        weights = nxt
     last = cosets[-1]
-    total = 0
-    for w, cnt in weights.items():
-        row_w = mul[w]
-        hits = 0
-        for t in last:
-            if row_w[t] == mul[t][w]:
-                hits += 1
-        if hits:
-            total += cnt * hits
-    return total
+    weights = _distribution(mul, inv, cosets[:-1])
+    return sum(cnt * _commuting(mul, w, last) for w, cnt in weights.items())
 
 
 def np_fast(
@@ -171,18 +199,9 @@ def commutator_distribution(
         raise ValueError(f"stage {m} needs at least {m} shifts")
     if m * g.order * h.order > budget:
         raise BudgetExceeded("commutator distribution", m * g.order * h.order, budget)
-    mul, inv = g.mul, g.inv
+    mul = g.mul
     cosets = [[mul[x][y] for y in h.elements] for x in shifts[:m]]
-    weights: dict[int, int] = dict.fromkeys(cosets[0], 1)
-    for coset in cosets[1:]:
-        nxt: dict[int, int] = {}
-        for w, cnt in weights.items():
-            row_wi = mul[inv[w]]
-            for t in coset:
-                c = mul[mul[row_wi[inv[t]]][w]][t]
-                nxt[c] = nxt.get(c, 0) + cnt
-        weights = nxt
-    return weights
+    return _distribution(mul, g.inv, cosets)
 
 
 def np_k(g: GroupTable, k: int, budget: int = DEFAULT_TUPLE_BUDGET) -> NpResult:
@@ -218,18 +237,48 @@ def iter_shift_values(
     """Yield (shift tuple, exact value) over all canonical coset-rep tuples.
 
     Tuples are produced in lexicographic order of representatives, which
-    are the least indices of the left cosets of H.
+    are the least indices of the left cosets of H; the prefix-shared walk
+    that produces them is described in the module docstring.
     """
+    if k < 1:
+        raise ValueError("k must be at least 1")
     reps = left_coset_reps(g, h)
     count = len(reps) ** (k + 1)
     if count > budget:
         raise BudgetExceeded("shift tuple enumeration", count, budget)
     mul, inv = g.mul, g.inv
-    coset_of = {r: [mul[r][y] for y in h.elements] for r in reps}
+    cosets = [[mul[r][y] for y in h.elements] for r in reps]
     total = h.order ** (k + 1)
-    for tup in itertools.product(reps, repeat=k + 1):
-        cnt = _dp_count(mul, inv, [coset_of[r] for r in tup])
-        yield tup, Fraction(cnt, total)
+    # Both memos live for this enumeration only.  ``commuting[w]`` lists
+    # the pairs (i, |C(w) ∩ r_i H|) with a nonzero count; ``values`` holds
+    # one Fraction per distinct count.
+    commuting: dict[int, list[tuple[int, int]]] = {}
+    values: dict[int, Fraction] = {}
+
+    def last_stage(prefix, weights):
+        counts = [0] * len(reps)
+        for w, cnt in weights.items():
+            row = commuting.get(w)
+            if row is None:
+                hits = (_commuting(mul, w, c) for c in cosets)
+                row = commuting[w] = [(i, n) for i, n in enumerate(hits) if n]
+            for i, n in row:
+                counts[i] += cnt * n
+        for r, c in zip(reps, counts):
+            value = values.get(c)
+            if value is None:
+                value = values[c] = Fraction(c, total)
+            yield prefix + (r,), value
+
+    def walk(prefix, weights):
+        if len(prefix) == k:
+            yield from last_stage(prefix, weights)
+            return
+        for r, coset in zip(reps, cosets):
+            yield from walk(prefix + (r,), _advance(mul, inv, weights, coset))
+
+    for r, coset in zip(reps, cosets):
+        yield from walk((r,), dict.fromkeys(coset, 1))
 
 
 def np_sup(
@@ -245,8 +294,6 @@ def np_sup(
     early once the unbeatable value 1 is reached, which keeps the common
     nilpotent case (identity witness) cheap.
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
     best_val = Fraction(-1)
     best_tup: tuple[int, ...] = ()
     for tup, val in iter_shift_values(g, h, k, budget):

@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from nilprob import cli
 from nilprob.cli import main
+from nilprob.errors import EmptyInput
 from nilprob.groups import catalog_get, group_from_definition
 
 
@@ -180,3 +182,48 @@ def test_catalog_listing(capsys):
     assert code == 0
     names = out.split()
     assert "Q8" in names and "C(8)" in names and "S(4)" not in names
+
+
+@pytest.mark.parametrize("argv, k", [
+    (("np", "--group", "C(2)xC(2)", "--k", "0"), 0),
+    (("np", "--group", "S(3)", "--k", "0", "--sup"), 0),
+    (("np", "--group", "S(3)", "--k", "-1", "--sup"), -1),
+    (("estimate", "--group", "S(3)", "--k", "0", "--samples", "10"), 0),
+    (("verify", "--group", "S(3)", "--k", "1", "--k", "0"), 0),
+])
+def test_k_below_one_exits_2(capsys, argv, k):
+    code, out, err = run_cli(capsys, "--no-cache", *argv)
+    assert code == 2 and out == ""
+    assert err.splitlines() == [f"error: --k must be at least 1, got {k}"]
+
+
+@pytest.mark.parametrize("inside", [False, True])
+def test_cache_dir_naming_a_file_exits_2(capsys, tmp_path, inside):
+    path = tmp_path / "not-a-dir"
+    path.write_text("")
+    target = path / "sub" if inside else path
+    code, out, err = run_cli(
+        capsys, "np", "--group", "S(3)", "--k", "1", "--cache-dir", str(target)
+    )
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: cannot use cache directory {target}")
+
+
+def test_budget_hint_only_for_budget_errors(capsys, monkeypatch):
+    code, _, err = run_cli(
+        capsys, "--budget-shifts", "10", "np", "--group", "S(3)",
+        "--subgroup-normal", "0", "--k", "1", "--sup", "--no-cache",
+    )
+    assert code == 2
+    assert "hint: raise --budget-tuples/--budget-shifts" in err
+
+    def fail(*args):
+        raise EmptyInput("nothing left in the budget of elements")
+
+    monkeypatch.setattr(cli, "np_sup", fail)
+    code, _, err = run_cli(
+        capsys, "np", "--group", "S(3)", "--k", "1", "--sup", "--no-cache",
+    )
+    assert code == 2
+    assert err.splitlines() == ["error: nothing left in the budget of elements"]

@@ -201,6 +201,59 @@ def test_np_sup_witness_is_lex_smallest():
     assert np_sup(s3, a3, 1)[1] == expected
 
 
+@pytest.mark.parametrize("name", SMALL)
+def test_iter_shift_values_matches_per_tuple_dp(name):
+    # the prefix-shared walk yields exactly what evaluating each shift
+    # tuple on its own gives, in the same lexicographic order; a few
+    # seeded tuples per case are also checked against brute force
+    g = catalog_get(name)
+    rng = stream_rng(7)
+    for h in subgroup_pool(g):
+        reps = left_coset_reps(g, h)
+        for k in (1, 2, 3):
+            if len(reps) ** (k + 1) > 2000:
+                continue
+            got = list(iter_shift_values(g, h, k))
+            expected = [(t, np_fast(g, h, t).value)
+                        for t in itertools.product(reps, repeat=k + 1)]
+            assert got == expected, (name, h.elements, k)
+            for _ in range(3):
+                tup, val = got[rng.randrange(len(got))]
+                assert np_bruteforce(g, h, tup).value == val, (name, h.elements, k, tup)
+
+
+def test_iter_shift_values_rejects_k_below_one():
+    s3 = catalog_get("S(3)")
+    for k in (0, -1):
+        with pytest.raises(ValueError):
+            next(iter_shift_values(s3, whole_group(s3), k))
+        with pytest.raises(ValueError):
+            np_sup(s3, whole_group(s3), k)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_np_sup_witness_with_ties_in_last_coordinate(k):
+    # H = <(1 2 3), (1 2)(4 5)> of order 6 is not normal in S(3)xS(3).
+    # Its maximum is reached at more than one last coordinate of the
+    # witness prefix, so the batched last stage must hand the tuples to
+    # np_sup in representative order for the lex-smallest one to win.
+    # The last coordinate of a witness is always the coset H itself:
+    # rH ∩ C(w) is empty or a coset of H ∩ C(w), so it is never larger
+    # than H ∩ C(w).
+    g = catalog_get("S(3)xS(3)")
+    h = subgroup_closure(g, [7, 8])
+    assert h.order == 6 and h.elements not in {n.elements for n in normal_subgroups(g)}
+    values = list(iter_shift_values(g, h, k))
+    sup, witness = np_sup(g, h, k)
+    assert sup == max(v for _, v in values)
+    assert witness == min(t for t, v in values if v == sup) == identity_shifts(k)
+    assert sum(1 for t, v in values if v == sup and t[:-1] == witness[:-1]) > 1
+    n = len(left_coset_reps(g, h))
+    for start in range(0, len(values), n):
+        batch = [v for _, v in values[start:start + n]]
+        assert batch[0] == max(batch)
+
+
 def test_class_characterization_small():
     # sup == 1 exactly when the subgroup is nilpotent of class <= k
     for name in ["S(3)", "Q8", "S(4)", "Dic(3)", "C(12)"]:
