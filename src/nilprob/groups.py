@@ -5,12 +5,18 @@ identity.  For groups built from permutation generators the remaining
 elements are sorted by their image arrays, so tables are reproducible
 across runs.  The group operation for permutation-built groups is
 ``compose(p, q)`` ("apply p, then q") from :mod:`nilprob.perms`.
+
+Every table (permutation closures, products, quotients, subgroup tables
+and ``mul_table`` documents alike) goes through :func:`build_from_table`,
+which checks the group laws exactly at every order: shape and entry
+range, the identity at index 0, two-sided inverses, and associativity by
+Light's test over at most log2(n) + 1 generators, O(n^2) each.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -20,12 +26,6 @@ from .perms import Perm, identity_perm, perm_from_cycles, validate_perm
 
 #: Largest group order for which a multiplication table may be built.
 DEFAULT_ORDER_CAP = 4096
-
-#: Orders up to this bound get an exhaustive associativity check (O(n^3)
-#: table lookups); above it, a randomized spot check of 10*n^2 triples.
-EXHAUSTIVE_ASSOC_LIMIT = 256
-
-_SPOT_CHECK_SEED = 0x6E696C70  # fixed so validation is reproducible
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,83 +63,93 @@ def _hash_table(order: int, mul: Sequence[Sequence[int]]) -> str:
     return h.hexdigest()
 
 
-def _check_associativity(mul_rows: list[list[int]], exhaustive: bool) -> None:
-    n = len(mul_rows)
-    m = np.asarray(mul_rows, dtype=np.int32)
-    if exhaustive or n <= EXHAUSTIVE_ASSOC_LIMIT:
-        # (a*b)*c on the left, a*(b*c) on the right, all triples at once.
-        left = m[m, :]
-        right = m[:, m]
-        if not np.array_equal(left, right):
-            bad = np.argwhere(left != right)[0]
-            a, b, c = (int(x) for x in bad)
-            raise NotAGroup("associativity", (a, b, c))
-        return
-    rng = np.random.Generator(np.random.PCG64(_SPOT_CHECK_SEED ^ n))
-    remaining = 10 * n * n
-    chunk = 1 << 20
-    while remaining > 0:
-        size = min(chunk, remaining)
-        remaining -= size
-        a = rng.integers(0, n, size=size)
-        b = rng.integers(0, n, size=size)
-        c = rng.integers(0, n, size=size)
-        left = m[m[a, b], c]
-        right = m[a, m[b, c]]
-        if not np.array_equal(left, right):
-            i = int(np.argwhere(left != right)[0][0])
-            raise NotAGroup("associativity", (int(a[i]), int(b[i]), int(c[i])))
+def _as_array(n: int, mul: Sequence[Sequence[int]]) -> np.ndarray:
+    """The table as an ``int32`` array, after checking its shape and entry range."""
+    if len(mul) != n:
+        raise NotAGroup("identity", (), f"table has {len(mul)} rows, order is {n}")
+    for i, row in enumerate(mul):
+        if len(row) != n:
+            raise NotAGroup("identity", (i,), "row length differs from order")
+    try:
+        wide = np.array(mul, dtype=np.int64)
+    except (TypeError, ValueError, OverflowError):
+        wide = None
+    if wide is None or wide.ndim != 2:
+        raise NotAGroup("identity", (), f"entries must be integers from 0 to {n - 1}")
+    if wide.min() < 0 or wide.max() >= n:
+        i, j = np.argwhere((wide < 0) | (wide >= n))[0]
+        raise NotAGroup("identity", (int(i), int(wide[i, j])), "entry out of range")
+    return wide.astype(np.int32)
 
 
-def build_from_table(
-    n: int,
-    mul: Sequence[Sequence[int]],
-    label: str = "",
-    *,
-    force_exhaustive: bool = False,
-) -> GroupTable:
+def _inverses(m: np.ndarray) -> np.ndarray:
+    """``inv[g]``, the least h with gh = hg = 0, after checking the identity."""
+    elements = np.arange(len(m))
+    bad = (m[0] != elements) | (m[:, 0] != elements)
+    if bad.any():
+        g = int(np.argmax(bad))
+        raise NotAGroup("identity", (0, g) if m[0, g] != g else (g, 0))
+    two_sided = (m == 0) & (m.T == 0)
+    missing = ~two_sided.any(axis=1)
+    if missing.any():
+        raise NotAGroup("inverse", (int(np.argmax(missing)),))
+    return two_sided.argmax(axis=1)
+
+
+def _check_associativity(m: np.ndarray) -> None:
+    """Light's associativity test over a greedily chosen generating set.
+
+    If ``(x*g)*y == x*(g*y)`` for all x, y and every g of a set S, the
+    same holds for every product of elements of S; so when S generates
+    the table, the operation is associative (Clifford & Preston, *The
+    Algebraic Theory of Semigroups* I, section 1.2).  The next generator
+    is the least element that is not a product of the earlier ones, and
+    it is tested before the products are extended.  Tested elements with
+    inverses generate a subgroup, which at least doubles with each
+    generator, so at most log2(n) + 1 generators are tested, at O(n^2)
+    each, whatever the table.
+    """
+    n = len(m)
+    reached = np.zeros(n, dtype=bool)
+    reached[0] = True
+    size = 1
+    while size < n:
+        g = int(np.argmin(reached))
+        # row x of each side: (x*g)*y and x*(g*y) over all y
+        bad = m[m[:, g]] != m[:, m[g]]
+        if bad.any():
+            x, y = np.argwhere(bad)[0]
+            raise NotAGroup("associativity", (int(x), g, int(y)))
+        del bad
+        # close the tested elements under products, squaring the set
+        reached[g] = True
+        members = np.flatnonzero(reached)
+        while members.size > size:
+            size = members.size
+            reached[m[members[:, None], members]] = True
+            members = np.flatnonzero(reached)
+
+
+def build_from_table(n: int, mul: Sequence[Sequence[int]], label: str = "") -> GroupTable:
     """Validate a multiplication table and return the group.
 
-    The identity must sit at index 0.  Raises :class:`NotAGroup` with the
-    violated law and a witness, or :class:`OrderExceeded` above the cap.
+    The identity must sit at index 0.  Every group law is checked exactly,
+    whatever the order.  Raises :class:`NotAGroup` with the violated law
+    and a witness, or :class:`OrderExceeded` above the cap.
     """
     if n < 1:
         raise NotAGroup("identity", (), "order must be at least 1")
     if n > DEFAULT_ORDER_CAP:
         raise OrderExceeded(n, DEFAULT_ORDER_CAP)
-    rows: list[list[int]] = []
-    if len(mul) != n:
-        raise NotAGroup("identity", (), f"table has {len(mul)} rows, order is {n}")
-    for i, raw in enumerate(mul):
-        row = [int(x) for x in raw]
-        if len(row) != n:
-            raise NotAGroup("identity", (i,), "row length differs from order")
-        for x in row:
-            if x < 0 or x >= n:
-                raise NotAGroup("identity", (i, x), "entry out of range")
-        rows.append(row)
-
-    for g in range(n):
-        if rows[0][g] != g:
-            raise NotAGroup("identity", (0, g))
-        if rows[g][0] != g:
-            raise NotAGroup("identity", (g, 0))
-
-    inv = [-1] * n
-    for g in range(n):
-        for h in range(n):
-            if rows[g][h] == 0 and rows[h][g] == 0:
-                inv[g] = h
-                break
-        if inv[g] < 0:
-            raise NotAGroup("inverse", (g,))
-
-    _check_associativity(rows, force_exhaustive)
-
+    m = _as_array(n, mul)
+    inv = _inverses(m)
+    _check_associativity(m)
+    # via a list: tuples grown from an iterator raise peak RSS measurably
+    rows = tuple(tuple([int(x) for x in row]) for row in mul)
     return GroupTable(
         order=n,
-        mul=tuple(tuple(r) for r in rows),
-        inv=tuple(inv),
+        mul=rows,
+        inv=tuple(inv.tolist()),
         label=label or f"order-{n} group",
         table_hash=_hash_table(n, rows),
     )
@@ -420,6 +430,8 @@ def group_from_definition(obj: dict, max_order: int = DEFAULT_ORDER_CAP) -> Grou
     label = obj.get("label", "")
     if kind == "mul_table":
         mul = obj["mul"]
+        if len(mul) > max_order:
+            raise OrderExceeded(len(mul), max_order)
         return build_from_table(len(mul), mul, label)
     if kind == "perm_gens":
         return build_from_perm_gens(obj["gens"], label, max_order)
@@ -431,12 +443,12 @@ def group_from_definition(obj: dict, max_order: int = DEFAULT_ORDER_CAP) -> Grou
         for f in factors[1:]:
             table = direct_product(table, f, max_order)
         if label:
-            table = GroupTable(table.order, table.mul, table.inv, label, table.table_hash)
+            table = replace(table, label=label)
         return table
     if kind == "catalog":
         table = catalog_get(obj["name"], max_order)
         if label:
-            table = GroupTable(table.order, table.mul, table.inv, label, table.table_hash)
+            table = replace(table, label=label)
         return table
     raise ValueError(f"unknown group definition kind {kind!r}")
 

@@ -87,6 +87,8 @@ def estimate_np(
         raise ValueError("samples must be at least 1")
     if chunk_size < 1:
         raise ValueError("chunk_size must be at least 1")
+    if not (math.isfinite(z) and z > 0):
+        raise InvalidCounts(f"z must be finite and positive, got {z}")
 
     hits = 0
     done = 0

@@ -71,23 +71,6 @@ def perm_from_cycles(degree: int, cycles: Iterable[Sequence[int]]) -> Perm:
     return p
 
 
-def cycle_notation(p: Sequence[int]) -> str:
-    """Render a permutation as a product of cycles, ``()`` for the identity."""
-    seen = set()
-    out = []
-    for i in range(len(p)):
-        if i in seen or p[i] == i:
-            continue
-        cycle = [i]
-        j = p[i]
-        while j != i:
-            seen.add(j)
-            cycle.append(j)
-            j = p[j]
-        out.append("(" + " ".join(map(str, cycle)) + ")")
-    return "".join(out) if out else "()"
-
-
 # -- seeded RNG with sub-stream derivation -----------------------------------
 
 _MASK64 = (1 << 64) - 1

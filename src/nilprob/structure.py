@@ -29,18 +29,6 @@ class SubgroupRef:
     def order(self) -> int:
         return len(self.elements)
 
-    def contains(self, x: int) -> bool:
-        # elements is sorted; subgroups are small enough that a set would
-        # be overkill for one-off queries, but bisect keeps this O(log n)
-        lo, hi = 0, len(self.elements)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.elements[mid] < x:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo < len(self.elements) and self.elements[lo] == x
-
     def __repr__(self) -> str:
         return f"SubgroupRef(order={self.order} in {self.parent.label!r})"
 
@@ -80,10 +68,6 @@ def whole_group(g: GroupTable) -> SubgroupRef:
     return SubgroupRef(g, tuple(range(g.order)))
 
 
-def trivial_subgroup(g: GroupTable) -> SubgroupRef:
-    return SubgroupRef(g, (0,))
-
-
 def commutator(g: GroupTable, a: int, b: int) -> int:
     """[a, b] = a^-1 b^-1 a b."""
     mul, inv = g.mul, g.inv
@@ -98,15 +82,6 @@ def left_normed_commutator(g: GroupTable, xs: Sequence[int]) -> int:
     for x in xs[1:]:
         acc = commutator(g, acc, x)
     return acc
-
-
-def element_order(g: GroupTable, x: int) -> int:
-    mul = g.mul
-    acc, n = x, 1
-    while acc != 0:
-        acc = mul[acc][x]
-        n += 1
-    return n
 
 
 def centralizer(g: GroupTable, x: int) -> SubgroupRef:
@@ -168,14 +143,6 @@ def subgroup_closure(g: GroupTable, seeds: Iterable[int]) -> SubgroupRef:
                 members.add(y)
                 frontier.append(y)
     return SubgroupRef(g, tuple(sorted(members)))
-
-
-def is_subgroup(g: GroupTable, elements: Sequence[int]) -> bool:
-    elems = set(elements)
-    if 0 not in elems:
-        return False
-    mul = g.mul
-    return all(mul[a][b] in elems for a in elems for b in elems)
 
 
 def is_normal(g: GroupTable, h: SubgroupRef) -> bool:
@@ -296,13 +263,6 @@ def lcs_term(g: GroupTable, ambient: tuple[int, ...], k: int) -> tuple[int, ...]
     series = _lcs_within(g, ambient)
     idx = min(k, len(series) - 1)
     return series[idx].elements
-
-
-def is_nilpotent_of_class_at_most(
-    g: GroupTable, ambient: tuple[int, ...], k: int
-) -> bool:
-    """Whether the subgroup on ``ambient`` is nilpotent of class <= k."""
-    return len(lcs_term(g, ambient, k)) == 1
 
 
 def coset_intersection_size(g: GroupTable, h: SubgroupRef, y: int, x: int) -> int:

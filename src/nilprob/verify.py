@@ -52,9 +52,6 @@ from .structure import (
     whole_group,
 )
 
-#: Float slack for the only non-rational comparisons (logarithmic bounds).
-LOG_SLACK = 1e-12
-
 MUST_HOLD_CHECKS = (
     "np_le_cp",
     "center_recursion",
@@ -387,9 +384,10 @@ def check_series_bound(
 ) -> list[CheckOutcome]:
     """Series length against ln(np_k(G)) / ln(constant), both constants.
 
-    The logarithms are the only floating-point comparisons in the harness
-    and carry an explicit 1e-12 slack; equality counts as a violation.
-    Reports both r and the factor count r + 1.
+    With 0 < constant < 1, ``r < ln(np_k) / ln(constant)`` is equivalent
+    to ``constant**r > np_k``, which is decided exactly in fractions;
+    equality counts as a violation.  The float ratio is only reported as
+    ``rhs``.  Reports both r and the factor count r + 1.
     """
     if g.order == 1:
         return []
@@ -402,7 +400,7 @@ def check_series_bound(
         ("series_bound_tight", gap_constant_tight(k)),
     ):
         bound = math.log(float(npk)) / math.log(float(const))
-        holds = r < bound - LOG_SLACK
+        holds = const ** r > npk
         out.append(
             CheckOutcome(
                 check_id,
@@ -674,11 +672,12 @@ def _resolve_groups(cfg: CorpusConfig) -> tuple[list[GroupTable], list[dict]]:
     return tables, skipped
 
 
-def _verify_one(args) -> tuple[str, list, int, float, Optional[dict]]:
-    table, cfg = args
+def _verify_one(
+    table: GroupTable, cfg: CorpusConfig, cache=None
+) -> tuple[str, list, int, float, Optional[dict]]:
     start = time.perf_counter()
     try:
-        verifier = _GroupVerifier(table, cfg)
+        verifier = _GroupVerifier(table, cfg, cache)
         outcomes, gap_skips = verifier.run()
         return table.label, outcomes, gap_skips, time.perf_counter() - start, None
     except NilprobError as exc:
@@ -712,31 +711,14 @@ def run_corpus(cfg: CorpusConfig, cache=None) -> VerificationReport:
     report.skipped.extend(skipped)
     tables.sort(key=lambda t: t.label)
 
-    jobs = [(table, cfg) for table in tables]
-    if cfg.threads > 1 and len(jobs) > 1:
+    if cfg.threads > 1 and len(tables) > 1:
         import concurrent.futures
 
+        # the cache is in-process state, so workers run without it
         with concurrent.futures.ProcessPoolExecutor(max_workers=cfg.threads) as pool:
-            results = list(pool.map(_verify_one, jobs))
+            results = list(pool.map(_verify_one, tables, itertools.repeat(cfg)))
     else:
-        results = []
-        if cache is not None:
-            # cache reuse only makes sense in-process
-            for table, _ in jobs:
-                start = time.perf_counter()
-                try:
-                    verifier = _GroupVerifier(table, cfg, cache)
-                    outcomes, gap_skips = verifier.run()
-                    results.append(
-                        (table.label, outcomes, gap_skips, time.perf_counter() - start, None)
-                    )
-                except NilprobError as exc:
-                    results.append(
-                        (table.label, [], 0, time.perf_counter() - start,
-                         {"group": table.label, "reason": str(exc)})
-                    )
-        else:
-            results = [_verify_one(job) for job in jobs]
+        results = [_verify_one(table, cfg, cache) for table in tables]
 
     results.sort(key=lambda r: r[0])
     for label, outcomes, gap_skips, elapsed, skip in results:

@@ -79,6 +79,16 @@ def test_np_bad_group_exits_2(capsys):
     assert "cannot resolve group" in err
 
 
+def test_mul_table_above_max_order_exits_2(capsys):
+    doc = json.dumps({"kind": "mul_table",
+                      "mul": [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]]})
+    code, out, err = run_cli(
+        capsys, "np", "--group-json", doc, "--max-order", "2", "--k", "1", "--no-cache"
+    )
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 def test_np_budget_error_exits_2(capsys):
     code, _, err = run_cli(
         capsys, "--budget-shifts", "2", "np", "--group", "S(4)",
@@ -108,6 +118,16 @@ def test_estimate_gens_file(capsys, tmp_path):
     )
     assert code == 0
     assert json.loads(out)["point"] == 1.0
+
+
+@pytest.mark.parametrize("z", ["nan", "inf", "-1"])
+def test_estimate_bad_z_exits_2(capsys, z):
+    code, out, err = run_cli(
+        capsys, "--format", "json", "estimate", "--group", "S(3)", "--k", "1",
+        "--samples", "100", "--z", z,
+    )
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 def test_estimate_zero_samples_usage_error(capsys):

@@ -15,11 +15,25 @@ from nilprob.groups import (
     group_from_definition,
     group_to_definition,
 )
-from nilprob.structure import element_order
+
+
+def element_order(g, x):
+    acc, n = x, 1
+    while acc != 0:
+        acc = g.mul[acc][x]
+        n += 1
+    return n
 
 
 def census(g):
     return dict(Counter(element_order(g, x) for x in g.elements()))
+
+
+def assert_real_witness(mul, exc):
+    """An associativity witness (a, b, c) must really violate the law."""
+    if exc.law == "associativity":
+        a, b, c = exc.witness
+        assert mul[mul[a][b]][c] != mul[a][mul[b][c]]
 
 
 def test_trivial_group():
@@ -38,10 +52,7 @@ def test_rejects_associativity_violation():
     with pytest.raises(NotAGroup) as exc:
         build_from_table(3, [[0, 1, 2], [1, 0, 2], [2, 2, 0]])
     assert exc.value.law == "associativity"
-    a, b, c = exc.value.witness
-    # the witness triple really does violate associativity
-    mul = [[0, 1, 2], [1, 0, 2], [2, 2, 0]]
-    assert mul[mul[a][b]][c] != mul[a][mul[b][c]]
+    assert_real_witness([[0, 1, 2], [1, 0, 2], [2, 2, 0]], exc.value)
 
 
 def test_rejects_bad_identity():
@@ -57,13 +68,61 @@ def test_rejects_missing_inverse():
 
 
 def test_randomized_associativity_check_used_above_limit():
-    # only identity/inverse laws hold row-wise; a huge broken table must
-    # still be rejected by the spot check
+    # Order 300 is above the old exhaustive limit of 256, where only a
+    # random sample of triples was checked.  Identity and inverses hold,
+    # so the exact associativity test must reject the table every time.
     n = 300
     mul = [[(a + b) % n for b in range(n)] for a in range(n)]
     mul[7][5] = 6  # break associativity somewhere off the identity row
-    with pytest.raises(NotAGroup):
+    with pytest.raises(NotAGroup) as exc:
         build_from_table(n, mul)
+    assert exc.value.law == "associativity"
+    assert_real_witness(mul, exc.value)
+
+
+@pytest.mark.parametrize("name", ["S(4)", "Q8", "D(8)xC(2)"])
+def test_every_swap_in_a_row_is_rejected(name):
+    # Swapping two entries of a row leaves a repeated entry in a column,
+    # so no such table is a group, whichever law the check trips on.
+    g = catalog_get(name)
+    for row in range(1, g.order):
+        for a in range(1, g.order):
+            for b in range(a + 1, g.order):
+                mul = [list(r) for r in g.mul]
+                mul[row][a], mul[row][b] = mul[row][b], mul[row][a]
+                with pytest.raises(NotAGroup) as exc:
+                    build_from_table(g.order, mul)
+                assert_real_witness(mul, exc.value)
+
+
+@pytest.mark.parametrize(
+    "n,mul,law,witness",
+    [
+        (2, [[0, 1]], "identity", ()),
+        (2, [[0, 1], [1]], "identity", (1,)),
+        (2, [[0, 1], [1, 2]], "identity", (1, 2)),
+        (2, [[0, 1], [-1, 0]], "identity", (1, -1)),
+        (2, [[0, 1], [1, 2 ** 70]], "identity", ()),
+        (2, [[0, 1], [1, "x"]], "identity", ()),
+        (2, [[0, [1]], [1, 0]], "identity", ()),
+        (3, [[0, 2, 1], [1, 0, 2], [2, 1, 0]], "identity", (0, 1)),
+        (3, [[0, 1, 2], [1, 0, 2], [1, 2, 0]], "identity", (2, 0)),
+    ],
+)
+def test_rejects_malformed_tables(n, mul, law, witness):
+    with pytest.raises(NotAGroup) as exc:
+        build_from_table(n, mul)
+    assert (exc.value.law, exc.value.witness) == (law, witness)
+
+
+def test_table_hash_is_stable():
+    # cache keys: a change here needs a cache.SCHEMA_VERSION bump
+    assert catalog_get("S(3)").table_hash == (
+        "ef287b0a147f67058dab99a4ac0a7cec8f6e0445a07d6376d6226c6b6085915c"
+    )
+    assert catalog_get("D(8)xC(2)").table_hash == (
+        "73b863d9c16da720f26c895c40a039e2173912ecf24168fac1e999c34dac2665"
+    )
 
 
 def test_perm_gens_c2():
@@ -195,3 +254,5 @@ def test_definition_kinds():
     assert prod.label == "pair"
     with pytest.raises(ValueError):
         group_from_definition({"kind": "nope"})
+    with pytest.raises(OrderExceeded):
+        group_from_definition({"kind": "mul_table", "mul": mul}, max_order=1)

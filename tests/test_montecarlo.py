@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from nilprob import montecarlo
 from nilprob.errors import InvalidCounts
 from nilprob.exact import np_k
 from nilprob.groups import catalog_generators, catalog_get
@@ -110,9 +111,17 @@ def test_estimate_matches_exact_within_4_sigma():
         assert abs(result.point - exact) <= max(4 * sigma, 1e-9), (name, k)
 
 
-def test_estimate_validates_arguments():
+def test_estimate_validates_arguments(monkeypatch):
     bsgs = schreier_sims([identity_perm(2)])
     with pytest.raises(ValueError):
         estimate_np(bsgs, 0, 100, seed=1)
     with pytest.raises(ValueError):
         estimate_np(bsgs, 1, 0, seed=1)
+
+    def no_sampling(*args):
+        raise AssertionError("sampled before checking z")
+
+    monkeypatch.setattr(montecarlo, "_run_chunk", no_sampling)
+    for z in (math.nan, math.inf, -1.0, 0.0):
+        with pytest.raises(InvalidCounts):
+            estimate_np(bsgs, 1, 100, seed=1, z=z)

@@ -11,7 +11,6 @@ from nilprob.errors import DegreeMismatch
 from nilprob.groups import catalog_generators
 from nilprob.perms import (
     compose,
-    cycle_notation,
     derive_seed,
     identity_perm,
     inverse,
@@ -48,11 +47,6 @@ def test_validate_perm_rejects():
         validate_perm([0, 0, 1])
     with pytest.raises(ValueError):
         validate_perm([0, 3])
-
-
-def test_cycle_notation():
-    assert cycle_notation(identity_perm(3)) == "()"
-    assert cycle_notation(perm_from_cycles(4, [[1, 3]])) == "(1 3)"
 
 
 @given(perms5, perms5)

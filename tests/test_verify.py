@@ -187,6 +187,10 @@ def test_series_bound_examples():
     loose, tight = check_series_bound(g, 1)
     assert loose.holds and abs(loose.rhs - 2.9497) < 1e-3
     assert not tight.holds and abs(tight.rhs - 1.0) < 1e-12
+    # the equality boundary, decided exactly: np_1 = 1/4 is the tight
+    # constant and r = 1, and (1/4)^1 > 1/4 is false
+    assert tight.params["np_k"] == gap_constant_tight(1) == Fraction(1, 4)
+    assert tight.params["r"] == 1 and tight.holds is False
 
     assert check_series_bound(catalog_get("C(1)"), 1) == []
 
