@@ -245,7 +245,14 @@ def cmd_verify(args, parser) -> int:
 
     names = list(args.group) if args.group else []
     if not names and not definitions:
+        if args.corpus_file:
+            raise _UsageError(f"the corpus is empty: {args.corpus_file} lists no group")
         names = default_corpus_names(args.corpus_max_order)
+        if not names:
+            raise _UsageError(
+                f"the corpus is empty: no catalog group has order at most "
+                f"{args.corpus_max_order} (--corpus-max-order)"
+            )
 
     checks = tuple(args.checks) if args.checks else ALL_CHECKS
     for c in checks:
@@ -433,6 +440,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.threads < 1:
+            raise _UsageError(f"--threads must be at least 1, got {args.threads}")
         return args.fn(args, parser)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

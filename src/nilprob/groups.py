@@ -6,17 +6,22 @@ elements are sorted by their image arrays, so tables are reproducible
 across runs.  The group operation for permutation-built groups is
 ``compose(p, q)`` ("apply p, then q") from :mod:`nilprob.perms`.
 
-Every table (permutation closures, products, quotients, subgroup tables
-and ``mul_table`` documents alike) goes through :func:`build_from_table`,
-which checks the group laws exactly at every order: shape and entry
-range, the identity at index 0, two-sided inverses, and associativity by
-Light's test over at most log2(n) + 1 generators, O(n^2) each.
+A table is one read-only C-contiguous ``int32`` array, and every builder
+fills it by index arithmetic on arrays: permutation closures by one
+gather per element, products by broadcasting, quotients and subgroup
+tables by fancy indexing.  Every table (permutation closures, products,
+quotients, subgroup tables and ``mul_table`` documents alike) goes
+through :func:`build_from_table`, which checks the group laws exactly at
+every order: shape and entry range, the identity at index 0, two-sided
+inverses, and associativity by Light's test over at most log2(n) + 1
+generators, O(n^2) each.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -27,19 +32,24 @@ from .perms import Perm, identity_perm, perm_from_cycles, validate_perm
 #: Largest group order for which a multiplication table may be built.
 DEFAULT_ORDER_CAP = 4096
 
+#: Table cells per block in the whole-table passes, which bounds their
+#: temporaries to a few MB whatever the order.
+BLOCK_CELLS = 1 << 18
+
 
 @dataclass(frozen=True, eq=False)
 class GroupTable:
     """A finite group as an immutable multiplication table.
 
-    ``mul[a][b]`` is the index of the product, ``inv[a]`` the inverse,
-    index 0 the identity.  ``table_hash`` is a content hash of the table
-    (label excluded) used as a cache key.
+    ``mul[a, b]`` is the index of the product and ``inv[a]`` the inverse,
+    both read-only ``int32`` arrays; index 0 is the identity.
+    ``table_hash`` is a content hash of the table (label excluded) used as
+    a cache key.
     """
 
     order: int
-    mul: tuple[tuple[int, ...], ...]
-    inv: tuple[int, ...]
+    mul: np.ndarray
+    inv: np.ndarray
     label: str
     table_hash: str
 
@@ -50,50 +60,86 @@ class GroupTable:
     def elements(self) -> range:
         return range(self.order)
 
+    @cached_property
+    def lists(self) -> tuple[list[list[int]], list[int]]:
+        """``(mul, inv)`` as Python lists, built once, for loops over single entries.
+
+        Indexing the arrays entry by entry yields numpy scalars, which is
+        several times slower than list indexing.  The view holds n^2
+        Python ints, so whole-table work uses the arrays instead.
+        """
+        return self.mul.tolist(), self.inv.tolist()
+
     def __repr__(self) -> str:  # keep reprs short; tables can be huge
         return f"GroupTable({self.label!r}, order={self.order})"
 
 
-def _hash_table(order: int, mul: Sequence[Sequence[int]]) -> str:
-    h = hashlib.sha256()
-    h.update(str(order).encode())
-    for row in mul:
-        h.update(b"|")
-        h.update(",".join(map(str, row)).encode())
+def row_blocks(rows: int, width: int) -> list[slice]:
+    """Slices covering ``range(rows)``, each of about :data:`BLOCK_CELLS` cells of ``width``."""
+    step = max(1, BLOCK_CELLS // width)
+    return [slice(lo, lo + step) for lo in range(0, rows, step)]
+
+
+def _hash_table(m: np.ndarray) -> str:
+    """sha256 of the order, then of ``|`` and the comma-joined decimal row, per row.
+
+    The bytes are assembled with numpy, a block of rows at a time: each
+    cell becomes a separator and its decimal digits, NUL-padded to a fixed
+    width, and the padding is dropped before hashing.
+    """
+    n = len(m)
+    h = hashlib.sha256(str(n).encode())
+    text = np.array([str(v).encode() for v in range(n)])
+    width = text.dtype.itemsize
+    cell = np.zeros((n, width + 1), dtype=np.uint8)
+    cell[:, 0] = ord(",")
+    cell[:, 1:] = text.view(np.uint8).reshape(n, width)
+    for rows in row_blocks(n, n):
+        chars = cell[m[rows]]
+        chars[:, 0, 0] = ord("|")
+        h.update(chars.tobytes().replace(b"\0", b""))
     return h.hexdigest()
 
 
-def _as_array(n: int, mul: Sequence[Sequence[int]]) -> np.ndarray:
-    """The table as an ``int32`` array, after checking its shape and entry range."""
+def _as_array(n: int, mul) -> np.ndarray:
+    """A C-contiguous ``int32`` copy of the table, after checking its shape and entries.
+
+    Entries must be read by numpy as integers: floats, booleans, strings
+    and integers beyond 64 bits are rejected, not converted.
+    """
     if len(mul) != n:
         raise NotAGroup("identity", (), f"table has {len(mul)} rows, order is {n}")
     for i, row in enumerate(mul):
         if len(row) != n:
             raise NotAGroup("identity", (i,), "row length differs from order")
     try:
-        wide = np.array(mul, dtype=np.int64)
+        wide = np.asarray(mul)
     except (TypeError, ValueError, OverflowError):
         wide = None
-    if wide is None or wide.ndim != 2:
+    if wide is None or wide.ndim != 2 or wide.dtype.kind not in "iu":
         raise NotAGroup("identity", (), f"entries must be integers from 0 to {n - 1}")
     if wide.min() < 0 or wide.max() >= n:
         i, j = np.argwhere((wide < 0) | (wide >= n))[0]
         raise NotAGroup("identity", (int(i), int(wide[i, j])), "entry out of range")
-    return wide.astype(np.int32)
+    return np.array(wide, dtype=np.int32, order="C")
 
 
 def _inverses(m: np.ndarray) -> np.ndarray:
     """``inv[g]``, the least h with gh = hg = 0, after checking the identity."""
-    elements = np.arange(len(m))
+    n = len(m)
+    elements = np.arange(n)
     bad = (m[0] != elements) | (m[:, 0] != elements)
     if bad.any():
         g = int(np.argmax(bad))
         raise NotAGroup("identity", (0, g) if m[0, g] != g else (g, 0))
-    two_sided = (m == 0) & (m.T == 0)
-    missing = ~two_sided.any(axis=1)
-    if missing.any():
-        raise NotAGroup("inverse", (int(np.argmax(missing)),))
-    return two_sided.argmax(axis=1)
+    inv = np.empty(n, dtype=np.int32)
+    for rows in row_blocks(n, n):
+        two_sided = (m[rows] == 0) & (m[:, rows].T == 0)
+        missing = ~two_sided.any(axis=1)
+        if missing.any():
+            raise NotAGroup("inverse", (rows.start + int(np.argmax(missing)),))
+        inv[rows] = two_sided.argmax(axis=1)
+    return inv
 
 
 def _check_associativity(m: np.ndarray) -> None:
@@ -110,32 +156,38 @@ def _check_associativity(m: np.ndarray) -> None:
     each, whatever the table.
     """
     n = len(m)
+    blocks = row_blocks(n, n)
     reached = np.zeros(n, dtype=bool)
     reached[0] = True
     size = 1
     while size < n:
         g = int(np.argmin(reached))
-        # row x of each side: (x*g)*y and x*(g*y) over all y
-        bad = m[m[:, g]] != m[:, m[g]]
-        if bad.any():
-            x, y = np.argwhere(bad)[0]
-            raise NotAGroup("associativity", (int(x), g, int(y)))
-        del bad
+        g_row = m[g]
+        for rows in blocks:
+            # row x of each side: (x*g)*y and x*(g*y) over all y
+            block = m[rows]
+            bad = m[block[:, g]] != block[:, g_row]
+            if bad.any():
+                x, y = np.argwhere(bad)[0]
+                raise NotAGroup("associativity", (rows.start + int(x), g, int(y)))
         # close the tested elements under products, squaring the set
         reached[g] = True
         members = np.flatnonzero(reached)
         while members.size > size:
             size = members.size
-            reached[m[members[:, None], members]] = True
+            for rows in row_blocks(size, size):
+                reached[m[members[rows, None], members]] = True
             members = np.flatnonzero(reached)
 
 
-def build_from_table(n: int, mul: Sequence[Sequence[int]], label: str = "") -> GroupTable:
+def build_from_table(n: int, mul, label: str = "") -> GroupTable:
     """Validate a multiplication table and return the group.
 
-    The identity must sit at index 0.  Every group law is checked exactly,
-    whatever the order.  Raises :class:`NotAGroup` with the violated law
-    and a witness, or :class:`OrderExceeded` above the cap.
+    ``mul`` is an integer array or a sequence of rows; the table keeps a
+    read-only ``int32`` copy.  The identity must sit at index 0.  Every
+    group law is checked exactly, whatever the order.  Raises
+    :class:`NotAGroup` with the violated law and a witness, or
+    :class:`OrderExceeded` above the cap.
     """
     if n < 1:
         raise NotAGroup("identity", (), "order must be at least 1")
@@ -144,14 +196,14 @@ def build_from_table(n: int, mul: Sequence[Sequence[int]], label: str = "") -> G
     m = _as_array(n, mul)
     inv = _inverses(m)
     _check_associativity(m)
-    # via a list: tuples grown from an iterator raise peak RSS measurably
-    rows = tuple(tuple([int(x) for x in row]) for row in mul)
+    m.flags.writeable = False
+    inv.flags.writeable = False
     return GroupTable(
         order=n,
-        mul=rows,
-        inv=tuple(inv.tolist()),
+        mul=m,
+        inv=inv,
         label=label or f"order-{n} group",
-        table_hash=_hash_table(n, rows),
+        table_hash=_hash_table(m),
     )
 
 
@@ -164,7 +216,14 @@ def build_from_perm_gens(
 
     Elements are sorted by image array (which puts the identity first) and
     the table entry for (i, j) is the index of ``compose(p_i, p_j)``.
-    Raises :class:`OrderExceeded` once the closure passes ``max_order``.
+    Raises :class:`OrderExceeded` once the closure passes ``max_order``
+    (or the table cap, if that is lower).
+
+    The closure is a breadth-first search under right multiplication by
+    the generators, which records each element e as (parent) * s and the
+    maps R_s: i -> index of (element i) * s.  Column e of the table is
+    then one gather, ``a*e = (a*parent)*s = R_s[a*parent]``, taken in
+    search order so the parent's column is always ready.
     """
     perms = [validate_perm(g) for g in gens]
     if not perms:
@@ -173,28 +232,43 @@ def build_from_perm_gens(
     for p in perms:
         if len(p) != degree:
             raise ValueError("generators must share one degree")
+    cap = min(max_order, DEFAULT_ORDER_CAP)
 
-    ident = tuple(identity_perm(degree))
-    seen: set[tuple[int, ...]] = {ident}
-    frontier: list[tuple[int, ...]] = [ident]
-    gen_tuples = [tuple(p) for p in perms]
-    while frontier:
-        new: list[tuple[int, ...]] = []
-        for p in frontier:
-            for g in gen_tuples:
-                q = tuple(g[x] for x in p)
-                if q not in seen:
-                    seen.add(q)
-                    new.append(q)
-                    if len(seen) > max_order:
-                        raise OrderExceeded(len(seen), max_order)
-        frontier = new
+    # Elements are kept as the bytes of their big-endian image arrays,
+    # which compare like the image tuples, so they also give the order.
+    gen_arrays = [np.array(p, dtype=">i4") for p in perms]
+    elements = [np.arange(degree, dtype=">i4").tobytes()]
+    index = {elements[0]: 0}
+    parent, via = [0], [0]
+    right: list[list[int]] = [[] for _ in gen_arrays]
+    for i, key in enumerate(elements):  # the list grows as the search runs
+        p = np.frombuffer(key, dtype=">i4")
+        for s, gen in enumerate(gen_arrays):
+            q = gen[p].tobytes()
+            j = index.get(q)
+            if j is None:
+                j = index[q] = len(elements)
+                if j >= cap:
+                    raise OrderExceeded(j + 1, cap)
+                elements.append(q)
+                parent.append(i)
+                via.append(s)
+            right[s].append(j)
+    del index
 
-    elements = sorted(seen)
-    index = {p: i for i, p in enumerate(elements)}
     n = len(elements)
-    mul = [[index[tuple(q[x] for x in p)] for q in elements] for p in elements]
-    return build_from_table(n, mul, label or f"perm group of degree {degree}")
+    order = np.array(sorted(range(n), key=elements.__getitem__), dtype=np.int32)
+    del elements
+    rank = np.empty(n, dtype=np.int32)
+    rank[order] = np.arange(n, dtype=np.int32)
+    right_sorted = rank[np.array(right, dtype=np.int32)[:, order]]
+    rank_of = rank.tolist()
+
+    cols = np.empty((n, n), dtype=np.int32)
+    cols[0] = np.arange(n, dtype=np.int32)
+    for e in range(1, n):
+        np.take(right_sorted[via[e]], cols[rank_of[parent[e]]], out=cols[rank_of[e]])
+    return build_from_table(n, cols.T, label or f"perm group of degree {degree}")
 
 
 def direct_product(a: GroupTable, b: GroupTable, max_order: int = DEFAULT_ORDER_CAP) -> GroupTable:
@@ -202,14 +276,11 @@ def direct_product(a: GroupTable, b: GroupTable, max_order: int = DEFAULT_ORDER_
     n = a.order * b.order
     if n > max_order:
         raise OrderExceeded(n, max_order)
+    if n > DEFAULT_ORDER_CAP:
+        raise OrderExceeded(n, DEFAULT_ORDER_CAP)
     nb = b.order
-    amul, bmul = a.mul, b.mul
-    mul = [
-        [amul[ga][gb] * nb + bmul[ha][hb] for gb in range(a.order) for hb in range(nb)]
-        for ga in range(a.order)
-        for ha in range(nb)
-    ]
-    return build_from_table(n, mul, f"{a.label}x{b.label}")
+    mul = a.mul[:, None, :, None] * nb + b.mul[None, :, None, :]
+    return build_from_table(n, mul.reshape(n, n), f"{a.label}x{b.label}")
 
 
 # -- catalog ------------------------------------------------------------------
@@ -430,6 +501,8 @@ def group_from_definition(obj: dict, max_order: int = DEFAULT_ORDER_CAP) -> Grou
     label = obj.get("label", "")
     if kind == "mul_table":
         mul = obj["mul"]
+        if not isinstance(mul, list) or not all(isinstance(row, list) for row in mul):
+            raise NotAGroup("identity", (), "mul must be a list of rows, each a list")
         if len(mul) > max_order:
             raise OrderExceeded(len(mul), max_order)
         return build_from_table(len(mul), mul, label)
@@ -458,5 +531,5 @@ def group_to_definition(g: GroupTable) -> dict:
     return {
         "label": g.label,
         "kind": "mul_table",
-        "mul": [list(row) for row in g.mul],
+        "mul": g.mul.tolist(),
     }

@@ -3,16 +3,19 @@
 Commutators, centralizers, conjugacy classes, subgroup closure, normal
 subgroups, quotients, the lower central series and nilpotency class.  All
 functions are pure; subgroups are sorted element-index tuples referencing
-their parent table.
+their parent table.  Whole-table passes run on the ``int32`` arrays;
+searches that visit one entry at a time read the table's list view.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
-from .errors import EmptyInput, NotNormal, OrderExceeded
-from .groups import GroupTable, build_from_table
+import numpy as np
+
+from .errors import NotNormal, OrderExceeded
+from .groups import GroupTable, build_from_table, row_blocks
 
 #: Largest order for which the normal-subgroup lattice is enumerated.
 NORMAL_LATTICE_CAP = 512
@@ -70,67 +73,49 @@ def whole_group(g: GroupTable) -> SubgroupRef:
 
 def commutator(g: GroupTable, a: int, b: int) -> int:
     """[a, b] = a^-1 b^-1 a b."""
-    mul, inv = g.mul, g.inv
-    return mul[mul[mul[inv[a]][inv[b]]][a]][b]
+    m, inv = g.mul, g.inv
+    return int(m[m[m[inv[a], inv[b]], a], b])
 
 
-def left_normed_commutator(g: GroupTable, xs: Sequence[int]) -> int:
-    """Fold of ``commutator``; a single element is returned unchanged."""
-    if not xs:
-        raise EmptyInput("left-normed commutator of an empty list")
-    acc = xs[0]
-    for x in xs[1:]:
-        acc = commutator(g, acc, x)
-    return acc
+def _commutators(g: GroupTable, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """The array of [x, y] = x^-1 y^-1 x y over x in ``xs`` (rows), y in ``ys``."""
+    m, inv = g.mul, g.inv
+    return m[m[m[np.ix_(inv[xs], inv[ys])], xs[:, None]], ys]
 
 
 def centralizer(g: GroupTable, x: int) -> SubgroupRef:
-    mul = g.mul
-    row = mul[x]
-    return SubgroupRef(g, tuple(a for a in g.elements() if mul[a][x] == row[a]))
+    m = g.mul
+    return SubgroupRef(g, tuple(np.flatnonzero(m[:, x] == m[x]).tolist()))
 
 
 def center(g: GroupTable) -> SubgroupRef:
-    mul = g.mul
-    out = []
-    for a in g.elements():
-        row = mul[a]
-        if all(row[b] == mul[b][a] for b in g.elements()):
-            out.append(a)
-    return SubgroupRef(g, tuple(out))
+    m = g.mul
+    return SubgroupRef(g, tuple(np.flatnonzero((m == m.T).all(axis=1)).tolist()))
 
 
 def conjugacy_classes(g: GroupTable) -> ClassData:
-    """Orbit partition under conjugation; class 0 is the identity's."""
+    """Orbit partition under conjugation; class 0 is the identity's.
+
+    Classes are numbered by their least element, which is the least
+    a^-1 y a over all a, taken a block of conjugators at a time; y is a
+    representative when it is its own least conjugate.
+    """
     n = g.order
-    mul, inv = g.mul, g.inv
-    class_of = [-1] * n
-    reps: list[int] = []
-    sizes: list[int] = []
-    for x in range(n):
-        if class_of[x] >= 0:
-            continue
-        cid = len(reps)
-        orbit = {x}
-        frontier = [x]
-        while frontier:
-            y = frontier.pop()
-            for a in range(n):
-                z = mul[mul[inv[a]][y]][a]
-                if z not in orbit:
-                    orbit.add(z)
-                    frontier.append(z)
-        for y in orbit:
-            class_of[y] = cid
-        reps.append(x)
-        sizes.append(len(orbit))
+    m, inv = g.mul, g.inv
+    least = np.arange(n)
+    for rows in row_blocks(n, n):
+        a = np.arange(n)[rows]
+        np.minimum(least, m[m[inv[a]], a[:, None]].min(axis=0), out=least)
+    reps = np.flatnonzero(least == np.arange(n))
+    class_of = np.searchsorted(reps, least)
+    sizes = np.bincount(class_of).tolist()
     cent = tuple(n // s for s in sizes)
-    return ClassData(tuple(class_of), tuple(reps), tuple(sizes), cent)
+    return ClassData(tuple(class_of.tolist()), tuple(reps.tolist()), tuple(sizes), cent)
 
 
 def subgroup_closure(g: GroupTable, seeds: Iterable[int]) -> SubgroupRef:
     """Smallest subgroup containing ``seeds`` (the trivial one for none)."""
-    mul = g.mul
+    mul = g.lists[0]
     gens = sorted(set(seeds) - {0})
     members = {0}
     frontier = [0]
@@ -146,13 +131,14 @@ def subgroup_closure(g: GroupTable, seeds: Iterable[int]) -> SubgroupRef:
 
 
 def is_normal(g: GroupTable, h: SubgroupRef) -> bool:
-    mul, inv = g.mul, g.inv
-    members = set(h.elements)
-    for a in g.elements():
-        inv_a = inv[a]
-        for x in h.elements:
-            if mul[mul[inv_a][x]][a] not in members:
-                return False
+    m, inv = g.mul, g.inv
+    elems = np.array(h.elements)
+    member = np.zeros(g.order, dtype=bool)
+    member[elems] = True
+    for rows in row_blocks(g.order, len(elems)):
+        a = np.arange(g.order)[rows]
+        if not member[m[m[np.ix_(inv[a], elems)], a[:, None]]].all():
+            return False
     return True
 
 
@@ -191,28 +177,21 @@ def quotient(g: GroupTable, n: SubgroupRef) -> QuotientMap:
     """Coset group of a normal subgroup, cosets ordered by least member."""
     if not is_normal(g, n):
         raise NotNormal(f"subgroup of order {n.order} is not normal in {g.label}")
-    mul = g.mul
-    coset_of = [-1] * g.order
-    reps: list[int] = []
-    for x in g.elements():
-        if coset_of[x] >= 0:
-            continue
-        cid = len(reps)
-        reps.append(x)  # x is the least member: elements scanned in order
-        for y in n.elements:
-            coset_of[mul[x][y]] = cid
-    q = len(reps)
-    qmul = [[coset_of[mul[reps[i]][reps[j]]] for j in range(q)] for i in range(q)]
-    target = build_from_table(q, qmul, f"{g.label}/{n.order}")
-    return QuotientMap(g, n, target, tuple(coset_of))
+    m = g.mul
+    least = m[:, list(n.elements)].min(axis=1)
+    reps = np.flatnonzero(least == np.arange(g.order))
+    coset_of = np.searchsorted(reps, least)
+    qmul = coset_of[m[np.ix_(reps, reps)]]
+    target = build_from_table(len(reps), qmul, f"{g.label}/{n.order}")
+    return QuotientMap(g, n, target, tuple(coset_of.tolist()))
 
 
 def subgroup_table(g: GroupTable, h: SubgroupRef) -> tuple[GroupTable, list[int]]:
     """``h`` as a standalone group table plus the new-index -> old-index map."""
     elems = list(h.elements)
-    pos = {x: i for i, x in enumerate(elems)}
-    mul = g.mul
-    rows = [[pos[mul[a][b]] for b in elems] for a in elems]
+    pos = np.full(g.order, -1, dtype=np.int32)
+    pos[elems] = np.arange(len(elems))
+    rows = pos[g.mul[np.ix_(elems, elems)]]
     label = g.label if len(elems) == g.order else f"{g.label}[order {len(elems)}]"
     return build_from_table(len(elems), rows, label), elems
 
@@ -229,15 +208,17 @@ def lower_central_series(g: GroupTable) -> list[SubgroupRef]:
 
 def _lcs_within(g: GroupTable, ambient: tuple[int, ...]) -> list[SubgroupRef]:
     series = [SubgroupRef(g, ambient)]
+    others = np.array(ambient)
     while True:
         current = series[-1]
         if current.order == 1:
             return series
-        seeds = set()
-        for a in current.elements:
-            for b in ambient:
-                seeds.add(commutator(g, a, b))
-        nxt = subgroup_closure(g, seeds)
+        elems = np.array(current.elements)
+        # the commutators [a, b], marked a block of rows at a time
+        hit = np.zeros(g.order, dtype=bool)
+        for rows in row_blocks(current.order, len(ambient)):
+            hit[_commutators(g, elems[rows], others)] = True
+        nxt = subgroup_closure(g, np.flatnonzero(hit).tolist())
         series.append(nxt)
         if nxt.elements == current.elements:
             return series
@@ -265,31 +246,10 @@ def lcs_term(g: GroupTable, ambient: tuple[int, ...], k: int) -> tuple[int, ...]
     return series[idx].elements
 
 
-def coset_intersection_size(g: GroupTable, h: SubgroupRef, y: int, x: int) -> int:
-    """|y C_G(x) \\cap H|; always 0 or |C_H(x)|."""
-    mul = g.mul
-    row_x = mul[x]
-    count = 0
-    for a in h.elements:
-        # a in y C_G(x)  <=>  y^-1 a commutes with x
-        z = mul[g.inv[y]][a]
-        if mul[z][x] == row_x[z]:
-            count += 1
-    return count
-
-
 def left_coset_reps(g: GroupTable, h: SubgroupRef) -> list[int]:
     """Least-element representatives of the left cosets xH, ascending."""
-    mul = g.mul
-    seen = [False] * g.order
-    reps = []
-    for x in g.elements():
-        if seen[x]:
-            continue
-        reps.append(x)
-        for y in h.elements:
-            seen[mul[x][y]] = True
-    return reps
+    least = g.mul[:, list(h.elements)].min(axis=1)
+    return np.flatnonzero(least == np.arange(g.order)).tolist()
 
 
 def image_subgroup(q: QuotientMap, h: SubgroupRef) -> SubgroupRef:

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from nilprob import cli
@@ -194,7 +195,7 @@ def test_describe_emit_definition_roundtrip(capsys):
     code, out, _ = run_cli(capsys, "describe", "--group", "Dic(3)", "--emit-definition")
     assert code == 0
     rebuilt = group_from_definition(json.loads(out))
-    assert rebuilt.mul == catalog_get("Dic(3)").mul
+    assert np.array_equal(rebuilt.mul, catalog_get("Dic(3)").mul)
 
 
 def test_catalog_listing(capsys):
@@ -247,3 +248,36 @@ def test_budget_hint_only_for_budget_errors(capsys, monkeypatch):
     )
     assert code == 2
     assert err.splitlines() == ["error: nothing left in the budget of elements"]
+
+
+@pytest.mark.parametrize("mul", [[1, 2], [[0, 1], 1], [[0, 1], "10"]])
+def test_mul_table_rows_must_be_lists(capsys, mul):
+    doc = json.dumps({"kind": "mul_table", "mul": mul})
+    code, out, err = run_cli(capsys, "np", "--group-json", doc, "--no-cache")
+    assert code == 2 and out == ""
+    assert err.splitlines() == [
+        "error: cannot resolve group: not a group: identity law fails at () "
+        "(mul must be a list of rows, each a list)"
+    ]
+
+
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_threads_below_one_exits_2(capsys, threads):
+    code, out, err = run_cli(
+        capsys, "--threads", threads, "verify", "--group", "S(3)", "--no-cache"
+    )
+    assert code == 2 and out == ""
+    assert err.splitlines() == [f"error: --threads must be at least 1, got {threads}"]
+
+
+def test_verify_empty_corpus_exits_2(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "verify", "--corpus-max-order", "0", "--no-cache")
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: the corpus is empty")
+    # an empty corpus file is an empty corpus too, not the default one
+    empty = tmp_path / "corpus.json"
+    empty.write_text("[]")
+    code, out, err = run_cli(capsys, "verify", "--corpus-file", str(empty), "--no-cache")
+    assert code == 2 and out == ""
+    assert err.splitlines() == [f"error: the corpus is empty: {empty} lists no group"]

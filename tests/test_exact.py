@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from nilprob import exact
 from nilprob.errors import BudgetExceeded, EmptyInput
 from nilprob.exact import (
     commutator_distribution,
@@ -20,12 +21,14 @@ from nilprob.groups import catalog_get, direct_product
 from nilprob.perms import stream_rng
 from nilprob.structure import (
     center,
+    conjugacy_classes,
     left_coset_reps,
     nilpotency_class,
     normal_subgroups,
     quotient,
     subgroup,
     subgroup_closure,
+    subgroup_table,
     whole_group,
 )
 
@@ -318,3 +321,53 @@ def test_cp_of_subgroup_ref():
     q8 = next(n for n in normal_subgroups(sl) if n.order == 8)
     assert cp(q8) == Fraction(5, 8)
     assert cp(whole_group(sl)) == cp(sl) == Fraction(7, 24)
+
+
+@pytest.mark.parametrize("name", SMALL)
+def test_cp_counts_commuting_pairs(name):
+    # cp(H) from the commuting pairs of H's block equals k(H)/|H| from its classes
+    g = catalog_get(name)
+    for h in subgroup_pool(g):
+        table, _ = subgroup_table(g, h)
+        assert cp(h) == Fraction(conjugacy_classes(table).num_classes, h.order)
+    assert cp(g) == Fraction(conjugacy_classes(g).num_classes, g.order)
+
+
+@pytest.mark.parametrize("name", SMALL + ["S(4)", "SL(2,3)"])
+def test_array_dp_matches_bruteforce(name, monkeypatch):
+    # every subgroup runs the array DP here, whatever its order
+    monkeypatch.setattr(exact, "ARRAY_DP_MIN_ORDER", 1)
+    monkeypatch.setattr(exact, "_dp_count", None)
+    g = catalog_get(name)
+    rng = stream_rng(606)
+    for h in subgroup_pool(g):
+        for k in (1, 2, 3):
+            if h.order ** (k + 1) > 50_000:
+                continue
+            for _ in range(4):
+                shifts = tuple(rng.randrange(g.order) for _ in range(k + 1))
+                fast = np_fast(g, h, shifts)
+                brute = np_bruteforce(g, h, shifts)
+                assert (fast.counted_tuples, fast.total_tuples) == (
+                    brute.counted_tuples, brute.total_tuples
+                ), (name, h.elements, shifts)
+
+
+def test_array_dp_falls_back_above_int64(monkeypatch):
+    # 6^24 < 2^63 <= 6^25: k = 23 runs the int64 stages close to their
+    # limit, k = 24 must take the dict stages; np_k(S(3)) = 1 - 2^-k
+    monkeypatch.setattr(exact, "ARRAY_DP_MIN_ORDER", 1)
+    s3 = catalog_get("S(3)")
+    mul, inv = s3.lists
+    for k in (23, 24):
+        res = np_k(s3, k)
+        assert res.value == 1 - Fraction(1, 2 ** k)
+        assert res.counted_tuples == exact._dp_count(mul, inv, [list(range(6))] * (k + 1))
+
+    def refuse(*args):
+        raise AssertionError("the int64 stages ran above 2^63")
+
+    monkeypatch.setattr(exact, "_array_count", refuse)
+    assert np_k(s3, 24).total_tuples == 6 ** 25
+    with pytest.raises(AssertionError):
+        np_k(s3, 23)

@@ -1,7 +1,10 @@
 """Group table construction, validation, and the catalog."""
 
+import hashlib
+import itertools
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from nilprob.errors import NotAGroup, OrderExceeded, UnknownCatalogName
@@ -107,6 +110,11 @@ def test_every_swap_in_a_row_is_rejected(name):
         (2, [[0, [1]], [1, 0]], "identity", ()),
         (3, [[0, 2, 1], [1, 0, 2], [2, 1, 0]], "identity", (0, 1)),
         (3, [[0, 1, 2], [1, 0, 2], [1, 2, 0]], "identity", (2, 0)),
+        # entries are never converted: 0.5 used to be read as 0, which made C(2)
+        (2, [[0, 1], [1, 0.5]], "identity", ()),
+        (2, [[0.0, 1.0], [1.0, 0.0]], "identity", ()),
+        (2, [[False, True], [True, False]], "identity", ()),
+        (2, np.array([[0, 1], [1, 0]], dtype=float), "identity", ()),
     ],
 )
 def test_rejects_malformed_tables(n, mul, law, witness):
@@ -116,13 +124,93 @@ def test_rejects_malformed_tables(n, mul, law, witness):
 
 
 def test_table_hash_is_stable():
-    # cache keys: a change here needs a cache.SCHEMA_VERSION bump
+    # cache keys: a change here needs a cache.SCHEMA_VERSION bump.  The
+    # pins also fix the element order of permutation closures.
     assert catalog_get("S(3)").table_hash == (
         "ef287b0a147f67058dab99a4ac0a7cec8f6e0445a07d6376d6226c6b6085915c"
     )
     assert catalog_get("D(8)xC(2)").table_hash == (
         "73b863d9c16da720f26c895c40a039e2173912ecf24168fac1e999c34dac2665"
     )
+    pins = {
+        "C(64)": "72be7e0b789dfea932dfc89e20fc4cdd829d99c55f7431a3f3b7a2e22c00083f",
+        "D(64)": "f7340e54ad36b6157965760aa826bce80729ce286a13d05f0c2be6cc26e7f833",
+        "Dic(16)": "b3733583487bc16811c79dad95804f9ed7b21931178d812002ca1783d044dd30",
+        "Heis(5)": "184a99241cffc7c8df2ca1d98cabb4ead0a75bb20e46a1b0f58df85048acfed7",
+        "SL(2,3)": "eadd50cfdd4711eff7f6fa4cee54660e9fb340e3be8c46dd52048bd9059a7930",
+        "A(5)": "a6a8266b2a1354235ee8bb2443e712d43b91417b54ef87b85677da14832e2ae0",
+        "S(5)": "c04783c2ed0c0efe48818d8fd3f35563429f8cef3c7adf63f020ddbb97ce03eb",
+    }
+    for name, digest in pins.items():
+        assert catalog_get(name).table_hash == digest, name
+
+
+def naive_hash(g):
+    """Oracle: the table hash written out with string joins."""
+    h = hashlib.sha256()
+    h.update(str(g.order).encode())
+    for row in g.mul.tolist():
+        h.update(b"|")
+        h.update(",".join(map(str, row)).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", ["C(1)", "C(9)", "C(10)", "C(11)", "S(4)", "C(101)", "C(1001)"])
+def test_table_hash_matches_string_join(name):
+    # orders around each change of digit width, and rows spanning blocks
+    g = catalog_get(name)
+    assert g.table_hash == naive_hash(g)
+
+
+def naive_closure_table(gens):
+    """Oracle: image tuples closed under composition, sorted, multiplied one by one."""
+    seen = {tuple(range(len(gens[0])))}
+    frontier = list(seen)
+    while frontier:
+        new = []
+        for p in frontier:
+            for g in gens:
+                q = tuple(g[x] for x in p)
+                if q not in seen:
+                    seen.add(q)
+                    new.append(q)
+        frontier = new
+    elements = sorted(seen)
+    index = {p: i for i, p in enumerate(elements)}
+    return [[index[tuple(q[x] for x in p)] for q in elements] for p in elements]
+
+
+@pytest.mark.parametrize("gens", [
+    [[1, 0, 2, 3], [1, 2, 3, 0]],
+    [[1, 2, 0, 3, 4], [0, 1, 3, 4, 2]],
+    [[2, 0, 1, 3, 4, 5], [0, 1, 2, 4, 5, 3], [3, 4, 5, 0, 1, 2]],
+    [[1, 2, 3, 4, 5, 6, 0], [0, 6, 5, 4, 3, 2, 1]],
+    catalog_generators("SL(2,3)")[1],
+    catalog_generators("S(3)xC(4)")[1],
+])
+def test_perm_closure_matches_naive_closure(gens):
+    g = build_from_perm_gens(gens)
+    assert np.array_equal(g.mul, naive_closure_table(gens))
+
+
+def test_large_cyclic_closure():
+    # element i of C(n) is the rotation by i, so the table is addition mod n
+    g = catalog_get("C(1024)")
+    n = g.order
+    assert n == 1024
+    expected = (np.arange(n)[:, None] + np.arange(n)) % n
+    assert np.array_equal(g.mul, expected)
+
+
+def test_table_is_read_only_int32_copy():
+    source = np.array([[0, 1], [1, 0]], dtype=np.int32)
+    g = build_from_table(2, source)
+    assert g.mul.dtype == np.int32 and g.inv.dtype == np.int32
+    assert g.mul.flags.c_contiguous and not g.mul.flags.writeable
+    assert not g.inv.flags.writeable
+    source[0, 0] = 1  # the caller's array stays the caller's
+    assert g.mul[0, 0] == 0
+    assert g.lists == ([[0, 1], [1, 0]], [0, 1])
 
 
 def test_perm_gens_c2():
@@ -159,8 +247,18 @@ def test_direct_product_with_trivial_is_identity_table():
     s3 = catalog_get("S(3)")
     c1 = catalog_get("C(1)")
     prod = direct_product(s3, c1)
-    assert prod.mul == s3.mul
+    assert np.array_equal(prod.mul, s3.mul)
     assert prod.table_hash == s3.table_hash
+
+
+@pytest.mark.parametrize("left, right", [("S(3)", "C(4)"), ("Q8", "S(3)"), ("C(1)", "D(8)")])
+def test_direct_product_matches_componentwise_product(left, right):
+    a, b = catalog_get(left), catalog_get(right)
+    g = direct_product(a, b)
+    nb = b.order
+    for x, y in itertools.product(g.elements(), repeat=2):
+        expected = a.mul[x // nb, y // nb] * nb + b.mul[x % nb, y % nb]
+        assert g.mul[x, y] == expected
 
 
 def test_direct_product_order_cap():
@@ -207,7 +305,7 @@ def test_catalog_unknown_name():
 def test_catalog_deterministic_tables():
     a = catalog_get("SL(2,3)")
     b = catalog_get("SL(2,3)")
-    assert a.mul == b.mul
+    assert np.array_equal(a.mul, b.mul)
     assert a.table_hash == b.table_hash
 
 
@@ -231,7 +329,7 @@ def test_definition_roundtrip():
     g = catalog_get("Dic(3)")
     obj = group_to_definition(g)
     g2 = group_from_definition(obj)
-    assert g2.mul == g.mul
+    assert np.array_equal(g2.mul, g.mul)
     assert g2.label == g.label
 
 

@@ -2,6 +2,7 @@
 
 import itertools
 
+import numpy as np
 import pytest
 
 from nilprob.errors import EmptyInput, NotNormal, OrderExceeded
@@ -11,11 +12,9 @@ from nilprob.structure import (
     centralizer,
     commutator,
     conjugacy_classes,
-    coset_intersection_size,
     image_subgroup,
     is_normal,
     left_coset_reps,
-    left_normed_commutator,
     lower_central_series,
     nilpotency_class,
     normal_subgroups,
@@ -42,6 +41,23 @@ def is_subgroup(g, elements):
 
 def first_of_order(g, n):
     return next(x for x in g.elements() if element_order(g, x) == n)
+
+
+def left_normed_commutator(g, xs):
+    """Oracle: fold of ``commutator``; a single element is returned unchanged."""
+    if not xs:
+        raise EmptyInput("left-normed commutator of an empty list")
+    acc = xs[0]
+    for x in xs[1:]:
+        acc = commutator(g, acc, x)
+    return acc
+
+
+def coset_intersection_size(g, h, y, x):
+    """Oracle: |y C_G(x) \\cap H|, counted element by element."""
+    mul, inv = g.lists
+    # a in y C_G(x)  <=>  y^-1 a commutes with x
+    return sum(1 for a in h.elements if mul[mul[inv[y]][a]][x] == mul[x][mul[inv[y]][a]])
 
 
 def test_commutator_basics():
@@ -187,7 +203,7 @@ def test_quotient_by_trivial_and_whole():
     g = catalog_get("D(12)")
     q_triv = quotient(g, subgroup(g, [0]))
     assert q_triv.target.order == g.order
-    assert q_triv.target.mul == g.mul  # identity projection preserves the table
+    assert np.array_equal(q_triv.target.mul, g.mul)  # identity projection preserves the table
     q_all = quotient(g, whole_group(g))
     assert q_all.target.order == 1
 
