@@ -31,6 +31,7 @@ from .groups import (
 from .montecarlo import DEFAULT_Z, estimate_np
 from .perms import schreier_sims
 from .structure import (
+    NORMAL_LATTICE_CAP,
     SubgroupRef,
     center,
     conjugacy_classes,
@@ -220,7 +221,10 @@ def cmd_estimate(args, parser) -> int:
     except (NilprobError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         raise _UsageError(f"cannot build permutation group: {exc}") from exc
 
-    result = estimate_np(bsgs, args.k, args.samples, args.seed, args.z)
+    try:
+        result = estimate_np(bsgs, args.k, args.samples, args.seed, args.z)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from exc
     payload = {"group": label, "order": str(bsgs.order), **result.to_json()}
     _emit(args, payload, (
         ["group", "k", "samples", "seed", "hits", "point", "ci_low", "ci_high", "z"],
@@ -306,17 +310,25 @@ def cmd_describe(args, parser) -> int:
         return 0
     classes = conjugacy_classes(g)
     z = center(g)
-    normals = normal_subgroups(g)
     series = lower_central_series(g)
     cls = nilpotency_class(g)
+    # the lattice search is capped; above the cap the other properties are
+    # still cheap array passes
+    if g.order <= NORMAL_LATTICE_CAP:
+        normals = normal_subgroups(g)
+        lattice = (len(normals), [n.order for n in normals])
+    elif args.format == "json":
+        lattice = (None, None)
+    else:
+        lattice = (f"not computed: above the lattice cap {NORMAL_LATTICE_CAP}",) * 2
     payload = {
         "group": g.label,
         "order": g.order,
         "classes": classes.num_classes,
         "cp": _fraction_str(cp(g)),
         "center_order": z.order,
-        "normal_subgroups": len(normals),
-        "normal_subgroup_orders": [n.order for n in normals],
+        "normal_subgroups": lattice[0],
+        "normal_subgroup_orders": lattice[1],
         "nilpotency_class": cls if cls is not None else "not nilpotent",
         "lower_central_orders": [s.order for s in series],
     }

@@ -3,22 +3,32 @@
 For groups too large to hold as a table, the k-step probability is
 estimated by sampling (k+1)-tuples of exactly uniform elements from a
 stabilizer chain and testing whether their left-normed commutator is the
-identity, entirely by permutation composition.
+identity, entirely by permutation composition.  A chunk of samples is
+drawn and tested at once, as (samples, degree) arrays.
 
-Sampling is chunked: chunk ``i`` draws from a generator seeded by
+Sampling is chunked: chunk ``i`` draws from a Mersenne Twister seeded by
 ``derive_seed(seed, i)``, so results depend only on (seed, samples,
-chunk_size) and never on how chunks are scheduled.
+chunk_size) and never on how chunks are scheduled.  Each chunk reads its
+generator as 32-bit words, one vector per chain level and tuple position
+(:meth:`PermGroupBSGS.random_uniform`), so estimates differ from those of
+versions that drew one element at a time with ``randrange``.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
+from typing import Optional
 
 from .errors import InvalidCounts
-from .perms import PermGroupBSGS, compose, inverse, stream_rng
+from .perms import PermGroupBSGS, commutator_rows, compose_rows, derive_seed, row_blocks
 
 DEFAULT_CHUNK_SIZE = 8192
+#: The default chunk is cut down to at most this many cells (samples times
+#: degree), because a chunk holds each tuple position as a (samples,
+#: degree) array; 8192 samples of degree 20000 would take 328 MB apiece.
+DEFAULT_CHUNK_CELLS = 1 << 20
 DEFAULT_Z = 1.96
 
 
@@ -78,13 +88,25 @@ def estimate_np(
     samples: int,
     seed: int,
     z: float = DEFAULT_Z,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
+    chunk_size: Optional[int] = None,
 ) -> EstimateResult:
-    """Estimate the k-step nilpotence probability of a permutation group."""
+    """Estimate the k-step nilpotence probability of a permutation group.
+
+    ``seed`` must lie in [0, 2^64): sub-seeds are 64-bit, so seeds outside
+    that range would repeat the streams of seeds inside it.  Without
+    ``chunk_size``, chunks hold ``DEFAULT_CHUNK_SIZE`` samples, or fewer
+    when the group's degree would make them larger than
+    ``DEFAULT_CHUNK_CELLS``; the result reports the size used.
+    """
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed must be in [0, 2^64), got {seed}")
     if k < 1:
         raise ValueError("k must be at least 1")
     if samples < 1:
         raise ValueError("samples must be at least 1")
+    if chunk_size is None:
+        fitting = DEFAULT_CHUNK_CELLS // max(1, group.degree)
+        chunk_size = max(1, min(DEFAULT_CHUNK_SIZE, fitting))
     if chunk_size < 1:
         raise ValueError("chunk_size must be at least 1")
     if not (math.isfinite(z) and z > 0):
@@ -95,7 +117,8 @@ def estimate_np(
     chunk_index = 0
     while done < samples:
         size = min(chunk_size, samples - done)
-        hits += _run_chunk(group, k, size, stream_rng(seed, chunk_index))
+        rng = random.Random(derive_seed(seed, chunk_index))
+        hits += _run_chunk(group, k, size, rng)
         done += size
         chunk_index += 1
 
@@ -113,22 +136,23 @@ def estimate_np(
     )
 
 
-def _run_chunk(group: PermGroupBSGS, k: int, size: int, rng) -> int:
+def _run_chunk(group: PermGroupBSGS, k: int, size: int, rng: random.Random) -> int:
+    """How many of ``size`` sampled (k+1)-tuples have a trivial commutator.
+
+    [x_1, ..., x_{k+1}] = [w, x_{k+1}] with w = [x_1, ..., x_k] is trivial
+    iff w and x_{k+1} commute, so w takes k-1 commutators and the last
+    element is only tested for commuting with it.  Each element of the
+    tuple is drawn for the whole chunk before any row block is composed,
+    so the hits do not depend on the block size.
+    """
+    w = group.random_uniform(rng, size)
+    for _ in range(k - 1):
+        t = group.random_uniform(rng, size)
+        for rows in row_blocks(size, group.degree):
+            w[rows] = commutator_rows(w[rows], t[rows])
+    t = group.random_uniform(rng, size)
     hits = 0
-    draw = group.random_uniform
-    if k == 1:
-        # [x, y] = 1 iff xy = yx; skips four compositions per sample
-        for _ in range(size):
-            x = draw(rng)
-            y = draw(rng)
-            if compose(x, y) == compose(y, x):
-                hits += 1
-        return hits
-    for _ in range(size):
-        w = draw(rng)
-        for _ in range(k):
-            t = draw(rng)
-            w = compose(compose(compose(inverse(w), inverse(t)), w), t)
-        if all(i == x for i, x in enumerate(w)):
-            hits += 1
+    for rows in row_blocks(size, group.degree):
+        commuting = compose_rows(w[rows], t[rows]) == compose_rows(t[rows], w[rows])
+        hits += int(commuting.all(axis=1).sum())
     return hits

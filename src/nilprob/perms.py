@@ -13,15 +13,23 @@ points are always the smallest point moved by the residue that forced a
 new level, orbits are explored in sorted order, and every Schreier
 generator is sifted.  Given the same generator list the chain (and hence
 the uniform sampling stream for a fixed seed) is bit-reproducible.
+
+Sampling works on batches: :meth:`PermGroupBSGS.random_uniform` returns a
+(size, degree) array, one element per row, and :func:`compose_rows` and
+:func:`commutator_rows` act row by row.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
+
+import numpy as np
 
 from .errors import DegreeMismatch
+
+if TYPE_CHECKING:
+    import random
 
 Perm = list[int]
 
@@ -71,6 +79,42 @@ def perm_from_cycles(degree: int, cycles: Iterable[Sequence[int]]) -> Perm:
     return p
 
 
+# -- batches of permutations as (rows, degree) arrays ---------------------------
+
+#: Row blocks of batched permutation arithmetic hold at most this many
+#: cells, so their temporaries stay a few MB whatever the batch size.
+BLOCK_CELLS = 1 << 14
+
+
+def row_blocks(rows: int, degree: int) -> Iterator[slice]:
+    """Consecutive row slices of at most ``BLOCK_CELLS`` cells, covering ``rows``."""
+    step = max(1, BLOCK_CELLS // max(1, degree))
+    for lo in range(0, rows, step):
+        yield slice(lo, min(rows, lo + step))
+
+
+def _row_offsets(rows: int, degree: int) -> np.ndarray:
+    return np.arange(rows)[:, None] * degree
+
+
+def compose_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Row-wise :func:`compose`: row r of the result applies ``p[r]``, then ``q[r]``."""
+    return np.take(q, p + _row_offsets(*p.shape))
+
+
+def commutator_rows(w: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Row-wise commutator w^-1 t^-1 w t, in the order of :func:`compose`.
+
+    It equals (tw)^-1 (wt), so it is the scatter c[tw[x]] = wt[x] of two
+    row-wise products, and no inverse is formed on its own.
+    """
+    wt = compose_rows(w, t)
+    tw = compose_rows(t, w)
+    out = np.empty_like(w)
+    np.put(out, tw + _row_offsets(*w.shape), wt)
+    return out
+
+
 # -- seeded RNG with sub-stream derivation -----------------------------------
 
 _MASK64 = (1 << 64) - 1
@@ -93,9 +137,30 @@ def derive_seed(seed: int, stream_index: int) -> int:
     return splitmix64(splitmix64(seed & _MASK64) ^ (stream_index & _MASK64))
 
 
-def stream_rng(seed: int, stream_index: int = 0) -> random.Random:
-    """A Mersenne-Twister generator seeded from (seed, stream_index)."""
-    return random.Random(derive_seed(seed, stream_index))
+_WORD = 1 << 32
+
+
+def _words(rng: random.Random, n: int) -> np.ndarray:
+    return np.frombuffer(rng.randbytes(4 * n), dtype="<u4").astype(np.intp)
+
+
+def uniform_indices(rng: random.Random, bound: int, size: int) -> np.ndarray:
+    """``size`` independent integers, exactly uniform on [0, bound), bound <= 2^32.
+
+    They come in the smallest unsigned type that holds ``bound - 1``.
+
+    Reads little-endian 32-bit words from ``rng.randbytes``.  A word below
+    the largest multiple of ``bound`` up to 2^32 gives its residue mod
+    ``bound``; every other word is replaced by a fresh one, in order of
+    position, until all are accepted.
+    """
+    limit = _WORD - _WORD % bound
+    words = _words(rng, size)
+    redo = np.flatnonzero(words >= limit)
+    while redo.size:
+        words[redo] = _words(rng, redo.size)
+        redo = redo[words[redo] >= limit]
+    return (words % bound).astype(np.min_scalar_type(bound - 1))
 
 
 # -- stabilizer chain ---------------------------------------------------------
@@ -138,6 +203,14 @@ class PermGroupBSGS:
         for level in levels:
             order *= len(level.orbit)
         self.order = order
+        # the smallest unsigned type that holds a point keeps sampled
+        # batches compact; each level's transversal is one array with a row
+        # per orbit point, in sorted order
+        self._dtype = np.min_scalar_type(max(degree - 1, 0))
+        self._rep_arrays = [
+            np.array([level.transversal[x] for x in level.orbit], dtype=self._dtype)
+            for level in levels
+        ]
 
     @property
     def base(self) -> list[int]:
@@ -167,25 +240,24 @@ class PermGroupBSGS:
             residue = compose(residue, inverse(rep))
         return residue
 
-    def contains(self, p: Sequence[int]) -> bool:
-        return is_identity(self.sift(p))
+    def random_uniform(self, rng: random.Random, size: int) -> np.ndarray:
+        """``size`` exactly uniform, independent elements, as a (size, degree) array.
 
-    def random_uniform(self, rng: random.Random) -> Perm:
-        """Exactly uniform group element.
-
-        Draws one uniformly random orbit point per chain level (top level
-        first, so the consumption of ``rng`` is well defined) and composes
-        the corresponding transversal representatives.  Every group element
-        arises from exactly one choice vector, so the output is uniform.
+        Draws one index vector per chain level with :func:`uniform_indices`,
+        top level first, so the consumption of ``rng`` is well defined; then
+        composes the chosen transversal representatives, deepest level
+        first, in row blocks.  Every group element arises from exactly one
+        choice of representatives, so each row is uniform.
         """
-        choices = [
-            level.transversal[level.orbit[rng.randrange(len(level.orbit))]]
-            for level in self._levels
-        ]
-        out: Optional[Perm] = None
-        for rep in reversed(choices):
-            out = rep if out is None else compose(out, rep)
-        return out if out is not None else identity_perm(self.degree)
+        degree = self.degree
+        choices = [uniform_indices(rng, len(reps), size) for reps in self._rep_arrays]
+        out = np.empty((size, degree), dtype=self._dtype)
+        for rows in row_blocks(size, degree):
+            acc = np.arange(degree)
+            for reps, chosen in zip(self._rep_arrays[::-1], choices[::-1]):
+                acc = np.take(reps, acc + (chosen[rows].astype(np.intp) * degree)[:, None])
+            out[rows] = acc
+        return out
 
 
 def schreier_sims(generators: Sequence[Sequence[int]]) -> PermGroupBSGS:

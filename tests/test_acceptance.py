@@ -18,8 +18,10 @@ from nilprob.cli import main
 from nilprob.exact import identity_shifts, np_bruteforce, np_fast, np_k
 from nilprob.groups import catalog_base_names, catalog_generators, catalog_get
 from nilprob.montecarlo import estimate_np
-from nilprob.perms import schreier_sims, stream_rng
+from nilprob.perms import schreier_sims
 from nilprob.structure import left_coset_reps, normal_subgroups, whole_group
+
+from seeded import stream_rng
 
 
 def report_line(number, passed, description):

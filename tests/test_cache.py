@@ -6,8 +6,9 @@ from fractions import Fraction
 from nilprob.cache import CACHE_FILENAME, ENV_CACHE_DIR, ResultCache, default_cache_dir
 from nilprob.exact import np_fast, np_sup
 from nilprob.groups import catalog_get
-from nilprob.perms import stream_rng
 from nilprob.structure import left_coset_reps, normal_subgroups
+
+from seeded import stream_rng
 
 
 def test_roundtrip(tmp_path):

@@ -131,6 +131,21 @@ def test_estimate_bad_z_exits_2(capsys, z):
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("seed", [-1, 1 << 64])
+def test_estimate_seed_outside_64_bits_exits_2(capsys, seed):
+    # -1 and 2^64 - 1 used to give the same stream; 0 and 2^64 - 1 are the ends
+    code, out, err = run_cli(
+        capsys, "estimate", "--group", "S(4)", "--samples", "100", "--seed", str(seed),
+    )
+    assert code == 2 and out == ""
+    assert err.splitlines() == [f"error: seed must be in [0, 2^64), got {seed}"]
+    for inside in (0, (1 << 64) - 1):
+        code, _, _ = run_cli(
+            capsys, "estimate", "--group", "S(4)", "--samples", "100", "--seed", str(inside),
+        )
+        assert code == 0
+
+
 def test_estimate_zero_samples_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli(capsys, "estimate", "--group", "S(5)", "--samples", "0")
@@ -189,6 +204,23 @@ def test_describe(capsys):
 
     code, out, _ = run_cli(capsys, "--format", "json", "describe", "--group", "C(1)")
     assert json.loads(out)["nilpotency_class"] == 0
+
+
+def test_describe_above_lattice_cap(capsys):
+    code, out, _ = run_cli(capsys, "--format", "json", "describe", "--group", "D(32)xD(32)")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["order"] == 1024 and doc["classes"] == 121 and doc["cp"] == "121/1024"
+    assert doc["center_order"] == 4 and doc["nilpotency_class"] == 4
+    assert doc["lower_central_orders"] == [1024, 64, 16, 4, 1]
+    assert doc["normal_subgroups"] is None and doc["normal_subgroup_orders"] is None
+
+    code, out, _ = run_cli(capsys, "describe", "--group", "D(32)xD(32)")
+    assert code == 0
+    lines = dict(line.split(None, 1) for line in out.splitlines())
+    marker = "not computed: above the lattice cap 512"
+    assert lines["normal_subgroups"] == lines["normal_subgroup_orders"] == marker
+    assert lines["classes"] == "121"
 
 
 def test_describe_emit_definition_roundtrip(capsys):

@@ -18,7 +18,6 @@ from nilprob.exact import (
     np_sup,
 )
 from nilprob.groups import catalog_get, direct_product
-from nilprob.perms import stream_rng
 from nilprob.structure import (
     center,
     conjugacy_classes,
@@ -31,6 +30,8 @@ from nilprob.structure import (
     subgroup_table,
     whole_group,
 )
+
+from seeded import stream_rng
 
 SMALL = ["C(1)", "C(4)", "C(6)", "S(3)", "D(8)", "Q8", "C(2)xC(2)", "Dic(3)", "A(4)"]
 

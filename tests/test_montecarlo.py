@@ -1,17 +1,21 @@
 """Wilson intervals and the sampling estimator."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from nilprob import montecarlo
+from nilprob import montecarlo, perms
 from nilprob.errors import InvalidCounts
 from nilprob.exact import np_k
 from nilprob.groups import catalog_generators, catalog_get
 from nilprob.montecarlo import estimate_np, wilson_ci
-from nilprob.perms import identity_perm, schreier_sims
+from nilprob.perms import identity_perm, perm_from_cycles, row_blocks, schreier_sims
 
 
 def wilson_oracle(hits, samples, z):
@@ -85,6 +89,63 @@ def test_estimate_s5_contains_truth():
     assert result.ci_low <= 7 / 120 <= result.ci_high
 
 
+def test_estimate_s4_np2_contains_truth():
+    _, gens, _ = catalog_generators("S(4)")
+    exact = np_k(catalog_get("S(4)"), 2).value
+    result = estimate_np(schreier_sims(gens), 2, 30000, seed=7)
+    assert result.ci_low <= exact <= result.ci_high
+
+
+def spread_s5(degree):
+    """S(5) on five points spread over 0..degree-1."""
+    points = [0, degree // 4, degree // 2, 3 * degree // 4, degree - 1]
+    return schreier_sims([
+        perm_from_cycles(degree, [points]),
+        perm_from_cycles(degree, [points[:2]]),
+    ])
+
+
+def test_row_blocks_do_not_change_hits(monkeypatch):
+    # a chunk of 1000 rows of degree 4096 is composed in many row blocks,
+    # yet every element of a tuple is drawn for the whole chunk first, so
+    # one block per chunk gives the same hits
+    degree = 4096
+    bsgs = spread_s5(degree)
+    assert bsgs.order == 120
+    assert len(list(row_blocks(1000, degree))) > 1
+    blocked = [estimate_np(bsgs, k, 3000, seed=3, chunk_size=1000) for k in (1, 2)]
+    monkeypatch.setattr(perms, "BLOCK_CELLS", 1 << 40)
+    assert len(list(row_blocks(1000, degree))) == 1
+    whole = [estimate_np(bsgs, k, 3000, seed=3, chunk_size=1000) for k in (1, 2)]
+    assert blocked == whole
+    assert all(0 < r.hits < 3000 for r in blocked)
+
+
+def test_default_chunk_fits_the_cell_limit():
+    # 2^20 cells of degree 4096 are 256 samples; degree 4 keeps 8192
+    wide = estimate_np(spread_s5(4096), 1, 600, seed=5)
+    assert wide.chunk_size == 256
+    assert wide == estimate_np(spread_s5(4096), 1, 600, seed=5, chunk_size=256)
+    _, gens, _ = catalog_generators("S(4)")
+    assert estimate_np(schreier_sims(gens), 1, 100, seed=5).chunk_size == 8192
+
+
+def test_cli_import_leaves_numpy_random_unloaded():
+    # numpy.random costs about 1.6 MB of resident memory and 5 ms to load;
+    # neither importing the CLI nor sampling needs it
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    code = (
+        "import sys\n"
+        "import nilprob.cli\n"
+        "assert 'numpy.random' not in sys.modules, 'loaded by import'\n"
+        "nilprob.cli.main(['estimate', '--group', 'S(4)', '--samples', '100'])\n"
+        "assert 'numpy.random' not in sys.modules, 'loaded by sampling'\n"
+    )
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+
+
 def test_estimate_deterministic_and_chunked():
     _, gens, _ = catalog_generators("S(4)")
     bsgs = schreier_sims(gens)
@@ -117,6 +178,9 @@ def test_estimate_validates_arguments(monkeypatch):
         estimate_np(bsgs, 0, 100, seed=1)
     with pytest.raises(ValueError):
         estimate_np(bsgs, 1, 0, seed=1)
+    for seed in (-1, 1 << 64):
+        with pytest.raises(ValueError):
+            estimate_np(bsgs, 1, 100, seed=seed)
 
     def no_sampling(*args):
         raise AssertionError("sampled before checking z")

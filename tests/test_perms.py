@@ -1,8 +1,10 @@
 """Permutation arithmetic, stabilizer chains, and uniform sampling."""
 
+import itertools
 import math
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -10,18 +12,27 @@ from hypothesis import strategies as st
 from nilprob.errors import DegreeMismatch
 from nilprob.groups import catalog_generators
 from nilprob.perms import (
+    commutator_rows,
     compose,
+    compose_rows,
     derive_seed,
     identity_perm,
     inverse,
     is_identity,
     perm_from_cycles,
     schreier_sims,
-    stream_rng,
+    uniform_indices,
     validate_perm,
 )
 
+from seeded import stream_rng
+
 perms5 = st.permutations(list(range(5)))
+
+
+def contains(bsgs, p):
+    """Membership oracle: ``p`` sifts to the identity through the chain."""
+    return is_identity(bsgs.sift(p))
 
 
 def test_compose_convention():
@@ -65,8 +76,8 @@ def test_schreier_sims_trivial():
     g = schreier_sims([identity_perm(4)])
     assert g.order == 1
     assert g.base == []
-    assert g.contains([0, 1, 2, 3])
-    assert not g.contains([1, 0, 2, 3])
+    assert contains(g, [0, 1, 2, 3])
+    assert not contains(g, [1, 0, 2, 3])
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -94,7 +105,7 @@ def test_strong_gens_sift_to_identity():
     _, gens, _ = catalog_generators("A(6)")
     g = schreier_sims(gens)
     for s in g.strong_gens:
-        assert g.contains(s)
+        assert contains(g, s)
 
 
 def _naive_closure(gens):
@@ -129,27 +140,28 @@ def test_contains_agrees_with_naive_closure(name):
     for _ in range(200):
         p = list(range(degree))
         rng.shuffle(p)
-        assert bsgs.contains(p) == (tuple(p) in closure)
+        assert contains(bsgs, p) == (tuple(p) in closure)
 
 
 def test_contains_odd_permutation_not_in_alternating():
     _, gens, _ = catalog_generators("A(5)")
     g = schreier_sims(gens)
-    assert not g.contains([1, 0, 2, 3, 4])
+    assert not contains(g, [1, 0, 2, 3, 4])
     for gen in gens:
-        assert g.contains(gen)
+        assert contains(g, gen)
 
 
 def test_random_uniform_trivial_group():
     g = schreier_sims([identity_perm(3)])
     rng = stream_rng(9)
-    assert all(g.random_uniform(rng) == [0, 1, 2] for _ in range(10))
+    assert g.random_uniform(rng, 10).tolist() == [[0, 1, 2]] * 10
 
 
 def test_random_uniform_c2_frequency():
     g = schreier_sims([[1, 0]])
     rng = stream_rng(1)
-    hits = sum(1 for _ in range(10 ** 4) if is_identity(g.random_uniform(rng)))
+    rows = g.random_uniform(rng, 10 ** 4).tolist()
+    hits = sum(1 for row in rows if is_identity(row))
     assert 0.45 <= hits / 10 ** 4 <= 0.55
 
 
@@ -158,7 +170,7 @@ def test_random_uniform_s3_frequencies():
     g = schreier_sims(gens)
     rng = stream_rng(7)
     n = 6 * 10 ** 4
-    counts = Counter(tuple(g.random_uniform(rng)) for _ in range(n))
+    counts = Counter(map(tuple, g.random_uniform(rng, n).tolist()))
     assert len(counts) == 6
     for c in counts.values():
         assert abs(c / n - 1 / 6) < 0.02
@@ -173,11 +185,82 @@ def test_random_uniform_chi_square():
     g = schreier_sims(gens)
     rng = stream_rng(123)
     n = 10 ** 5
-    counts = Counter(tuple(g.random_uniform(rng)) for _ in range(n))
+    counts = Counter(map(tuple, g.random_uniform(rng, n).tolist()))
     assert len(counts) == 24
     expected = n / 24
     stat = sum((c - expected) ** 2 / expected for c in counts.values())
     assert stat < chi2.ppf(0.999, df=23)
+
+
+class ScriptedWords:
+    """Stands in for ``random.Random``: ``randbytes`` hands out scripted
+    32-bit words, in order."""
+
+    def __init__(self, words):
+        self.words = list(words)
+
+    def randbytes(self, n):
+        taken, self.words = self.words[: n // 4], self.words[n // 4 :]
+        assert len(taken) == n // 4, "ran out of scripted words"
+        return np.array(taken, dtype="<u4").tobytes()
+
+
+@pytest.mark.parametrize("name", ["S(5)", "D(16)", "SL(2,3)"])
+def test_random_uniform_composes_chosen_representatives(name):
+    # every choice vector, fed in as words below each orbit length: row i
+    # is the compose product of the chosen representatives, deepest level
+    # first, and the rows are the whole group, each element once
+    _, gens, _ = catalog_generators(name)
+    g = schreier_sims(gens)
+    levels = [[t[x] for x in sorted(t)] for t in g.transversals()]
+    vectors = list(itertools.product(*(range(len(reps)) for reps in levels)))
+    words = [v[j] for j in range(len(levels)) for v in vectors]
+    got = g.random_uniform(ScriptedWords(words), len(vectors)).tolist()
+    for row, vector in zip(got, vectors):
+        expected = identity_perm(g.degree)
+        for reps, i in reversed(list(zip(levels, vector))):
+            expected = compose(expected, reps[i])
+        assert row == expected
+    assert len(set(map(tuple, got))) == g.order == len(vectors)
+    assert all(contains(g, row) for row in got)
+
+
+def test_uniform_indices_rejects_the_remainder():
+    # 2^32 is 4/3 of the bound 3 * 2^30, so a quarter of all words must be
+    # redrawn; keeping them (word mod bound) would put half of all values
+    # in the lowest of the three ranges [i * 2^30, (i + 1) * 2^30)
+    from scipy.stats import chi2
+
+    bound = 3 << 30
+    n = 30000
+    values = uniform_indices(stream_rng(31), bound, n)
+    assert values.dtype == np.uint32 and values.shape == (n,)
+    assert int(values.max()) < bound
+    counts = np.bincount(values >> 30, minlength=3)
+    stat = float(((counts - n / 3) ** 2 / (n / 3)).sum())
+    assert stat < chi2.ppf(0.999, df=2)
+    assert np.array_equal(values, uniform_indices(stream_rng(31), bound, n))
+    # the words below the limit are used as they come, in order
+    assert uniform_indices(ScriptedWords([5, 0, 6, 2]), 7, 4).tolist() == [5, 0, 6, 2]
+    assert uniform_indices(ScriptedWords([7 * 613566756, 3, 1]), 7, 2).tolist() == [1, 3]
+
+
+@pytest.mark.parametrize("degree", [5, 300])
+def test_row_arithmetic_matches_compose(degree):
+    # row by row, compose_rows is compose and commutator_rows is
+    # w^-1 t^-1 w t under compose/inverse, in a compact and a wide dtype
+    rng = stream_rng(55)
+    perms = [rng.sample(range(degree), degree) for _ in range(40)]
+    for dtype in (np.min_scalar_type(degree - 1), np.intp):
+        w = np.array(perms[:20], dtype=dtype)
+        t = np.array(perms[20:], dtype=dtype)
+        products = compose_rows(w, t)
+        commutators = commutator_rows(w, t)
+        assert products.dtype == commutators.dtype == dtype
+        for r, (a, b) in enumerate(zip(perms[:20], perms[20:])):
+            assert products[r].tolist() == compose(a, b)
+            expected = compose(compose(compose(inverse(a), inverse(b)), a), b)
+            assert commutators[r].tolist() == expected
 
 
 def test_derive_seed_streams_differ():
