@@ -31,6 +31,15 @@ come from one pass over G, are memoised for the rest of the enumeration,
 and one pass over W_k gives all n final counts of a length-k prefix.
 ``np_fast``, ``commutator_distribution`` and ``iter_shift_values`` share
 one stage-advance step.
+
+``np_sup`` walks only the [G:H]^k tuples whose last coordinate is the
+coset H itself.  The count of a tuple is the sum over w of W_k(w) times
+|C_G(w) ∩ rH| for its last coordinate r.  That intersection is empty or
+a left coset x(C_G(w) ∩ H) for any x in it, so each term is at most
+|C_G(w) ∩ H|: the coset H attains every prefix's maximum over the last
+coordinate, and the lexicographically smallest maximizer ends in
+representative 0.  Value and witness are those of the full enumeration;
+the shift budget still counts all [G:H]^(k+1) tuples.
 """
 
 from __future__ import annotations
@@ -290,12 +299,17 @@ def iter_shift_values(
     h: SubgroupRef,
     k: int,
     budget: int = DEFAULT_SHIFT_BUDGET,
+    sup_candidates: bool = False,
 ) -> Iterator[tuple[tuple[int, ...], Fraction]]:
     """Yield (shift tuple, exact value) over all canonical coset-rep tuples.
 
     Tuples are produced in lexicographic order of representatives, which
     are the least indices of the left cosets of H; the prefix-shared walk
-    that produces them is described in the module docstring.
+    that produces them is described in the module docstring.  With
+    ``sup_candidates`` only the tuples whose last coordinate is the coset
+    H itself (representative 0) are yielded: they hold every prefix's
+    maximum, as the module docstring explains.  The budget counts all
+    [G:H]^(k+1) tuples in both modes.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -305,19 +319,20 @@ def iter_shift_values(
         raise BudgetExceeded("shift tuple enumeration", count, budget)
     mul, inv = g.lists
     cosets = [[mul[r][y] for y in h.elements] for r in reps]
+    last_cosets = cosets[:1] if sup_candidates else cosets
     total = h.order ** (k + 1)
     # Both memos live for this enumeration only.  ``commuting[w]`` lists
-    # the pairs (i, |C(w) ∩ r_i H|) with a nonzero count; ``values`` holds
-    # one Fraction per distinct count.
+    # the pairs (i, |C(w) ∩ r_i H|) with a nonzero count over the last
+    # coordinates walked; ``values`` holds one Fraction per distinct count.
     commuting: dict[int, list[tuple[int, int]]] = {}
     values: dict[int, Fraction] = {}
 
     def last_stage(prefix, weights):
-        counts = [0] * len(reps)
+        counts = [0] * len(last_cosets)
         for w, cnt in weights.items():
             row = commuting.get(w)
             if row is None:
-                hits = (_commuting(mul, w, c) for c in cosets)
+                hits = (_commuting(mul, w, c) for c in last_cosets)
                 row = commuting[w] = [(i, n) for i, n in enumerate(hits) if n]
             for i, n in row:
                 counts[i] += cnt * n
@@ -347,13 +362,17 @@ def np_sup(
     """Supremum of the shifted probability over all shift tuples.
 
     All k+1 coordinates are maximized over coset representatives; the
-    witness is the lexicographically smallest maximizing tuple.  Stops
-    early once the unbeatable value 1 is reached, which keeps the common
-    nilpotent case (identity witness) cheap.
+    witness is the lexicographically smallest maximizing tuple.  Only the
+    [G:H]^k tuples whose last coordinate is the coset H itself are
+    evaluated: for every prefix that coset attains the maximum over the
+    last coordinate (see the module docstring), so a lex-smallest
+    maximizer always ends in it.  The budget still counts all [G:H]^(k+1)
+    tuples.  Stops early once the unbeatable value 1 is reached, which
+    keeps the common nilpotent case (identity witness) cheap.
     """
     best_val = Fraction(-1)
     best_tup: tuple[int, ...] = ()
-    for tup, val in iter_shift_values(g, h, k, budget):
+    for tup, val in iter_shift_values(g, h, k, budget, sup_candidates=True):
         if val > best_val:
             best_val, best_tup = val, tup
             if val == 1:

@@ -288,7 +288,8 @@ def direct_product(a: GroupTable, b: GroupTable, max_order: int = DEFAULT_ORDER_
 # Every named group is defined by fixed permutation generators, so element
 # orderings (and therefore every downstream report) are reproducible:
 #
-#   C(n)     n-cycle (0 1 .. n-1); C(1) is the trivial group on one point.
+#   C(n)     n-cycle (0 1 .. n-1), n >= 1; C(1) is the trivial group on one
+#            point.
 #   D(m)     dihedral of order m (m even): rotation (0 .. m/2-1) and the
 #            reflection i -> -i mod m/2.  D(2) is <(0 1)>, D(4) is
 #            <(0 1), (2 3)>.
@@ -308,6 +309,8 @@ def direct_product(a: GroupTable, b: GroupTable, max_order: int = DEFAULT_ORDER_
 
 
 def _cyclic_gens(n: int) -> tuple[int, list[Perm]]:
+    if n < 1:
+        raise UnknownCatalogName(f"cyclic order must be >= 1, got {n}")
     if n == 1:
         return 1, [identity_perm(1)]
     return n, [perm_from_cycles(n, [list(range(n))])]

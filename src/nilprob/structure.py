@@ -153,7 +153,8 @@ def normal_subgroups(g: GroupTable, cap: int = NORMAL_LATTICE_CAP) -> list[Subgr
 
     Every normal subgroup is a join of normal closures of single conjugacy
     classes, so the lattice is generated by closing that seed set under
-    pairwise joins.
+    pairwise joins.  The join of normal A and B is the product set AB,
+    gathered from the table in one step.
     """
     if g.order > cap:
         raise OrderExceeded(g.order, cap)
@@ -166,7 +167,9 @@ def normal_subgroups(g: GroupTable, cap: int = NORMAL_LATTICE_CAP) -> list[Subgr
     while worklist:
         sub = worklist.pop()
         for other in list(found.values()):
-            joined = subgroup_closure(g, sub.elements + other.elements)
+            hit = np.zeros(g.order, dtype=bool)
+            hit[g.mul[np.ix_(sub.elements, other.elements)]] = True
+            joined = SubgroupRef(g, tuple(np.flatnonzero(hit).tolist()))
             if joined.elements not in found:
                 found[joined.elements] = joined
                 worklist.append(joined)

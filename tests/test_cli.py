@@ -313,3 +313,12 @@ def test_verify_empty_corpus_exits_2(capsys, tmp_path):
     code, out, err = run_cli(capsys, "verify", "--corpus-file", str(empty), "--no-cache")
     assert code == 2 and out == ""
     assert err.splitlines() == [f"error: the corpus is empty: {empty} lists no group"]
+
+
+@pytest.mark.parametrize("name, n", [("C(0)", 0), ("C(-1)", -1), ("C(0)xS(3)", 0)])
+def test_cyclic_order_below_one_exits_2(capsys, name, n):
+    code, out, err = run_cli(capsys, "describe", "--group", name)
+    assert code == 2 and out == ""
+    assert err.splitlines() == [
+        f"error: cannot resolve group: cyclic order must be >= 1, got {n}"
+    ]

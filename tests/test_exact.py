@@ -235,17 +235,30 @@ def test_iter_shift_values_rejects_k_below_one():
             np_sup(s3, whole_group(s3), k)
 
 
+def tie_case():
+    """S(3)xS(3) with its non-normal subgroup <(1 2 3), (1 2)(4 5)> of order 6."""
+    g = catalog_get("S(3)xS(3)")
+    return g, subgroup_closure(g, [7, 8])
+
+
+def sup_cases():
+    for name in SMALL:
+        g = catalog_get(name)
+        for h in subgroup_pool(g):
+            yield name, g, h
+    yield ("S(3)xS(3)", *tie_case())
+
+
 @pytest.mark.parametrize("k", [1, 2])
 def test_np_sup_witness_with_ties_in_last_coordinate(k):
     # H = <(1 2 3), (1 2)(4 5)> of order 6 is not normal in S(3)xS(3).
     # Its maximum is reached at more than one last coordinate of the
-    # witness prefix, so the batched last stage must hand the tuples to
-    # np_sup in representative order for the lex-smallest one to win.
-    # The last coordinate of a witness is always the coset H itself:
-    # rH ∩ C(w) is empty or a coset of H ∩ C(w), so it is never larger
-    # than H ∩ C(w).
-    g = catalog_get("S(3)xS(3)")
-    h = subgroup_closure(g, [7, 8])
+    # witness prefix; np_sup, which walks only last coordinate 0, must
+    # still return the lex-smallest maximizer of the full walk.  The last
+    # coordinate of a witness is always the coset H itself: rH ∩ C(w) is
+    # empty or a coset of H ∩ C(w), so it is never larger than H ∩ C(w),
+    # and every batch of the full walk peaks at its first item.
+    g, h = tie_case()
     assert h.order == 6 and h.elements not in {n.elements for n in normal_subgroups(g)}
     values = list(iter_shift_values(g, h, k))
     sup, witness = np_sup(g, h, k)
@@ -256,6 +269,54 @@ def test_np_sup_witness_with_ties_in_last_coordinate(k):
     for start in range(0, len(values), n):
         batch = [v for _, v in values[start:start + n]]
         assert batch[0] == max(batch)
+
+
+def test_np_sup_matches_full_enumeration():
+    # the reduced walk gives the maximum of the full enumeration and its
+    # lex-smallest maximizer, normal and non-normal H alike
+    for name, g, h in sup_cases():
+        for k in (1, 2, 3):
+            values = list(iter_shift_values(g, h, k))
+            best = max(v for _, v in values)
+            witness = min(t for t, v in values if v == best)
+            assert np_sup(g, h, k) == (best, witness), (name, h.elements, k)
+
+
+def test_sup_candidates_are_the_last_coordinate_zero_items():
+    # same items, order and values as the full walk, restricted to the
+    # tuples whose last coordinate is representative 0
+    for name, g, h in sup_cases():
+        rep0 = left_coset_reps(g, h)[0]
+        for k in (1, 2, 3):
+            full = [(t, v) for t, v in iter_shift_values(g, h, k) if t[-1] == rep0]
+            got = list(iter_shift_values(g, h, k, sup_candidates=True))
+            assert got == full, (name, h.elements, k)
+
+
+def test_np_sup_draws_its_items_through_iter_shift_values(monkeypatch):
+    # np_sup must consume the public generator, whose items the benchmark
+    # counts; S(3)x1 in S(3)xD(24) has index 24, so k = 3 draws 24^3 items
+    drawn = []
+    walk = exact.iter_shift_values
+
+    def counted(*args, **kwargs):
+        for item in walk(*args, **kwargs):
+            drawn.append(item)
+            yield item
+
+    monkeypatch.setattr(exact, "iter_shift_values", counted)
+    g = catalog_get("S(3)xD(24)")
+    normals = normal_subgroups(g)
+    h = normals[7]
+    assert h.order == 6 and nilpotency_class(h) is None
+    assert np_sup(g, h, 3) == (Fraction(7, 8), (0, 0, 0, 0))
+    assert len(drawn) == 24 ** 3
+    # an abelian H stops at the first item, the identity shifts with value 1
+    drawn.clear()
+    abelian = normals[23]
+    assert abelian.order == 36 and nilpotency_class(abelian) == 1
+    assert np_sup(g, abelian, 1) == (1, (0, 0))
+    assert drawn == [((0, 0), 1)]
 
 
 def test_class_characterization_small():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from nilprob.errors import EmptyInput, NotNormal, OrderExceeded
-from nilprob.groups import catalog_get
+from nilprob.groups import catalog_base_names, catalog_get
 from nilprob.structure import (
     center,
     centralizer,
@@ -17,6 +17,7 @@ from nilprob.structure import (
     left_coset_reps,
     lower_central_series,
     nilpotency_class,
+    normal_closure_of_class,
     normal_subgroups,
     quotient,
     subgroup,
@@ -179,6 +180,35 @@ def test_normal_subgroups_against_oracle(name, expected_count):
     orders = [n.order for n in normals]
     assert orders == sorted(orders)
     assert normals[0].order == 1 and normals[-1].order == g.order
+
+
+def normal_subgroups_by_closure(g):
+    """Oracle: the normal-subgroup lattice with every join a subgroup closure."""
+    classes = conjugacy_classes(g)
+    found = {}
+    for rep in classes.reps:
+        sub = normal_closure_of_class(g, rep, classes)
+        found.setdefault(sub.elements, sub)
+    worklist = list(found.values())
+    while worklist:
+        sub = worklist.pop()
+        for other in list(found.values()):
+            joined = subgroup_closure(g, sub.elements + other.elements)
+            if joined.elements not in found:
+                found[joined.elements] = joined
+                worklist.append(joined)
+    return sorted(found, key=lambda elems: (len(elems), elems))
+
+
+@pytest.mark.parametrize("name", catalog_base_names(64) + ["S(3)xS(3)", "S(3)xD(24)"])
+def test_normal_subgroups_product_joins_match_closure(name):
+    g = catalog_get(name)
+    normals = [n.elements for n in normal_subgroups(g)]
+    assert normals == normal_subgroups_by_closure(g)
+    if name == "S(3)xD(24)":
+        # (a, b) has index 24 a + b, so S(3)x1 is the multiples of 24
+        assert len(normals) == 36
+        assert normals[7] == tuple(range(0, 144, 24))
 
 
 def test_normal_subgroups_cap():
