@@ -15,7 +15,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 CACHE_FILENAME = "nilprob-cache.jsonl"
 ENV_CACHE_DIR = "NILPROB_CACHE_DIR"
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 from fractions import Fraction
@@ -25,6 +26,7 @@ from .groups import (
     catalog_base_names,
     catalog_generators,
     catalog_get,
+    definition_field,
     group_from_definition,
     group_to_definition,
 )
@@ -122,14 +124,18 @@ def _open_cache(args) -> Optional[ResultCache]:
         raise _UsageError(f"cannot use cache directory {directory}: {reason}") from exc
 
 
+def _write_csv(fh, header: list[str], rows) -> None:
+    """Rows as CSV; a field is quoted only when it holds a comma, quote or newline."""
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+
+
 def _emit(args, payload: dict, csv_rows: tuple[list[str], list[list]]) -> None:
     if args.format == "json":
         print(json.dumps(payload, sort_keys=True))
     elif args.format == "csv":
-        header, rows = csv_rows
-        print(",".join(header))
-        for row in rows:
-            print(",".join(str(x) for x in row))
+        _write_csv(sys.stdout, *csv_rows)
     else:
         width = max(len(k) for k in payload) if payload else 0
         for key in payload:
@@ -141,6 +147,12 @@ def _emit(args, payload: dict, csv_rows: tuple[list[str], list[list]]) -> None:
 
 def cmd_np(args, parser) -> int:
     _check_k(args.k)
+    modes = [flag for flag, given in (("--cp", args.cp), ("--sup", args.sup),
+                                      ("--shifts", args.shifts is not None)) if given]
+    if len(modes) > 1:
+        raise _UsageError(f"use only one of --cp / --sup / --shifts, got {' and '.join(modes)}")
+    if args.method == "brute" and (args.cp or args.sup):
+        raise _UsageError(f"--method brute does not apply to {modes[0]}")
     g = _resolve_group(args, parser)
     h = _resolve_subgroup(g, args)
     cache = _open_cache(args)
@@ -213,10 +225,10 @@ def cmd_estimate(args, parser) -> int:
         else:
             with open(args.gens_file, "r", encoding="utf-8") as fh:
                 obj = json.load(fh)
-            if obj.get("kind") != "perm_gens":
+            if not isinstance(obj, dict) or obj.get("kind") != "perm_gens":
                 raise _UsageError("--gens-file needs a perm_gens definition")
-            gens = obj["gens"]
-            label = obj.get("label", "<perm group>")
+            gens = definition_field(obj, "gens", list)
+            label = definition_field(obj, "label", str, "<perm group>")
         bsgs = schreier_sims(gens)
     except (NilprobError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         raise _UsageError(f"cannot build permutation group: {exc}") from exc
@@ -287,13 +299,10 @@ def cmd_verify(args, parser) -> int:
                       sort_keys=True, indent=2)
             fh.write("\n")
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write("group,k,check,lhs,rhs,holds\n")
-            for o in report.outcomes:
-                lhs = o.to_json()["lhs"]
-                rhs = o.to_json()["rhs"]
-                fh.write(f"{o.group},{o.params.get('k', 1)},{o.check_id},"
-                         f"{lhs},{rhs},{o.holds}\n")
+        with open(args.csv, "w", encoding="utf-8", newline="") as fh:
+            _write_csv(fh, ["group", "k", "check", "lhs", "rhs", "holds"], (
+                [d["group"], d["params"].get("k", 1), d["check"], d["lhs"], d["rhs"], d["holds"]]
+                for d in (o.to_json() for o in report.outcomes)))
 
     if args.format == "json":
         print(json.dumps(report.to_json(include_timing=args.include_timing),
@@ -399,7 +408,8 @@ def build_parser() -> argparse.ArgumentParser:
                       help="use the INDEXth normal subgroup (see describe) as H")
     p_np.add_argument("--subgroup-gens", metavar="ELEMS",
                       help="use the subgroup generated by these element indices as H")
-    p_np.add_argument("--method", choices=("dp", "brute"), default="dp")
+    p_np.add_argument("--method", choices=("dp", "brute"), default="dp",
+                      help="how np_k and --shifts are counted; --cp and --sup use dp")
     p_np.set_defaults(fn=cmd_np)
 
     p_est = sub.add_parser("estimate", help="Monte Carlo estimate for permutation groups")

@@ -5,6 +5,8 @@ identity.  For groups built from permutation generators the remaining
 elements are sorted by their image arrays, so tables are reproducible
 across runs.  The group operation for permutation-built groups is
 ``compose(p, q)`` ("apply p, then q") from :mod:`nilprob.perms`.
+The results cache keys a table by ``GroupTable.table_hash``, the sha256
+of its ``int32`` bytes, computed on first use.
 
 A table is one read-only C-contiguous ``int32`` array, and every builder
 fills it by index arithmetic on arrays: permutation closures by one
@@ -43,19 +45,20 @@ class GroupTable:
 
     ``mul[a, b]`` is the index of the product and ``inv[a]`` the inverse,
     both read-only ``int32`` arrays; index 0 is the identity.
-    ``table_hash`` is a content hash of the table (label excluded) used as
-    a cache key.
     """
 
     order: int
     mul: np.ndarray
     inv: np.ndarray
     label: str
-    table_hash: str
 
-    @property
-    def identity(self) -> int:
-        return 0
+    @cached_property
+    def table_hash(self) -> str:
+        """sha256 of the table's little-endian ``int32`` bytes (label excluded), the cache key.
+
+        Computed on first use, so tables that are never keyed are never hashed.
+        """
+        return hashlib.sha256(self.mul.astype("<i4", copy=False)).hexdigest()
 
     def elements(self) -> range:
         return range(self.order)
@@ -78,27 +81,6 @@ def row_blocks(rows: int, width: int) -> list[slice]:
     """Slices covering ``range(rows)``, each of about :data:`BLOCK_CELLS` cells of ``width``."""
     step = max(1, BLOCK_CELLS // width)
     return [slice(lo, lo + step) for lo in range(0, rows, step)]
-
-
-def _hash_table(m: np.ndarray) -> str:
-    """sha256 of the order, then of ``|`` and the comma-joined decimal row, per row.
-
-    The bytes are assembled with numpy, a block of rows at a time: each
-    cell becomes a separator and its decimal digits, NUL-padded to a fixed
-    width, and the padding is dropped before hashing.
-    """
-    n = len(m)
-    h = hashlib.sha256(str(n).encode())
-    text = np.array([str(v).encode() for v in range(n)])
-    width = text.dtype.itemsize
-    cell = np.zeros((n, width + 1), dtype=np.uint8)
-    cell[:, 0] = ord(",")
-    cell[:, 1:] = text.view(np.uint8).reshape(n, width)
-    for rows in row_blocks(n, n):
-        chars = cell[m[rows]]
-        chars[:, 0, 0] = ord("|")
-        h.update(chars.tobytes().replace(b"\0", b""))
-    return h.hexdigest()
 
 
 def _as_array(n: int, mul) -> np.ndarray:
@@ -203,7 +185,6 @@ def build_from_table(n: int, mul, label: str = "") -> GroupTable:
         mul=m,
         inv=inv,
         label=label or f"order-{n} group",
-        table_hash=_hash_table(m),
     )
 
 
@@ -274,10 +255,9 @@ def build_from_perm_gens(
 def direct_product(a: GroupTable, b: GroupTable, max_order: int = DEFAULT_ORDER_CAP) -> GroupTable:
     """Componentwise product; (g, h) gets index ``g * |b| + h``."""
     n = a.order * b.order
-    if n > max_order:
-        raise OrderExceeded(n, max_order)
-    if n > DEFAULT_ORDER_CAP:
-        raise OrderExceeded(n, DEFAULT_ORDER_CAP)
+    cap = min(max_order, DEFAULT_ORDER_CAP)
+    if n > cap:
+        raise OrderExceeded(n, cap)
     nb = b.order
     mul = a.mul[:, None, :, None] * nb + b.mul[None, :, None, :]
     return build_from_table(n, mul.reshape(n, n), f"{a.label}x{b.label}")
@@ -490,6 +470,14 @@ def catalog_base_names(max_order: Optional[int] = None) -> list[str]:
 
 # -- group-definition JSON ----------------------------------------------------
 
+def definition_field(obj: dict, key: str, kind: type, default=None):
+    """``obj[key]`` (or ``default`` when absent), after checking it is a ``kind``."""
+    value = obj.get(key, default)
+    if not isinstance(value, kind):
+        raise ValueError(f"{key!r} must be a {kind.__name__}, got {value!r}")
+    return value
+
+
 def group_from_definition(obj: dict, max_order: int = DEFAULT_ORDER_CAP) -> GroupTable:
     """Build a group from a definition document.
 
@@ -501,7 +489,7 @@ def group_from_definition(obj: dict, max_order: int = DEFAULT_ORDER_CAP) -> Grou
     if not isinstance(obj, dict):
         raise ValueError("group definition must be a JSON object")
     kind = obj.get("kind")
-    label = obj.get("label", "")
+    label = definition_field(obj, "label", str, "")
     if kind == "mul_table":
         mul = obj["mul"]
         if not isinstance(mul, list) or not all(isinstance(row, list) for row in mul):
@@ -510,9 +498,10 @@ def group_from_definition(obj: dict, max_order: int = DEFAULT_ORDER_CAP) -> Grou
             raise OrderExceeded(len(mul), max_order)
         return build_from_table(len(mul), mul, label)
     if kind == "perm_gens":
-        return build_from_perm_gens(obj["gens"], label, max_order)
+        return build_from_perm_gens(definition_field(obj, "gens", list), label, max_order)
     if kind == "product":
-        factors = [group_from_definition(f, max_order) for f in obj["factors"]]
+        factors = [group_from_definition(f, max_order)
+                   for f in definition_field(obj, "factors", list)]
         if not factors:
             raise ValueError("product definition needs at least one factor")
         table = factors[0]
@@ -522,7 +511,7 @@ def group_from_definition(obj: dict, max_order: int = DEFAULT_ORDER_CAP) -> Grou
             table = replace(table, label=label)
         return table
     if kind == "catalog":
-        table = catalog_get(obj["name"], max_order)
+        table = catalog_get(definition_field(obj, "name", str), max_order)
         if label:
             table = replace(table, label=label)
         return table

@@ -21,6 +21,7 @@ Sampling works on batches: :meth:`PermGroupBSGS.random_uniform` returns a
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
@@ -44,7 +45,12 @@ def is_identity(p: Sequence[int]) -> bool:
 
 def validate_perm(image: Sequence[int]) -> Perm:
     """Check that ``image`` is a bijection on 0..len-1 and return it as a list."""
-    p = [int(x) for x in image]
+    try:
+        p = [operator.index(x) for x in image]
+    except TypeError:
+        p = None
+    if p is None or any(isinstance(x, bool) for x in image):
+        raise ValueError(f"not a list of integers: {image!r}")
     n = len(p)
     seen = [False] * n
     for x in p:

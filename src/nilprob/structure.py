@@ -71,12 +71,6 @@ def whole_group(g: GroupTable) -> SubgroupRef:
     return SubgroupRef(g, tuple(range(g.order)))
 
 
-def commutator(g: GroupTable, a: int, b: int) -> int:
-    """[a, b] = a^-1 b^-1 a b."""
-    m, inv = g.mul, g.inv
-    return int(m[m[m[inv[a], inv[b]], a], b])
-
-
 def _commutators(g: GroupTable, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """The array of [x, y] = x^-1 y^-1 x y over x in ``xs`` (rows), y in ``ys``."""
     m, inv = g.mul, g.inv

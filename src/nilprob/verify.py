@@ -330,7 +330,6 @@ def max_bad_series_length(
     g: GroupTable,
     k: int,
     normals: Optional[Sequence[SubgroupRef]] = None,
-    lattice_cap: int = NORMAL_LATTICE_CAP,
 ) -> tuple[int, list[SubgroupRef]]:
     """Longest normal series of G whose factors all have class above k.
 
@@ -341,7 +340,7 @@ def max_bad_series_length(
     from G down to 1; r = -1 when no such series exists.
     """
     if normals is None:
-        normals = normal_subgroups(g, lattice_cap)
+        normals = normal_subgroups(g)
     elements = [n.elements for n in normals]
     sets = [set(e) for e in elements]
     gamma = {e: set(lcs_term(g, e, k)) for e in elements}
@@ -439,7 +438,6 @@ class CorpusConfig:
     include_cyclic_subgroups: bool = False
     shift_budget: int = DEFAULT_SHIFT_BUDGET
     tuple_budget: int = DEFAULT_TUPLE_BUDGET
-    lattice_cap: int = NORMAL_LATTICE_CAP
     max_order: int = 4096
     threads: int = 1
 
@@ -546,7 +544,7 @@ class _GroupVerifier:
         self.g = table
         self.cfg = cfg
         self.cache = cache
-        self.normals = normal_subgroups(table, cfg.lattice_cap)
+        self.normals = normal_subgroups(table)
         self._sup_memo: dict = {}
         self._quot_memo: dict = {}
 
@@ -664,11 +662,12 @@ def _resolve_groups(cfg: CorpusConfig) -> tuple[list[GroupTable], list[dict]]:
         except NilprobError as exc:
             skipped.append({"group": name, "reason": str(exc)})
     for definition in cfg.definitions:
-        label = definition.get("label", "<definition>")
         try:
             tables.append(group_from_definition(definition, cfg.max_order))
         except (NilprobError, ValueError, KeyError) as exc:
-            skipped.append({"group": label, "reason": str(exc)})
+            label = definition.get("label") if isinstance(definition, dict) else None
+            skipped.append({"group": label if isinstance(label, str) else "<definition>",
+                            "reason": str(exc)})
     return tables, skipped
 
 
@@ -699,7 +698,7 @@ def run_corpus(cfg: CorpusConfig, cache=None) -> VerificationReport:
         "budgets": {
             "shift_budget": cfg.shift_budget,
             "tuple_budget": cfg.tuple_budget,
-            "lattice_cap": cfg.lattice_cap,
+            "lattice_cap": NORMAL_LATTICE_CAP,
             "max_order": cfg.max_order,
         },
         "ks": list(cfg.ks),

@@ -32,6 +32,9 @@ def test_ignores_stale_schema_and_torn_lines(tmp_path):
     path = tmp_path / CACHE_FILENAME
     path.write_text(
         json.dumps({"schema": 0, "key": "old", "kind": "np", "value": "1/2"})
+        # schema 1 keyed tables by a decimal-text hash, so its keys are stale
+        + "\n" + json.dumps({"schema": 1, "key": "v1", "kind": "np", "value": "1/2",
+                             "counted": 1, "total": 2})
         + "\n{ torn line\n"
     )
     cache = ResultCache(tmp_path)

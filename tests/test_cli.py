@@ -1,5 +1,7 @@
 """Command-line interface end to end."""
 
+import csv
+import io
 import json
 
 import numpy as np
@@ -119,6 +121,23 @@ def test_estimate_gens_file(capsys, tmp_path):
     )
     assert code == 0
     assert json.loads(out)["point"] == 1.0
+
+
+@pytest.mark.parametrize("doc, reason", [
+    ([1], "--gens-file needs a perm_gens definition"),
+    ({"kind": "perm_gens", "gens": 5},
+     "cannot build permutation group: 'gens' must be a list, got 5"),
+    ({"kind": "perm_gens", "gens": [[1.0, 0]]},
+     "cannot build permutation group: not a list of integers: [1.0, 0]"),
+    ({"kind": "perm_gens", "gens": [[1, 0]], "label": 5},
+     "cannot build permutation group: 'label' must be a str, got 5"),
+], ids=["not-an-object", "gens-int", "entry-float", "label-int"])
+def test_estimate_ill_typed_gens_file_exits_2(capsys, tmp_path, doc, reason):
+    path = tmp_path / "gens.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "estimate", "--gens-file", str(path), "--samples", "10")
+    assert code == 2 and out == ""
+    assert err.splitlines() == [f"error: {reason}"]
 
 
 @pytest.mark.parametrize("z", ["nan", "inf", "-1"])
@@ -322,3 +341,63 @@ def test_cyclic_order_below_one_exits_2(capsys, name, n):
     assert err.splitlines() == [
         f"error: cannot resolve group: cyclic order must be >= 1, got {n}"
     ]
+
+
+def test_csv_quotes_fields_with_commas(capsys, tmp_path):
+    out_path = tmp_path / "o.csv"
+    code, _, _ = run_cli(capsys, "verify", "--group", "SL(2,3)", "--k", "1",
+                         "--no-cache", "--csv", str(out_path))
+    assert code == 0
+    text = out_path.read_text()
+    assert text.startswith("group,k,check,lhs,rhs,holds\n")
+    rows = list(csv.reader(io.StringIO(text)))
+    assert len(rows) > 1 and all(len(row) == 6 for row in rows)
+    assert {row[0] for row in rows[1:]} == {"SL(2,3)"}
+
+    code, out, _ = run_cli(capsys, "--format", "csv", "describe", "--group", "S(3)")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["group", "property", "value"]
+    assert all(len(row) == 3 for row in rows)
+    assert ["S(3)", "lower_central_orders", "[6, 3, 3]"] in rows
+
+
+@pytest.mark.parametrize("doc, reason", [
+    ({"kind": "product", "factors": 5}, "'factors' must be a list, got 5"),
+    ({"kind": "catalog", "name": 5}, "'name' must be a str, got 5"),
+    ({"kind": "perm_gens", "gens": 5}, "'gens' must be a list, got 5"),
+    ({"kind": "perm_gens", "gens": [5]}, "not a list of integers: 5"),
+    ({"kind": "perm_gens", "gens": [[0.5, 1]]}, "not a list of integers: [0.5, 1]"),
+    ({"kind": "perm_gens", "gens": [[True, False]]}, "not a list of integers: [True, False]"),
+    ({"kind": "catalog", "name": "S(3)", "label": 5}, "'label' must be a str, got 5"),
+    ({"kind": "catalog", "name": "S(3)", "label": [1]}, "'label' must be a str, got [1]"),
+    (1, "group definition must be a JSON object"),
+], ids=["factors-int", "name-int", "gens-int", "gen-int", "entry-float", "entry-bool",
+        "label-int", "label-list", "not-an-object"])
+def test_ill_typed_definitions_are_rejected(capsys, tmp_path, doc, reason):
+    code, out, err = run_cli(capsys, "np", "--group-json", json.dumps(doc), "--no-cache")
+    assert code == 2 and out == ""
+    assert err.splitlines() == [f"error: cannot resolve group: {reason}"]
+
+    # in a corpus the same document is skipped, next to a good definition
+    corpus = tmp_path / "corpus.json"
+    corpus.write_text(json.dumps([doc, {"kind": "catalog", "name": "C(3)", "label": "three"}]))
+    code, out, _ = run_cli(capsys, "--format", "json", "verify", "--corpus-file",
+                           str(corpus), "--k", "1", "--no-cache")
+    assert code == 0
+    report = json.loads(out)
+    assert report["skipped"] == [{"group": "<definition>", "reason": reason}]
+    assert {o["group"] for o in report["outcomes"]} == {"three"}
+
+
+@pytest.mark.parametrize("flags", [
+    ["--sup", "--shifts", "1,2"],
+    ["--cp", "--sup"],
+    ["--cp", "--shifts", "0,0"],
+    ["--sup", "--method", "brute"],
+    ["--cp", "--method", "brute"],
+])
+def test_np_conflicting_flags_exit_2(capsys, flags):
+    code, out, err = run_cli(capsys, "np", "--group", "S(3)", "--no-cache", *flags)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")

@@ -1,12 +1,13 @@
 """Group table construction, validation, and the catalog."""
 
-import hashlib
+import dataclasses
 import itertools
 from collections import Counter
 
 import numpy as np
 import pytest
 
+from nilprob import groups
 from nilprob.errors import NotAGroup, OrderExceeded, UnknownCatalogName
 from nilprob.groups import (
     build_from_perm_gens,
@@ -125,41 +126,48 @@ def test_rejects_malformed_tables(n, mul, law, witness):
 
 def test_table_hash_is_stable():
     # cache keys: a change here needs a cache.SCHEMA_VERSION bump.  The
-    # pins also fix the element order of permutation closures.
-    assert catalog_get("S(3)").table_hash == (
-        "ef287b0a147f67058dab99a4ac0a7cec8f6e0445a07d6376d6226c6b6085915c"
-    )
-    assert catalog_get("D(8)xC(2)").table_hash == (
-        "73b863d9c16da720f26c895c40a039e2173912ecf24168fac1e999c34dac2665"
-    )
+    # pins are the sha256 of each table's little-endian int32 bytes, so
+    # they also fix the element order of permutation closures.
     pins = {
-        "C(64)": "72be7e0b789dfea932dfc89e20fc4cdd829d99c55f7431a3f3b7a2e22c00083f",
-        "D(64)": "f7340e54ad36b6157965760aa826bce80729ce286a13d05f0c2be6cc26e7f833",
-        "Dic(16)": "b3733583487bc16811c79dad95804f9ed7b21931178d812002ca1783d044dd30",
-        "Heis(5)": "184a99241cffc7c8df2ca1d98cabb4ead0a75bb20e46a1b0f58df85048acfed7",
-        "SL(2,3)": "eadd50cfdd4711eff7f6fa4cee54660e9fb340e3be8c46dd52048bd9059a7930",
-        "A(5)": "a6a8266b2a1354235ee8bb2443e712d43b91417b54ef87b85677da14832e2ae0",
-        "S(5)": "c04783c2ed0c0efe48818d8fd3f35563429f8cef3c7adf63f020ddbb97ce03eb",
+        "S(3)": "20149021346e78e4c62a0b835df1fe58599f1d6da2786ae7db18fcd626ff517a",
+        "D(8)xC(2)": "30bea3ed54b3f8c354894e7dc17b421ce264de2630b46ccf2a264034c76b37b9",
+        "C(64)": "de348af8f4b3379164358a6c253ba2673193d949760823cb8121f4c21b9a5dac",
+        "D(64)": "0979d3767086a961bca758287f3d6c7086aba5534ad6b559292cd95569857d3a",
+        "Dic(16)": "f25a1120c338ab7bf6261d81ae28c7355bc2cae6212007064363c8b671e7fe2e",
+        "Heis(5)": "f9098ff730e5c4b41f5cad03f3f86ef536ed2d8a974b617e485dbd8f0db8d4c4",
+        "SL(2,3)": "d0262b13d86295f3673da0f5065b9db4a3a2e05d1760ba42be8a28c11a3b565a",
+        "A(5)": "931b73c5daa041efe10a5bf2d55602a743dcf5aee1293170a8005d94db09e71f",
+        "S(5)": "1f2968875db1f451948da5acc21eaf65bd4617e521c696b98a4fe950e1e6099e",
     }
     for name, digest in pins.items():
         assert catalog_get(name).table_hash == digest, name
 
 
-def naive_hash(g):
-    """Oracle: the table hash written out with string joins."""
-    h = hashlib.sha256()
-    h.update(str(g.order).encode())
-    for row in g.mul.tolist():
-        h.update(b"|")
-        h.update(",".join(map(str, row)).encode())
-    return h.hexdigest()
+def test_product_factors_are_never_hashed(monkeypatch):
+    # the hash is computed on first use, and only the product is keyed
+    factors = []
+
+    def recording_product(a, b, max_order=groups.DEFAULT_ORDER_CAP):
+        factors.extend((a, b))
+        return direct_product(a, b, max_order)
+
+    monkeypatch.setattr(groups, "direct_product", recording_product)
+    g = catalog_get("D(8)xC(2)")
+    assert g.table_hash == catalog_get("D(8)xC(2)").table_hash
+    assert [t.label for t in factors] == ["D(8)", "C(2)"] * 2
+    assert all("table_hash" not in vars(t) for t in factors)
 
 
-@pytest.mark.parametrize("name", ["C(1)", "C(9)", "C(10)", "C(11)", "S(4)", "C(101)", "C(1001)"])
-def test_table_hash_matches_string_join(name):
-    # orders around each change of digit width, and rows spanning blocks
-    g = catalog_get(name)
-    assert g.table_hash == naive_hash(g)
+def test_relabelled_copy_has_the_same_hash():
+    # group_from_definition relabels with dataclasses.replace; the cached
+    # hash is not a field, so the copy computes it again from the table
+    plain = catalog_get("S(3)")
+    digest = plain.table_hash
+    relabelled = dataclasses.replace(plain, label="Sym3")
+    assert "table_hash" not in vars(relabelled)
+    assert relabelled.table_hash == digest
+    named = group_from_definition({"kind": "catalog", "name": "S(3)", "label": "Sym3"})
+    assert named.label == "Sym3" and named.table_hash == digest
 
 
 def naive_closure_table(gens):

@@ -10,7 +10,6 @@ from nilprob.groups import catalog_base_names, catalog_get
 from nilprob.structure import (
     center,
     centralizer,
-    commutator,
     conjugacy_classes,
     image_subgroup,
     is_normal,
@@ -42,6 +41,12 @@ def is_subgroup(g, elements):
 
 def first_of_order(g, n):
     return next(x for x in g.elements() if element_order(g, x) == n)
+
+
+def commutator(g, a, b):
+    """Oracle: [a, b] = a^-1 b^-1 a b, one table lookup at a time."""
+    m, inv = g.mul, g.inv
+    return int(m[m[m[inv[a], inv[b]], a], b])
 
 
 def left_normed_commutator(g, xs):
