@@ -373,7 +373,9 @@ def np_sup(
     best_val = Fraction(-1)
     best_tup: tuple[int, ...] = ()
     for tup, val in iter_shift_values(g, h, k, budget, sup_candidates=True):
-        if val > best_val:
+        # values are memoised per count, so the same object is often drawn
+        # again; identity implies equality and skips the Fraction compare
+        if val is not best_val and val > best_val:
             best_val, best_tup = val, tup
             if val == 1:
                 break

@@ -1,4 +1,4 @@
-"""Finite groups as validated multiplication tables, plus the built-in catalog.
+"""Finite groups as multiplication tables, plus the built-in catalog.
 
 Element indices run from 0 to ``order - 1`` and index 0 is always the
 identity.  For groups built from permutation generators the remaining
@@ -11,12 +11,14 @@ of its ``int32`` bytes, computed on first use.
 A table is one read-only C-contiguous ``int32`` array, and every builder
 fills it by index arithmetic on arrays: permutation closures by one
 gather per element, products by broadcasting, quotients and subgroup
-tables by fancy indexing.  Every table (permutation closures, products,
-quotients, subgroup tables and ``mul_table`` documents alike) goes
-through :func:`build_from_table`, which checks the group laws exactly at
-every order: shape and entry range, the identity at index 0, two-sided
-inverses, and associativity by Light's test over at most log2(n) + 1
-generators, O(n^2) each.
+tables by fancy indexing.  Every table goes through
+:func:`build_from_table`, the single constructor, which trusts its
+input: permutation closures, products, quotients and subgroup tables are
+groups by construction.  Untrusted input, a ``mul_table`` document, is
+checked exactly at every order by :func:`validate_table` first: shape
+and entry range, the identity at index 0, two-sided inverses, and
+associativity by Light's test over at most log2(n) + 1 generators,
+O(n^2) each.
 """
 
 from __future__ import annotations
@@ -162,22 +164,45 @@ def _check_associativity(m: np.ndarray) -> None:
             members = np.flatnonzero(reached)
 
 
-def build_from_table(n: int, mul, label: str = "") -> GroupTable:
-    """Validate a multiplication table and return the group.
-
-    ``mul`` is an integer array or a sequence of rows; the table keeps a
-    read-only ``int32`` copy.  The identity must sit at index 0.  Every
-    group law is checked exactly, whatever the order.  Raises
-    :class:`NotAGroup` with the violated law and a witness, or
-    :class:`OrderExceeded` above the cap.
-    """
+def _check_order(n: int) -> None:
     if n < 1:
         raise NotAGroup("identity", (), "order must be at least 1")
     if n > DEFAULT_ORDER_CAP:
         raise OrderExceeded(n, DEFAULT_ORDER_CAP)
+
+
+def validate_table(n: int, mul) -> np.ndarray:
+    """Check that ``mul`` is the table of a group of order ``n``; return it as a fresh array.
+
+    ``mul`` is an integer array or a sequence of rows, from an untrusted
+    source.  The identity must sit at index 0.  Every group law is checked
+    exactly, whatever the order.  Returns a C-contiguous ``int32`` copy.
+    Raises :class:`NotAGroup` with the violated law and a witness, or
+    :class:`OrderExceeded` above the cap.
+    """
+    _check_order(n)
     m = _as_array(n, mul)
-    inv = _inverses(m)
+    _inverses(m)
     _check_associativity(m)
+    return m
+
+
+def build_from_table(n: int, mul, label: str = "") -> GroupTable:
+    """The group with multiplication table ``mul``, which must already be a group table.
+
+    This is the constructor every builder calls.  It checks only the
+    order; the group laws are the caller's guarantee, so a table from an
+    untrusted source goes through :func:`validate_table` first.  A
+    C-contiguous ``int32`` array is kept as it is, without a copy, and is
+    made read-only; anything else is copied.  The inverse of g is the
+    least h with gh = 0, found in one pass over the rows.  Raises
+    :class:`OrderExceeded` above the cap.
+    """
+    _check_order(n)
+    m = np.ascontiguousarray(mul, dtype=np.int32)
+    inv = np.empty(n, dtype=np.int32)
+    for rows in row_blocks(n, n):
+        inv[rows] = (m[rows] == 0).argmax(axis=1)
     m.flags.writeable = False
     inv.flags.writeable = False
     return GroupTable(
@@ -200,11 +225,12 @@ def build_from_perm_gens(
     Raises :class:`OrderExceeded` once the closure passes ``max_order``
     (or the table cap, if that is lower).
 
-    The closure is a breadth-first search under right multiplication by
-    the generators, which records each element e as (parent) * s and the
-    maps R_s: i -> index of (element i) * s.  Column e of the table is
-    then one gather, ``a*e = (a*parent)*s = R_s[a*parent]``, taken in
-    search order so the parent's column is always ready.
+    The closure is a breadth-first search under left multiplication by
+    the generators, which records each element e as s * (parent) and the
+    maps L_s: i -> index of s * (element i).  Row e of the table is then
+    one gather, ``e*a = s*(parent*a) = L_s[parent*a]``, taken in search
+    order so the parent's row is always ready.  The rows are filled in
+    place, so the table is handed over without a transpose or a copy.
     """
     perms = [validate_perm(g) for g in gens]
     if not perms:
@@ -221,11 +247,11 @@ def build_from_perm_gens(
     elements = [np.arange(degree, dtype=">i4").tobytes()]
     index = {elements[0]: 0}
     parent, via = [0], [0]
-    right: list[list[int]] = [[] for _ in gen_arrays]
+    left: list[list[int]] = [[] for _ in gen_arrays]
     for i, key in enumerate(elements):  # the list grows as the search runs
         p = np.frombuffer(key, dtype=">i4")
         for s, gen in enumerate(gen_arrays):
-            q = gen[p].tobytes()
+            q = p[gen].tobytes()  # s * p, which applies s first
             j = index.get(q)
             if j is None:
                 j = index[q] = len(elements)
@@ -234,7 +260,7 @@ def build_from_perm_gens(
                 elements.append(q)
                 parent.append(i)
                 via.append(s)
-            right[s].append(j)
+            left[s].append(j)
     del index
 
     n = len(elements)
@@ -242,14 +268,14 @@ def build_from_perm_gens(
     del elements
     rank = np.empty(n, dtype=np.int32)
     rank[order] = np.arange(n, dtype=np.int32)
-    right_sorted = rank[np.array(right, dtype=np.int32)[:, order]]
+    left_sorted = rank[np.array(left, dtype=np.int32)[:, order]]
     rank_of = rank.tolist()
 
-    cols = np.empty((n, n), dtype=np.int32)
-    cols[0] = np.arange(n, dtype=np.int32)
+    mul = np.empty((n, n), dtype=np.int32)
+    mul[0] = np.arange(n, dtype=np.int32)
     for e in range(1, n):
-        np.take(right_sorted[via[e]], cols[rank_of[parent[e]]], out=cols[rank_of[e]])
-    return build_from_table(n, cols.T, label or f"perm group of degree {degree}")
+        np.take(left_sorted[via[e]], mul[rank_of[parent[e]]], out=mul[rank_of[e]])
+    return build_from_table(n, mul, label or f"perm group of degree {degree}")
 
 
 def direct_product(a: GroupTable, b: GroupTable, max_order: int = DEFAULT_ORDER_CAP) -> GroupTable:
@@ -491,12 +517,13 @@ def group_from_definition(obj: dict, max_order: int = DEFAULT_ORDER_CAP) -> Grou
     kind = obj.get("kind")
     label = definition_field(obj, "label", str, "")
     if kind == "mul_table":
-        mul = obj["mul"]
-        if not isinstance(mul, list) or not all(isinstance(row, list) for row in mul):
+        mul = definition_field(obj, "mul", list)
+        if not all(isinstance(row, list) for row in mul):
             raise NotAGroup("identity", (), "mul must be a list of rows, each a list")
-        if len(mul) > max_order:
-            raise OrderExceeded(len(mul), max_order)
-        return build_from_table(len(mul), mul, label)
+        n = len(mul)
+        if n > max_order:
+            raise OrderExceeded(n, max_order)
+        return build_from_table(n, validate_table(n, mul), label)
     if kind == "perm_gens":
         return build_from_perm_gens(definition_field(obj, "gens", list), label, max_order)
     if kind == "product":

@@ -177,7 +177,7 @@ def quotient(g: GroupTable, n: SubgroupRef) -> QuotientMap:
     m = g.mul
     least = m[:, list(n.elements)].min(axis=1)
     reps = np.flatnonzero(least == np.arange(g.order))
-    coset_of = np.searchsorted(reps, least)
+    coset_of = np.searchsorted(reps, least).astype(np.int32)
     qmul = coset_of[m[np.ix_(reps, reps)]]
     target = build_from_table(len(reps), qmul, f"{g.label}/{n.order}")
     return QuotientMap(g, n, target, tuple(coset_of.tolist()))

@@ -372,8 +372,12 @@ def test_csv_quotes_fields_with_commas(capsys, tmp_path):
     ({"kind": "catalog", "name": "S(3)", "label": 5}, "'label' must be a str, got 5"),
     ({"kind": "catalog", "name": "S(3)", "label": [1]}, "'label' must be a str, got [1]"),
     (1, "group definition must be a JSON object"),
+    # a missing payload key is named, not reported as a bare KeyError
+    ({"kind": "mul_table"}, "'mul' must be a list, got None"),
+    ({"kind": "mul_table", "mul": 5}, "'mul' must be a list, got 5"),
+    ({"kind": "perm_gens"}, "'gens' must be a list, got None"),
 ], ids=["factors-int", "name-int", "gens-int", "gen-int", "entry-float", "entry-bool",
-        "label-int", "label-list", "not-an-object"])
+        "label-int", "label-list", "not-an-object", "mul-missing", "mul-int", "gens-missing"])
 def test_ill_typed_definitions_are_rejected(capsys, tmp_path, doc, reason):
     code, out, err = run_cli(capsys, "np", "--group-json", json.dumps(doc), "--no-cache")
     assert code == 2 and out == ""

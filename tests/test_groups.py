@@ -18,6 +18,7 @@ from nilprob.groups import (
     direct_product,
     group_from_definition,
     group_to_definition,
+    validate_table,
 )
 
 
@@ -54,21 +55,21 @@ def test_c2_from_table():
 
 def test_rejects_associativity_violation():
     with pytest.raises(NotAGroup) as exc:
-        build_from_table(3, [[0, 1, 2], [1, 0, 2], [2, 2, 0]])
+        validate_table(3, [[0, 1, 2], [1, 0, 2], [2, 2, 0]])
     assert exc.value.law == "associativity"
     assert_real_witness([[0, 1, 2], [1, 0, 2], [2, 2, 0]], exc.value)
 
 
 def test_rejects_bad_identity():
     with pytest.raises(NotAGroup) as exc:
-        build_from_table(2, [[1, 0], [0, 1]])
+        validate_table(2, [[1, 0], [0, 1]])
     assert exc.value.law == "identity"
 
 
 def test_rejects_missing_inverse():
     # left-zero semigroup row for element 1 kills the inverse
     with pytest.raises(NotAGroup):
-        build_from_table(3, [[0, 1, 2], [1, 1, 1], [2, 2, 2]])
+        validate_table(3, [[0, 1, 2], [1, 1, 1], [2, 2, 2]])
 
 
 def test_randomized_associativity_check_used_above_limit():
@@ -79,7 +80,7 @@ def test_randomized_associativity_check_used_above_limit():
     mul = [[(a + b) % n for b in range(n)] for a in range(n)]
     mul[7][5] = 6  # break associativity somewhere off the identity row
     with pytest.raises(NotAGroup) as exc:
-        build_from_table(n, mul)
+        validate_table(n, mul)
     assert exc.value.law == "associativity"
     assert_real_witness(mul, exc.value)
 
@@ -95,7 +96,7 @@ def test_every_swap_in_a_row_is_rejected(name):
                 mul = [list(r) for r in g.mul]
                 mul[row][a], mul[row][b] = mul[row][b], mul[row][a]
                 with pytest.raises(NotAGroup) as exc:
-                    build_from_table(g.order, mul)
+                    validate_table(g.order, mul)
                 assert_real_witness(mul, exc.value)
 
 
@@ -120,7 +121,7 @@ def test_every_swap_in_a_row_is_rejected(name):
 )
 def test_rejects_malformed_tables(n, mul, law, witness):
     with pytest.raises(NotAGroup) as exc:
-        build_from_table(n, mul)
+        validate_table(n, mul)
     assert (exc.value.law, exc.value.witness) == (law, witness)
 
 
@@ -211,14 +212,37 @@ def test_large_cyclic_closure():
 
 
 def test_table_is_read_only_int32_copy():
-    source = np.array([[0, 1], [1, 0]], dtype=np.int32)
-    g = build_from_table(2, source)
+    # a mul_table document is untrusted: validated, then copied
+    source = [[0, 1], [1, 0]]
+    g = group_from_definition({"kind": "mul_table", "mul": source})
     assert g.mul.dtype == np.int32 and g.inv.dtype == np.int32
     assert g.mul.flags.c_contiguous and not g.mul.flags.writeable
     assert not g.inv.flags.writeable
-    source[0, 0] = 1  # the caller's array stays the caller's
+    source[0][0] = 1  # the caller's rows stay the caller's
     assert g.mul[0, 0] == 0
     assert g.lists == ([[0, 1], [1, 0]], [0, 1])
+
+
+def test_build_from_table_keeps_a_builders_array():
+    # a builder hands over an int32 array it owns: kept without a copy,
+    # made read-only; anything else is copied into a fresh int32 array
+    source = np.array([[0, 1, 2], [1, 2, 0], [2, 0, 1]], dtype=np.int32)
+    g = build_from_table(3, source)
+    assert g.mul is source
+    assert not source.flags.writeable and not g.inv.flags.writeable
+    assert g.inv.tolist() == [0, 2, 1]
+    for other in (source.astype(np.int64), source.T.copy().T, source.tolist()):
+        copied = build_from_table(3, other)
+        assert copied.mul is not other and copied.mul.dtype == np.int32
+        assert copied.mul.flags.c_contiguous and np.array_equal(copied.mul, source)
+
+
+def test_validate_table_returns_a_fresh_int32_array():
+    source = np.array([[0, 1], [1, 0]], dtype=np.int32)
+    checked = validate_table(2, source)
+    assert checked is not source and not np.shares_memory(checked, source)
+    assert checked.dtype == np.int32 and checked.flags.c_contiguous
+    assert np.array_equal(checked, source)
 
 
 def test_perm_gens_c2():
