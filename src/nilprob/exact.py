@@ -1,45 +1,43 @@
 """Exact nilpotence probabilities.
 
-Everything here is integer counting over a multiplication table, reduced
-to a ``fractions.Fraction`` at the end; no floating point enters any
-probability.  Two evaluation routes are provided:
+Everything here is integer counting over the ``int32`` multiplication
+table, reduced to a ``fractions.Fraction`` at the end; no floating point
+enters any probability.  Counts are ``int64`` arrays while |H|^(k+1) <
+2^63 and object arrays of Python ints above that.
 
-* ``np_bruteforce`` enumerates all |H|^(k+1) tuples and is the oracle.
-* ``np_fast`` runs a stage-by-stage dynamic program over the distribution
-  of partial left-normed commutators: W_1 counts the elements of the coset
-  x_1 H, W_{m+1}(c) sums W_m(w) over pairs with [w, x_{m+1} y] = c, and
-  the final stage counts, for each accumulated commutator w, the y with
-  x_{k+1} y centralizing w.  Total work is O(k |G| |H|) table lookups.
-  For |H| > 16 the stages run on the ``int32`` table as ``int64`` count
-  vectors, which is exact while |H|^(k+1) < 2^63; for smaller H, whose
-  stages are too short to repay numpy's per-call cost, and above that
-  bound, the same stages run on dicts of Python ints.
+A shift tuple (x_1, .., x_{k+1}) counts the tuples (y_1, .., y_{k+1}) in
+H^(k+1) whose shifted left-normed commutator [x_1 y_1, .., x_{k+1} y_{k+1}]
+is the identity.  The value depends on each x_i only through its left
+coset x_i H, so suprema over shifts are taken over canonical
+(least-index) coset representatives.  There are three evaluations:
 
-Both count the tuples (y_1, .., y_{k+1}) in H^(k+1) whose shifted
-left-normed commutator [x_1 y_1, .., x_{k+1} y_{k+1}] is the identity.
-The value depends on each shift x_i only through its left coset x_i H, so
-suprema over shifts are taken over canonical (least-index) coset
-representatives.
+* ``np_bruteforce`` enumerates all |H|^(k+1) tuples and is the oracle;
+  it reads its own list copy of the table and shares no code with the
+  two array passes.
+* ``np_fast`` evaluates one tuple by a forward pass: W_1 marks x_1 H,
+  W_{m+1}(c) sums W_m(w) over t in x_{m+1} H with [w, t] = c, and the
+  count sums W_k(w) |C_G(w) ∩ x_{k+1} H|.  A stage reads only the rows w
+  in the support of W_m.
+* ``iter_shift_values`` evaluates every tuple at once by a backward pass:
+  v(w, i) = |C_G(w) ∩ r_i H| for the last coordinate, each middle one
+  sets v'(w, (x, s)) = sum over t in xH of v([w, t], s) for all suffixes
+  s at once, and the first sums v over its coset.  The C-order
+  flattening of the result is the lexicographic order of the tuples.
 
-``iter_shift_values`` evaluates all n^(k+1) representative tuples, n =
-[G:H], as a lexicographic depth-first walk over shift prefixes.  W_m of
-a prefix (r_1, .., r_m) is computed once and shared by its n^(k+1-m)
-extensions, so stage m runs n^m times instead of the n^(k+1) full DPs a
-tuple-by-tuple evaluation needs.  The last coordinate is batched: for
-each accumulated commutator w the counts |C_G(w) ∩ rH| for all reps r
-come from one pass over G, are memoised for the rest of the enumeration,
-and one pass over W_k gives all n final counts of a length-k prefix.
-``np_fast``, ``commutator_distribution`` and ``iter_shift_values`` share
-one stage-advance step.
+One tuple goes forward because a backward stage fills every row of G,
+while W_m is often supported on a small subgroup: W_2 of
+np_2(D(64)xD(32)) lives on the 128 elements of the derived subgroup.
 
-``np_sup`` walks only the [G:H]^k tuples whose last coordinate is the
+``np_sup`` draws only the [G:H]^k tuples whose last coordinate is the
 coset H itself.  The count of a tuple is the sum over w of W_k(w) times
 |C_G(w) ∩ rH| for its last coordinate r.  That intersection is empty or
 a left coset x(C_G(w) ∩ H) for any x in it, so each term is at most
 |C_G(w) ∩ H|: the coset H attains every prefix's maximum over the last
 coordinate, and the lexicographically smallest maximizer ends in
 representative 0.  Value and witness are those of the full enumeration;
-the shift budget still counts all [G:H]^(k+1) tuples.
+the shift budget still counts all [G:H]^(k+1) tuples.  The identity
+tuple comes first, from the forward pass, so a value of 1 returns
+before the backward pass runs.
 """
 
 from __future__ import annotations
@@ -52,7 +50,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import BudgetExceeded, EmptyInput
-from .groups import GroupTable, row_blocks
+from .groups import BLOCK_CELLS, GroupTable, row_blocks
 from .structure import SubgroupRef, left_coset_reps, whole_group
 
 #: Iteration budget for the brute-force oracle (|H|^(k+1) tuples).
@@ -61,15 +59,9 @@ DEFAULT_TUPLE_BUDGET = 10 ** 9
 #: Budget for suprema over shift tuples ([G:H]^(k+1) evaluations).
 DEFAULT_SHIFT_BUDGET = 10 ** 6
 
-#: Counts below this bound fit the ``int64`` count vectors of the array DP.
-INT64_LIMIT = 2 ** 63
-
-#: Least subgroup order for which ``np_fast`` runs the array DP.  Measured
-#: over subgroups of eleven catalog groups up to order 2048 at k = 1..3,
-#: the dict DP won 42 of 45 cases with |H| <= 16 (numpy costs about 30 us
-#: a call) and the array DP every case with |H| >= 24, by up to 20x at
-#: |H| = 128.
-ARRAY_DP_MIN_ORDER = 17
+#: Cells per block of the backward pass, a quarter MB of ``int64`` counts;
+#: blocks of BLOCK_CELLS raised ``np_sup``'s peak RSS at order 144 by 2 MB.
+COUNT_BLOCK_CELLS = BLOCK_CELLS // 8
 
 
 @dataclass(frozen=True)
@@ -120,7 +112,7 @@ def np_bruteforce(
     total = h.order ** m
     if total > budget:
         raise BudgetExceeded("brute-force tuple enumeration", total, budget)
-    mul, inv = g.lists
+    mul, inv = g.mul.tolist(), g.inv.tolist()
     elems = h.elements
     first = shifts[0]
     count = 0
@@ -139,93 +131,61 @@ def np_bruteforce(
     return NpResult(Fraction(count, total), "brute_force", count, total)
 
 
-def _advance(
-    mul: Sequence[Sequence[int]],
-    inv: Sequence[int],
-    weights: dict[int, int],
-    coset: Sequence[int],
-) -> dict[int, int]:
-    """One DP stage: W_{m+1}(c) sums W_m(w) over t in the coset with [w, t] = c."""
-    nxt: dict[int, int] = {}
-    for w, cnt in weights.items():
-        row_wi = mul[inv[w]]
-        for t in coset:
-            c = mul[mul[row_wi[inv[t]]][w]][t]
-            if c in nxt:
-                nxt[c] += cnt
-            else:
-                nxt[c] = cnt
-    return nxt
+def _count_dtype(total: int):
+    """The dtype of counts of at most ``total``: ``int64`` below 2^63, else Python ints."""
+    return np.int64 if total < 2 ** 63 else object
 
 
-def _commuting(mul: Sequence[Sequence[int]], w: int, coset: Sequence[int]) -> int:
-    """Number of t in the coset that commute with w."""
-    row_w = mul[w]
-    return sum(1 for t in coset if row_w[t] == mul[t][w])
+def _cosets(g: GroupTable, h: SubgroupRef, xs: Sequence[int]) -> np.ndarray:
+    """The left cosets xH for x in ``xs``, one row each."""
+    return g.mul[np.array(xs)[:, None], h.elements]
 
 
-def _distribution(
-    mul: Sequence[Sequence[int]],
-    inv: Sequence[int],
-    cosets: Sequence[Sequence[int]],
-) -> dict[int, int]:
-    """W_m for the m given cosets, one element chosen from each."""
-    weights: dict[int, int] = dict.fromkeys(cosets[0], 1)
-    for coset in cosets[1:]:
-        weights = _advance(mul, inv, weights, coset)
-    return weights
-
-
-def _dp_count(
-    mul: Sequence[Sequence[int]],
-    inv: Sequence[int],
-    cosets: Sequence[Sequence[int]],
-) -> int:
-    """Core DP: number of commutator-trivial selections, one per coset."""
-    if len(cosets) == 1:
-        return sum(1 for t in cosets[0] if t == 0)
-    last = cosets[-1]
-    weights = _distribution(mul, inv, cosets[:-1])
-    return sum(cnt * _commuting(mul, w, last) for w, cnt in weights.items())
-
-
-def _array_advance(
+def _advance_weights(
     m: np.ndarray, inv: np.ndarray, weights: np.ndarray, coset: np.ndarray
 ) -> np.ndarray:
-    """``_advance`` on the array table: W_{m+1} from W_m as ``int64`` vectors.
+    """One forward stage: W_{m+1}(c) sums W_m(w) over t in the coset with [w, t] = c.
 
     For a block of commutators w of equal weight v, the new commutators
     [w, t] over t in the coset are gathered as one array and v times
     their histogram is added; weights stay integers throughout.
     """
     n = len(m)
-    nxt = np.zeros(n, dtype=np.int64)
+    nxt = np.zeros(n, dtype=weights.dtype)
     support = np.flatnonzero(weights)
     inv_t = inv[coset]
     for rows in row_blocks(len(support), len(coset)):
         w = support[rows]
-        comm = m[m[m[np.ix_(inv[w], inv_t)], w[:, None]], coset]
+        comm = m[m[m[inv[w][:, None], inv_t], w[:, None]], coset]
         wt = weights[w]
         for v in set(wt.tolist()):
-            nxt += v * np.bincount(comm[wt == v].ravel(), minlength=n)
+            # cast first: a Python int of 2^63 or more times an int64 array overflows
+            hist = np.bincount(comm[wt == v].ravel(), minlength=n)
+            nxt += v * hist.astype(nxt.dtype, copy=False)
     return nxt
 
 
-def _array_count(m: np.ndarray, inv: np.ndarray, cosets: np.ndarray) -> int:
-    """``_dp_count`` on the array table; the count must stay below 2^63."""
+def _weights(m: np.ndarray, inv: np.ndarray, cosets: np.ndarray, dtype) -> np.ndarray:
+    """W_m for the m cosets (rows), one element chosen from each."""
+    weights = np.zeros(len(m), dtype=dtype)
+    weights[cosets[0]] = 1
+    for coset in cosets[1:]:
+        weights = _advance_weights(m, inv, weights, coset)
+    return weights
+
+
+def _forward_count(m: np.ndarray, inv: np.ndarray, cosets: np.ndarray) -> int:
+    """Number of commutator-trivial selections, one element per coset (row)."""
     if len(cosets) == 1:
         return int((cosets[0] == 0).sum())
-    weights = np.zeros(len(m), dtype=np.int64)
-    weights[cosets[0]] = 1
-    for coset in cosets[1:-1]:
-        weights = _array_advance(m, inv, weights, coset)
+    weights = _weights(m, inv, cosets[:-1], _count_dtype(cosets.shape[1] ** len(cosets)))
     last = cosets[-1]
     support = np.flatnonzero(weights)
     count = 0
     for rows in row_blocks(len(support), len(last)):
         w = support[rows]
-        commuting = (m[np.ix_(w, last)] == m[np.ix_(last, w)].T).sum(axis=1)
-        count += int(weights[w] @ commuting)
+        commuting = (m[w[:, None], last] == m[last[:, None], w].T).sum(axis=1)
+        count += int(weights[w] @ commuting.astype(weights.dtype, copy=False))
     return count
 
 
@@ -235,20 +195,14 @@ def np_fast(
     shifts: Sequence[int],
     budget: int = DEFAULT_TUPLE_BUDGET,
 ) -> NpResult:
-    """Same value as ``np_bruteforce`` via the commutator-distribution DP."""
+    """Same value as ``np_bruteforce`` via the forward commutator-distribution pass."""
     shifts = _check_shifts(g, shifts)
     m = len(shifts)
     total = h.order ** m
     work = m * g.order * h.order
     if work > budget:
         raise BudgetExceeded("dynamic-program evaluation", work, budget)
-    if h.order >= ARRAY_DP_MIN_ORDER and total < INT64_LIMIT:
-        cosets = g.mul[np.ix_(shifts, h.elements)]
-        count = _array_count(g.mul, g.inv, cosets)
-    else:
-        mul, inv = g.lists
-        cosets = [[mul[x][y] for y in h.elements] for x in shifts]
-        count = _dp_count(mul, inv, cosets)
+    count = _forward_count(g.mul, g.inv, _cosets(g, h, shifts))
     return NpResult(Fraction(count, total), "dp", count, total)
 
 
@@ -261,16 +215,17 @@ def commutator_distribution(
 ) -> dict[int, int]:
     """Counts W_m(c) of shifted m-tuples with left-normed commutator c.
 
-    The counts always sum to |H|^m.
+    Only commutators with a nonzero count are keys; the counts always sum
+    to |H|^m.
     """
     shifts = _check_shifts(g, shifts)
     if not 1 <= m <= len(shifts):
         raise ValueError(f"stage {m} needs at least {m} shifts")
     if m * g.order * h.order > budget:
         raise BudgetExceeded("commutator distribution", m * g.order * h.order, budget)
-    mul, inv = g.lists
-    cosets = [[mul[x][y] for y in h.elements] for x in shifts[:m]]
-    return _distribution(mul, inv, cosets)
+    weights = _weights(g.mul, g.inv, _cosets(g, h, shifts[:m]), _count_dtype(h.order ** m))
+    support = np.flatnonzero(weights)
+    return dict(zip(support.tolist(), weights[support].tolist()))
 
 
 def np_k(g: GroupTable, k: int, budget: int = DEFAULT_TUPLE_BUDGET) -> NpResult:
@@ -294,6 +249,48 @@ def cp(g: GroupTable | SubgroupRef) -> Fraction:
     return Fraction(int((block == block.T).sum()), n * n)
 
 
+def _backward_counts(
+    g: GroupTable, cosets: np.ndarray, last: np.ndarray, k: int
+) -> Iterator[int]:
+    """Counts of all shift tuples, in lexicographic order.
+
+    ``cosets`` holds the left cosets of H as rows, in representative
+    order, and ``last`` the rows the last coordinate runs over.  The
+    second coordinate is summed into the first a block of cosets at a
+    time, and each block's counts are handed out before the next, so
+    neither v of the second coordinate nor all counts are ever stored.
+    """
+    m, inv = g.mul, g.inv
+    n = g.order
+    reps, size = cosets.shape
+    dtype = _count_dtype(size ** (k + 1))
+    flat = cosets.ravel()
+    inv_flat = inv[flat]
+
+    def stage(v, w):
+        """v'[w, x, s], the sum of v[[w, t], s] over t in the coset x, for the rows w."""
+        comm = m[m[m[inv[w][:, None], inv_flat], w[:, None]], flat]
+        return v[comm].reshape(len(w), reps, size, v.shape[1]).sum(axis=2)
+
+    tail = last.ravel()
+    v = np.empty((n, len(last)), dtype)
+    for rows in row_blocks(n, len(tail), COUNT_BLOCK_CELLS):
+        w = np.arange(n)[rows]
+        commutes = m[w[:, None], tail] == m[tail[:, None], w].T
+        v[rows] = commutes.reshape(len(w), len(last), size).sum(axis=2)
+    for _ in range(k - 2):
+        nxt = np.empty((n, reps * v.shape[1]), dtype)
+        for rows in row_blocks(n, n * v.shape[1], COUNT_BLOCK_CELLS):
+            w = np.arange(n)[rows]
+            nxt[rows] = stage(v, w).reshape(len(w), -1)
+        v = nxt
+    gathered = size * v.shape[1] * (n if k > 1 else 1)
+    for block in row_blocks(reps, gathered, COUNT_BLOCK_CELLS):
+        w = cosets[block]
+        part = v[w] if k == 1 else stage(v, w.ravel()).reshape(len(w), size, -1)
+        yield from part.sum(axis=1).ravel().tolist()
+
+
 def iter_shift_values(
     g: GroupTable,
     h: SubgroupRef,
@@ -304,8 +301,9 @@ def iter_shift_values(
     """Yield (shift tuple, exact value) over all canonical coset-rep tuples.
 
     Tuples are produced in lexicographic order of representatives, which
-    are the least indices of the left cosets of H; the prefix-shared walk
-    that produces them is described in the module docstring.  With
+    are the least indices of the left cosets of H.  The identity tuple
+    comes first and is evaluated alone by the forward pass; the others
+    come from one backward pass (see the module docstring).  With
     ``sup_candidates`` only the tuples whose last coordinate is the coset
     H itself (representative 0) are yielded: they hold every prefix's
     maximum, as the module docstring explains.  The budget counts all
@@ -313,44 +311,30 @@ def iter_shift_values(
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    reps = left_coset_reps(g, h)
-    count = len(reps) ** (k + 1)
+    count = (g.order // h.order) ** (k + 1)
     if count > budget:
         raise BudgetExceeded("shift tuple enumeration", count, budget)
-    mul, inv = g.lists
-    cosets = [[mul[r][y] for y in h.elements] for r in reps]
-    last_cosets = cosets[:1] if sup_candidates else cosets
     total = h.order ** (k + 1)
-    # Both memos live for this enumeration only.  ``commuting[w]`` lists
-    # the pairs (i, |C(w) ∩ r_i H|) with a nonzero count over the last
-    # coordinates walked; ``values`` holds one Fraction per distinct count.
-    commuting: dict[int, list[tuple[int, int]]] = {}
-    values: dict[int, Fraction] = {}
+    ones = identity_shifts(k)
+    first = _forward_count(g.mul, g.inv, _cosets(g, h, ones))
+    # one Fraction per distinct count, so equal values are the same object
+    values = {first: Fraction(first, total)}
+    yield ones, values[first]
 
-    def last_stage(prefix, weights):
-        counts = [0] * len(last_cosets)
-        for w, cnt in weights.items():
-            row = commuting.get(w)
-            if row is None:
-                hits = (_commuting(mul, w, c) for c in last_cosets)
-                row = commuting[w] = [(i, n) for i, n in enumerate(hits) if n]
-            for i, n in row:
-                counts[i] += cnt * n
-        for r, c in zip(reps, counts):
-            value = values.get(c)
-            if value is None:
-                value = values[c] = Fraction(c, total)
-            yield prefix + (r,), value
-
-    def walk(prefix, weights):
-        if len(prefix) == k:
-            yield from last_stage(prefix, weights)
-            return
-        for r, coset in zip(reps, cosets):
-            yield from walk(prefix + (r,), _advance(mul, inv, weights, coset))
-
-    for r, coset in zip(reps, cosets):
-        yield from walk((r,), dict.fromkeys(coset, 1))
+    reps = left_coset_reps(g, h)
+    cosets = _cosets(g, h, reps)
+    if sup_candidates:
+        counts = _backward_counts(g, cosets, cosets[:1], k)
+        tuples = (t + (0,) for t in itertools.product(reps, repeat=k))
+    else:
+        counts = _backward_counts(g, cosets, cosets, k)
+        tuples = itertools.product(reps, repeat=k + 1)
+    next(counts), next(tuples)  # the identity tuple, yielded above
+    for c, tup in zip(counts, tuples):
+        value = values.get(c)
+        if value is None:
+            value = values[c] = Fraction(c, total)
+        yield tup, value
 
 
 def np_sup(
@@ -367,8 +351,9 @@ def np_sup(
     evaluated: for every prefix that coset attains the maximum over the
     last coordinate (see the module docstring), so a lex-smallest
     maximizer always ends in it.  The budget still counts all [G:H]^(k+1)
-    tuples.  Stops early once the unbeatable value 1 is reached, which
-    keeps the common nilpotent case (identity witness) cheap.
+    tuples.  Stops early once the unbeatable value 1 is reached; the
+    identity tuple is drawn first, so the common nilpotent case (identity
+    witness) never runs the backward pass.
     """
     best_val = Fraction(-1)
     best_tup: tuple[int, ...] = ()

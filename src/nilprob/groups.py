@@ -31,7 +31,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import NotAGroup, OrderExceeded, UnknownCatalogName
-from .perms import Perm, identity_perm, perm_from_cycles, validate_perm
+from .perms import Perm, identity_perm, perm_from_cycles, perm_order, validate_perm
 
 #: Largest group order for which a multiplication table may be built.
 DEFAULT_ORDER_CAP = 4096
@@ -46,7 +46,8 @@ class GroupTable:
     """A finite group as an immutable multiplication table.
 
     ``mul[a, b]`` is the index of the product and ``inv[a]`` the inverse,
-    both read-only ``int32`` arrays; index 0 is the identity.
+    both read-only ``int32`` arrays; index 0 is the identity.  There is no
+    other representation; only the brute-force oracle copies them to lists.
     """
 
     order: int
@@ -65,23 +66,13 @@ class GroupTable:
     def elements(self) -> range:
         return range(self.order)
 
-    @cached_property
-    def lists(self) -> tuple[list[list[int]], list[int]]:
-        """``(mul, inv)`` as Python lists, built once, for loops over single entries.
-
-        Indexing the arrays entry by entry yields numpy scalars, which is
-        several times slower than list indexing.  The view holds n^2
-        Python ints, so whole-table work uses the arrays instead.
-        """
-        return self.mul.tolist(), self.inv.tolist()
-
     def __repr__(self) -> str:  # keep reprs short; tables can be huge
         return f"GroupTable({self.label!r}, order={self.order})"
 
 
-def row_blocks(rows: int, width: int) -> list[slice]:
-    """Slices covering ``range(rows)``, each of about :data:`BLOCK_CELLS` cells of ``width``."""
-    step = max(1, BLOCK_CELLS // width)
+def row_blocks(rows: int, width: int, cells: int = BLOCK_CELLS) -> list[slice]:
+    """Slices covering ``range(rows)``, each of about ``cells`` cells of ``width``."""
+    step = max(1, cells // width)
     return [slice(lo, lo + step) for lo in range(0, rows, step)]
 
 
@@ -223,7 +214,8 @@ def build_from_perm_gens(
     Elements are sorted by image array (which puts the identity first) and
     the table entry for (i, j) is the index of ``compose(p_i, p_j)``.
     Raises :class:`OrderExceeded` once the closure passes ``max_order``
-    (or the table cap, if that is lower).
+    (or the table cap, if that is lower), and before the search when a
+    generator's own order already does.
 
     The closure is a breadth-first search under left multiplication by
     the generators, which records each element e as s * (parent) and the
@@ -236,10 +228,12 @@ def build_from_perm_gens(
     if not perms:
         raise ValueError("at least one generator is required")
     degree = len(perms[0])
+    cap = min(max_order, DEFAULT_ORDER_CAP)
     for p in perms:
         if len(p) != degree:
             raise ValueError("generators must share one degree")
-    cap = min(max_order, DEFAULT_ORDER_CAP)
+        if (o := perm_order(p)) > cap:  # the group order is a multiple of o
+            raise OrderExceeded(o, cap)
 
     # Elements are kept as the bytes of their big-endian image arrays,
     # which compare like the image tuples, so they also give the order.

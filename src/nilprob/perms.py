@@ -21,6 +21,7 @@ Sampling works on batches: :meth:`PermGroupBSGS.random_uniform` returns a
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
@@ -72,6 +73,19 @@ def inverse(p: Sequence[int]) -> Perm:
     for i, x in enumerate(p):
         inv[x] = i
     return inv
+
+
+def perm_order(p: Sequence[int]) -> int:
+    """The order of a permutation: the lcm of its cycle lengths."""
+    order, seen = 1, [False] * len(p)
+    for x in range(len(p)):
+        length = 0
+        while not seen[x]:
+            seen[x] = True
+            x = p[x]
+            length += 1
+        order = math.lcm(order, max(length, 1))
+    return order
 
 
 def perm_from_cycles(degree: int, cycles: Iterable[Sequence[int]]) -> Perm:

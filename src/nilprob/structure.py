@@ -3,8 +3,9 @@
 Commutators, centralizers, conjugacy classes, subgroup closure, normal
 subgroups, quotients, the lower central series and nilpotency class.  All
 functions are pure; subgroups are sorted element-index tuples referencing
-their parent table.  Whole-table passes run on the ``int32`` arrays;
-searches that visit one entry at a time read the table's list view.
+their parent table.  Everything reads the ``int32`` arrays: whole-table
+passes as gathers, and the one search that visits single entries,
+``subgroup_closure``, with ``mul.item``.
 """
 
 from __future__ import annotations
@@ -109,15 +110,14 @@ def conjugacy_classes(g: GroupTable) -> ClassData:
 
 def subgroup_closure(g: GroupTable, seeds: Iterable[int]) -> SubgroupRef:
     """Smallest subgroup containing ``seeds`` (the trivial one for none)."""
-    mul = g.lists[0]
+    m = g.mul
     gens = sorted(set(seeds) - {0})
     members = {0}
     frontier = [0]
     while frontier:
         x = frontier.pop()
-        row = mul[x]
         for s in gens:
-            y = row[s]
+            y = m.item(x, s)
             if y not in members:
                 members.add(y)
                 frontier.append(y)

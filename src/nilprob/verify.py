@@ -517,7 +517,10 @@ def _aggregate(outcomes: list[CheckOutcome]) -> list[CheckOutcome]:
     ]
 
 
-def _margin(o: CheckOutcome) -> float:
+def _margin(o: CheckOutcome) -> Fraction | float:
+    """lhs - rhs, exact when both sides are fractions."""
+    if isinstance(o.lhs, Fraction) and isinstance(o.rhs, Fraction):
+        return o.lhs - o.rhs
     try:
         return float(o.lhs) - float(o.rhs)
     except (TypeError, ValueError):

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import time
 
 import numpy as np
 import pytest
@@ -340,6 +341,28 @@ def test_cyclic_order_below_one_exits_2(capsys, name, n):
     assert code == 2 and out == ""
     assert err.splitlines() == [
         f"error: cannot resolve group: cyclic order must be >= 1, got {n}"
+    ]
+
+
+FIVE_THOUSAND_CYCLE = json.dumps(
+    {"kind": "perm_gens", "gens": [list(range(1, 5000)) + [0]]}
+)
+
+
+@pytest.mark.parametrize("flag, group, order", [
+    ("--group", "C(200000)", 200000),
+    ("--group", "D(400000)", 200000),
+    ("--group-json", FIVE_THOUSAND_CYCLE, 5000),
+], ids=["C(200000)", "D(400000)", "5000-cycle"])
+def test_generator_order_above_cap_exits_2(capsys, flag, group, order):
+    # refused from the generator's order alone, before the closure search
+    # stores any element
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "np", flag, group, "--no-cache")
+    assert time.perf_counter() - start < 10
+    assert code == 2 and out == ""
+    assert err.splitlines() == [
+        f"error: cannot resolve group: group order is at least {order}, above the cap 4096"
     ]
 
 

@@ -396,10 +396,7 @@ def test_cp_counts_commuting_pairs(name):
 
 
 @pytest.mark.parametrize("name", SMALL + ["S(4)", "SL(2,3)"])
-def test_array_dp_matches_bruteforce(name, monkeypatch):
-    # every subgroup runs the array DP here, whatever its order
-    monkeypatch.setattr(exact, "ARRAY_DP_MIN_ORDER", 1)
-    monkeypatch.setattr(exact, "_dp_count", None)
+def test_array_dp_matches_bruteforce(name):
     g = catalog_get(name)
     rng = stream_rng(606)
     for h in subgroup_pool(g):
@@ -415,21 +412,35 @@ def test_array_dp_matches_bruteforce(name, monkeypatch):
                 ), (name, h.elements, shifts)
 
 
-def test_array_dp_falls_back_above_int64(monkeypatch):
-    # 6^24 < 2^63 <= 6^25: k = 23 runs the int64 stages close to their
-    # limit, k = 24 must take the dict stages; np_k(S(3)) = 1 - 2^-k
-    monkeypatch.setattr(exact, "ARRAY_DP_MIN_ORDER", 1)
+def test_array_dp_falls_back_above_int64():
+    # 6^24 < 2^63 <= 6^25: k = 23 counts in int64 close to the limit,
+    # k = 24 in Python ints; np_k(S(3)) = 1 - 2^-k
     s3 = catalog_get("S(3)")
-    mul, inv = s3.lists
     for k in (23, 24):
         res = np_k(s3, k)
+        total = 6 ** (k + 1)
         assert res.value == 1 - Fraction(1, 2 ** k)
-        assert res.counted_tuples == exact._dp_count(mul, inv, [list(range(6))] * (k + 1))
+        assert res.total_tuples == total
+        assert res.counted_tuples == total - total // 2 ** k
+    # below 1, so np_sup goes on from the forward identity tuple to the
+    # backward pass, in Python ints too
+    assert np_sup(s3, whole_group(s3), 24) == (1 - Fraction(1, 2 ** 24), identity_shifts(24))
 
-    def refuse(*args):
-        raise AssertionError("the int64 stages ran above 2^63")
 
-    monkeypatch.setattr(exact, "_array_count", refuse)
-    assert np_k(s3, 24).total_tuples == 6 ** 25
-    with pytest.raises(AssertionError):
-        np_k(s3, 23)
+
+def test_python_int_counts_match_int64(monkeypatch):
+    # counts that can reach 2^63 are kept as Python ints; with that dtype
+    # forced on small cases, both passes must agree with the int64 arrays
+    def evaluate():
+        out = []
+        for name in ["S(3)", "Q8", "A(4)"]:
+            g = catalog_get(name)
+            for h in subgroup_pool(g):
+                for k in (1, 2, 3):
+                    shifts = left_coset_reps(g, h)[-1:] * (k + 1)
+                    out.append((list(iter_shift_values(g, h, k)), np_fast(g, h, shifts)))
+        return out
+
+    expected = evaluate()
+    monkeypatch.setattr(exact, "_count_dtype", lambda total: object)
+    assert evaluate() == expected

@@ -220,7 +220,7 @@ def test_table_is_read_only_int32_copy():
     assert not g.inv.flags.writeable
     source[0][0] = 1  # the caller's rows stay the caller's
     assert g.mul[0, 0] == 0
-    assert g.lists == ([[0, 1], [1, 0]], [0, 1])
+    assert g.mul.tolist() == [[0, 1], [1, 0]] and g.inv.tolist() == [0, 1]
 
 
 def test_build_from_table_keeps_a_builders_array():

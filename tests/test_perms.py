@@ -20,6 +20,7 @@ from nilprob.perms import (
     inverse,
     is_identity,
     perm_from_cycles,
+    perm_order,
     schreier_sims,
     uniform_indices,
     validate_perm,
@@ -278,3 +279,13 @@ def test_deterministic_chain():
     g2 = schreier_sims(gens)
     assert g1.base == g2.base
     assert g1.transversals() == g2.transversals()
+
+
+@given(st.integers(0, 8).flatmap(lambda d: st.permutations(list(range(d)))))
+def test_perm_order_matches_repeated_composition(p):
+    # the least n >= 1 with p^n = identity
+    acc, n = list(p), 1
+    while not is_identity(acc):
+        acc = compose(acc, p)
+        n += 1
+    assert perm_order(p) == n

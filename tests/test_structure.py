@@ -61,7 +61,7 @@ def left_normed_commutator(g, xs):
 
 def coset_intersection_size(g, h, y, x):
     """Oracle: |y C_G(x) \\cap H|, counted element by element."""
-    mul, inv = g.lists
+    mul, inv = g.mul.tolist(), g.inv.tolist()
     # a in y C_G(x)  <=>  y^-1 a commutes with x
     return sum(1 for a in h.elements if mul[mul[inv[y]][a]][x] == mul[x][mul[inv[y]][a]])
 

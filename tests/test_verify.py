@@ -9,6 +9,7 @@ from nilprob.groups import catalog_get
 from nilprob.structure import center, normal_subgroups, whole_group
 from nilprob.verify import (
     ALL_CHECKS,
+    CheckOutcome,
     CorpusConfig,
     MUST_HOLD_CHECKS,
     PROBE_CHECKS,
@@ -23,6 +24,7 @@ from nilprob.verify import (
     gap_constant,
     gap_constant_tight,
     max_bad_series_length,
+    _aggregate,
     run_corpus,
 )
 
@@ -285,3 +287,19 @@ def test_threaded_run_matches_serial():
     a = json.dumps(run_corpus(cfg_serial).to_json(include_timing=False), sort_keys=True)
     b = json.dumps(run_corpus(cfg_par).to_json(include_timing=False), sort_keys=True)
     assert a == b
+
+
+def test_aggregate_picks_the_worst_margin_exactly():
+    # both hold, and their margins differ by 10^-30, which floats cannot
+    # see; the reported outcome must be the one with the larger lhs
+    rhs = Fraction(1, 2)
+    near = Fraction(1, 3)
+    nearer = near + Fraction(1, 10 ** 30)
+    assert float(near) - float(rhs) == float(nearer) - float(rhs)
+    outcomes = [
+        CheckOutcome("np_le_cp", "G", {"shifts": [0, 0]}, near, rhs, True),
+        CheckOutcome("np_le_cp", "G", {"shifts": [0, 1]}, nearer, rhs, True),
+    ]
+    (worst,) = _aggregate(outcomes)
+    assert worst.lhs == nearer and worst.params == {"shifts": [0, 1], "tuples_checked": 2}
+    assert worst.holds
