@@ -20,6 +20,8 @@ from .exact import (
     np_bruteforce,
     np_fast,
     np_sup,
+    require_dp_budget,
+    require_shift_budget,
 )
 from .groups import (
     GroupTable,
@@ -167,6 +169,7 @@ def cmd_np(args, parser) -> int:
 
     k = args.k
     if args.sup:
+        require_shift_budget(g, h, k, args.budget_shifts)
         hit = cache.get_sup(g.table_hash, h.elements, k) if cache is not None else None
         if hit is not None:
             value, witness = hit
@@ -189,8 +192,11 @@ def cmd_np(args, parser) -> int:
     else:
         shifts = list(identity_shifts(k))
 
-    cached = cache.get_np(g.table_hash, h.elements, shifts) if cache is not None else None
-    if cached is not None and args.method != "brute":
+    cached = None
+    if cache is not None and args.method != "brute":
+        require_dp_budget(g, h, len(shifts), args.budget_tuples)
+        cached = cache.get_np(g.table_hash, h.elements, shifts)
+    if cached is not None:
         value, counted, total = cached
         method = "cache"
     else:

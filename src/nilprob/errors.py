@@ -34,6 +34,10 @@ class OrderExceeded(NilprobError):
         )
 
 
+class ChainTooLarge(NilprobError):
+    """A stabilizer chain's transversals would hold more cells than the cap."""
+
+
 class UnknownCatalogName(NilprobError):
     """The requested name is not in the built-in group catalog."""
 

@@ -189,6 +189,14 @@ def _forward_count(m: np.ndarray, inv: np.ndarray, cosets: np.ndarray) -> int:
     return count
 
 
+def require_dp_budget(g: GroupTable, h: SubgroupRef, m: int, budget: int,
+                      what: str = "dynamic-program evaluation") -> None:
+    """Refuse m forward stages over H above ``budget``, also before a cache lookup."""
+    work = m * g.order * h.order
+    if work > budget:
+        raise BudgetExceeded(what, work, budget)
+
+
 def np_fast(
     g: GroupTable,
     h: SubgroupRef,
@@ -199,9 +207,7 @@ def np_fast(
     shifts = _check_shifts(g, shifts)
     m = len(shifts)
     total = h.order ** m
-    work = m * g.order * h.order
-    if work > budget:
-        raise BudgetExceeded("dynamic-program evaluation", work, budget)
+    require_dp_budget(g, h, m, budget)
     count = _forward_count(g.mul, g.inv, _cosets(g, h, shifts))
     return NpResult(Fraction(count, total), "dp", count, total)
 
@@ -221,8 +227,7 @@ def commutator_distribution(
     shifts = _check_shifts(g, shifts)
     if not 1 <= m <= len(shifts):
         raise ValueError(f"stage {m} needs at least {m} shifts")
-    if m * g.order * h.order > budget:
-        raise BudgetExceeded("commutator distribution", m * g.order * h.order, budget)
+    require_dp_budget(g, h, m, budget, "commutator distribution")
     weights = _weights(g.mul, g.inv, _cosets(g, h, shifts[:m]), _count_dtype(h.order ** m))
     support = np.flatnonzero(weights)
     return dict(zip(support.tolist(), weights[support].tolist()))
@@ -291,6 +296,15 @@ def _backward_counts(
         yield from part.sum(axis=1).ravel().tolist()
 
 
+def require_shift_budget(g: GroupTable, h: SubgroupRef, k: int, budget: int) -> None:
+    """Refuse the [G:H]^(k+1) shift tuples above ``budget``, also before a cache lookup."""
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    count = (g.order // h.order) ** (k + 1)
+    if count > budget:
+        raise BudgetExceeded("shift tuple enumeration", count, budget)
+
+
 def iter_shift_values(
     g: GroupTable,
     h: SubgroupRef,
@@ -308,12 +322,11 @@ def iter_shift_values(
     H itself (representative 0) are yielded: they hold every prefix's
     maximum, as the module docstring explains.  The budget counts all
     [G:H]^(k+1) tuples in both modes.
+
+    ``np_sup`` is the only caller in the package; the full mode is the
+    reference that tests check ``np_sup`` and the harness against.
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    count = (g.order // h.order) ** (k + 1)
-    if count > budget:
-        raise BudgetExceeded("shift tuple enumeration", count, budget)
+    require_shift_budget(g, h, k, budget)
     total = h.order ** (k + 1)
     ones = identity_shifts(k)
     first = _forward_count(g.mul, g.inv, _cosets(g, h, ones))

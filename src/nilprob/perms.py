@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .errors import DegreeMismatch
+from .errors import ChainTooLarge, DegreeMismatch
 
 if TYPE_CHECKING:
     import random
@@ -185,6 +185,10 @@ def uniform_indices(rng: random.Random, bound: int, size: int) -> np.ndarray:
 
 # -- stabilizer chain ---------------------------------------------------------
 
+#: Cap on the cells (orbit points x degree) of a chain's transversals:
+#: 2^24, the cells of the largest multiplication table (order 4096).
+TRANSVERSAL_CELLS = 1 << 24
+
 
 @dataclass
 class _ChainLevel:
@@ -193,18 +197,27 @@ class _ChainLevel:
     transversal: dict[int, Perm] = field(default_factory=dict)
     orbit: list[int] = field(default_factory=list)
 
-    def rebuild(self) -> None:
-        """BFS orbit of ``point`` under ``gens``, in deterministic discovery order."""
-        self.transversal = {self.point: identity_perm(len(self.gens[0]))}
+    def rebuild(self, room: int) -> None:
+        """BFS orbit of ``point`` under ``gens``, in deterministic discovery order.
+
+        An orbit of more than ``room`` points is refused before any
+        representative is stored.
+        """
+        found = {self.point: None}
         queue = [self.point]
-        while queue:
-            a = queue.pop(0)
-            t_a = self.transversal[a]
+        for a in queue:
             for g in self.gens:
-                b = g[a]
-                if b not in self.transversal:
-                    self.transversal[b] = compose(t_a, g)
-                    queue.append(b)
+                if g[a] not in found:
+                    found[g[a]] = (a, g)
+                    queue.append(g[a])
+        degree = len(self.gens[0])
+        if len(queue) > room:
+            raise ChainTooLarge(f"stabilizer chain transversals (orbit points x degree "
+                                f"{degree}) would exceed {TRANSVERSAL_CELLS} cells")
+        self.transversal = {self.point: identity_perm(degree)}
+        for b in queue[1:]:
+            a, g = found[b]
+            self.transversal[b] = compose(self.transversal[a], g)
         self.orbit = sorted(self.transversal)
 
 
@@ -317,11 +330,13 @@ def schreier_sims(generators: Sequence[Sequence[int]]) -> PermGroupBSGS:
 
     def build_levels() -> list[_ChainLevel]:
         levels = []
+        room = TRANSVERSAL_CELLS // max(degree, 1)
         for i, point in enumerate(base):
             prefix = base[:i]
             level = _ChainLevel(point)
             level.gens = [s for s in strong if all(s[b] == b for b in prefix)]
-            level.rebuild()
+            level.rebuild(room)
+            room -= len(level.orbit)
             levels.append(level)
         return levels
 

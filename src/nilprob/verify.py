@@ -12,6 +12,11 @@ on concrete groups.  Checks come in two strengths:
 
 Equality cases of must-hold inequalities (below 1) are reported as
 sharpness witnesses.
+
+Checks over shift tuples read the supremum ``np_sup``, memoised per
+(table, subgroup, k) in a corpus run.  The right-hand side of ``np_le_cp``
+and ``shift_monotonicity`` is the same for every tuple, so their worst
+tuple is the supremum's lexicographically smallest maximiser.
 """
 
 from __future__ import annotations
@@ -30,10 +35,10 @@ from .exact import (
     DEFAULT_TUPLE_BUDGET,
     cp,
     identity_shifts,
-    iter_shift_values,
     np_fast,
     np_k,
     np_sup,
+    require_shift_budget,
 )
 from .groups import GroupTable, catalog_base_names, catalog_get, group_from_definition
 from .structure import (
@@ -121,38 +126,37 @@ def _subgroup_params(h: SubgroupRef, role: str = "h") -> dict:
 # -- individual checks ---------------------------------------------------------
 
 
+def _sup_outcome(check_id: str, g: GroupTable, h: SubgroupRef, k: int, base: dict,
+                 rhs: Fraction, shift_budget: int, _sup: Optional[Callable]) -> CheckOutcome:
+    """sup over shift tuples <= rhs, reported at the lex-smallest maximising tuple."""
+    value, witness = (_sup or np_sup)(g, h, k, shift_budget)
+    params = {**base, "shifts": list(witness)}
+    count = (g.order // h.order) ** (k + 1)
+    if count > 1:
+        params["tuples_checked"] = count
+    return CheckOutcome(check_id, g.label, params, value, rhs, value <= rhs)
+
+
 def check_npleqcp(
     g: GroupTable,
     h: SubgroupRef,
     shift_budget: int = DEFAULT_SHIFT_BUDGET,
-) -> list[CheckOutcome]:
+    _sup: Optional[Callable] = None,
+) -> CheckOutcome:
     """Shifted pair probability never exceeds the commuting probability.
 
-    One outcome per coset-representative pair (x, y).  When cp(H) = 1 the
-    inequality is a tautology for probabilities, so a single vacuous
-    outcome stands in for the whole enumeration.
+    The right-hand side cp(H) is the same for every shift pair, so the
+    outcome is the supremum over pairs (x, y) with its lex-smallest
+    maximising pair.  When cp(H) = 1 the inequality is a tautology for
+    probabilities, and a vacuous outcome stands in for the supremum.
     """
     rhs = cp(h)
     base = _subgroup_params(h)
     if rhs == 1:
-        return [
-            CheckOutcome(
-                "np_le_cp",
-                g.label,
-                {**base, "vacuous": True},
-                Fraction(1),
-                rhs,
-                True,
-            )
-        ]
-    out = []
-    for (x, y), val in iter_shift_values(g, h, 1, shift_budget):
-        out.append(
-            CheckOutcome(
-                "np_le_cp", g.label, {**base, "shifts": [x, y]}, val, rhs, val <= rhs
-            )
+        return CheckOutcome(
+            "np_le_cp", g.label, {**base, "vacuous": True}, Fraction(1), rhs, True
         )
-    return out
+    return _sup_outcome("np_le_cp", g, h, 1, base, rhs, shift_budget, _sup)
 
 
 def check_center_recursion(
@@ -210,8 +214,7 @@ def check_class_characterization(
     _sup: Optional[Callable] = None,
 ) -> CheckOutcome:
     """The supremum hits 1 exactly when H is nilpotent of class at most k."""
-    sup = _sup if _sup is not None else (lambda gg, hh, kk: np_sup(gg, hh, kk, shift_budget))
-    value, witness = sup(g, h, k)
+    value, witness = (_sup or np_sup)(g, h, k, shift_budget)
     cls = nilpotency_class(h)
     nilpotent_le_k = cls is not None and cls <= k
     holds = (value == 1) == nilpotent_le_k
@@ -241,8 +244,7 @@ def check_gap_bound(
     cls = nilpotency_class(h)
     if cls is not None and cls <= k:
         return []
-    sup = _sup if _sup is not None else (lambda gg, hh, kk: np_sup(gg, hh, kk, shift_budget))
-    value, witness = sup(g, h, k)
+    value, witness = (_sup or np_sup)(g, h, k, shift_budget)
     params = {**_subgroup_params(h), "k": k, "nilpotency_class": cls}
     wit = {"max_shifts": list(witness)}
     loose = gap_constant(k)
@@ -267,12 +269,12 @@ def check_submultiplicativity(
     """np sup of H is at most (sup of H/N in G/N) * (sup of N in G)."""
     if not set(n.elements) <= set(h.elements):
         raise ValueError("N must be contained in H")
-    sup = _sup if _sup is not None else (lambda gg, hh, kk: np_sup(gg, hh, kk, shift_budget))
+    sup = _sup or np_sup
     qmap = _quot if _quot is not None else quotient(g, n)
     hbar = image_subgroup(qmap, h)
-    lhs, _ = sup(g, h, k)
-    quot_val, _ = sup(qmap.target, hbar, k)
-    n_val, _ = sup(g, n, k)
+    lhs, _ = sup(g, h, k, shift_budget)
+    quot_val, _ = sup(qmap.target, hbar, k, shift_budget)
+    n_val, _ = sup(g, n, k, shift_budget)
     rhs = quot_val * n_val
     params = {
         **_subgroup_params(h),
@@ -292,38 +294,22 @@ def check_shift_monotonicity(
     k: int,
     shift_budget: int = DEFAULT_SHIFT_BUDGET,
     tuple_budget: int = DEFAULT_TUPLE_BUDGET,
-) -> list[CheckOutcome]:
+    _sup: Optional[Callable] = None,
+) -> CheckOutcome:
     """For normal N, trivial shifts maximize the shifted probability.
 
-    One outcome per coset-representative tuple; a single vacuous outcome
-    when the trivial-shift value is already 1.
+    The right-hand side, the trivial-shift value, is the same for every
+    tuple, so the outcome is the supremum over tuples with its
+    lex-smallest maximising tuple; a vacuous outcome when the
+    trivial-shift value is already 1.
     """
     rhs = np_fast(g, n, identity_shifts(k), tuple_budget).value
     base = {**_subgroup_params(n, "n"), "k": k}
     if rhs == 1:
-        return [
-            CheckOutcome(
-                "shift_monotonicity",
-                g.label,
-                {**base, "vacuous": True},
-                Fraction(1),
-                rhs,
-                True,
-            )
-        ]
-    out = []
-    for tup, val in iter_shift_values(g, n, k, shift_budget):
-        out.append(
-            CheckOutcome(
-                "shift_monotonicity",
-                g.label,
-                {**base, "shifts": list(tup)},
-                val,
-                rhs,
-                val <= rhs,
-            )
+        return CheckOutcome(
+            "shift_monotonicity", g.label, {**base, "vacuous": True}, Fraction(1), rhs, True
         )
-    return out
+    return _sup_outcome("shift_monotonicity", g, n, k, base, rhs, shift_budget, _sup)
 
 
 def max_bad_series_length(
@@ -490,43 +476,6 @@ class VerificationReport:
         return out
 
 
-def _aggregate(outcomes: list[CheckOutcome]) -> list[CheckOutcome]:
-    """Collapse a per-tuple outcome list to its worst representative.
-
-    Keeps reports readable: the returned outcome carries the number of
-    tuples checked and the shifts of the largest left-hand side; failing
-    outcomes are never collapsed away (the worst one is failing too).
-    """
-    if len(outcomes) <= 1:
-        return outcomes
-    worst = outcomes[0]
-    all_hold = True
-    for o in outcomes:
-        all_hold = all_hold and o.holds
-        if not o.holds and worst.holds:
-            worst = o
-        elif o.holds == worst.holds and _margin(o) > _margin(worst):
-            worst = o
-    params = dict(worst.params)
-    params["tuples_checked"] = len(outcomes)
-    return [
-        CheckOutcome(
-            worst.check_id, worst.group, params, worst.lhs, worst.rhs,
-            all_hold, worst.witness,
-        )
-    ]
-
-
-def _margin(o: CheckOutcome) -> Fraction | float:
-    """lhs - rhs, exact when both sides are fractions."""
-    if isinstance(o.lhs, Fraction) and isinstance(o.rhs, Fraction):
-        return o.lhs - o.rhs
-    try:
-        return float(o.lhs) - float(o.rhs)
-    except (TypeError, ValueError):
-        return 0.0
-
-
 def _is_sharp(o: CheckOutcome) -> bool:
     """Equality witnesses below 1 on the bound checks.
 
@@ -561,19 +510,18 @@ class _GroupVerifier:
                 subs.setdefault(sub.elements, sub)
         return sorted(subs.values(), key=lambda s: (s.order, s.elements))
 
-    def sup(self, g: GroupTable, h: SubgroupRef, k: int):
+    def sup(self, g: GroupTable, h: SubgroupRef, k: int, budget: int):
+        """``np_sup`` through the memo and the cache, after the budget check."""
+        require_shift_budget(g, h, k, budget)
         key = (g.table_hash, h.elements, k)
-        if key in self._sup_memo:
-            return self._sup_memo[key]
-        if self.cache is not None:
-            hit = self.cache.get_sup(g.table_hash, h.elements, k)
-            if hit is not None:
-                self._sup_memo[key] = hit
-                return hit
-        value = np_sup(g, h, k, self.cfg.shift_budget)
+        value = self._sup_memo.get(key)
+        if value is None and self.cache is not None:
+            value = self.cache.get_sup(g.table_hash, h.elements, k)
+        if value is None:
+            value = np_sup(g, h, k, budget)
+            if self.cache is not None:
+                self.cache.put_sup(g.table_hash, h.elements, k, value)
         self._sup_memo[key] = value
-        if self.cache is not None:
-            self.cache.put_sup(g.table_hash, h.elements, k, value)
         return value
 
     def quot(self, n: SubgroupRef) -> QuotientMap:
@@ -596,28 +544,27 @@ class _GroupVerifier:
 
         if "np_le_cp" in selected:
             for h in sources:
-                raw.extend(_aggregate(check_npleqcp(self.g, h, cfg.shift_budget)))
+                raw.append(check_npleqcp(self.g, h, cfg.shift_budget, _sup=self.sup))
 
         for k in self.ks_for_group():
             if "center_recursion" in selected:
-                top = whole_group(self.g)
-                z = center(self.g)
+                # H = G: a single shift tuple, so a single outcome
                 raw.extend(
-                    _aggregate(
-                        check_center_recursion(
-                            self.g, top, k, cfg.shift_budget, cfg.tuple_budget,
-                            _quot=self.quot(z),
-                        )
+                    check_center_recursion(
+                        self.g, whole_group(self.g), k, cfg.shift_budget,
+                        cfg.tuple_budget, _quot=self.quot(center(self.g)),
                     )
                 )
             if "class_characterization" in selected:
                 for h in sources:
                     raw.append(
-                        check_class_characterization(self.g, h, k, _sup=self.sup)
+                        check_class_characterization(
+                            self.g, h, k, cfg.shift_budget, _sup=self.sup
+                        )
                     )
             if "gap_bound" in selected or "gap_bound_tight" in selected:
                 for h in sources:
-                    pair = check_gap_bound(self.g, h, k, _sup=self.sup)
+                    pair = check_gap_bound(self.g, h, k, cfg.shift_budget, _sup=self.sup)
                     if not pair:
                         gap_skips += 1
                     raw.extend(o for o in pair if o.check_id in selected)
@@ -638,11 +585,10 @@ class _GroupVerifier:
                         )
             if "shift_monotonicity" in selected:
                 for n in self.normals:
-                    raw.extend(
-                        _aggregate(
-                            check_shift_monotonicity(
-                                self.g, n, k, cfg.shift_budget, cfg.tuple_budget
-                            )
+                    raw.append(
+                        check_shift_monotonicity(
+                            self.g, n, k, cfg.shift_budget, cfg.tuple_budget,
+                            _sup=self.sup,
                         )
                     )
             if "series_bound" in selected or "series_bound_tight" in selected:

@@ -3,7 +3,12 @@
 import csv
 import io
 import json
+import os
+import resource
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -77,6 +82,29 @@ def test_np_uses_cache(capsys, tmp_path):
     assert doc["method"] == "cache" and doc["value"] == "3/4"
 
 
+@pytest.mark.parametrize("argv, budget", [
+    (["np", "--group", "S(4)", "--k", "2", "--sup", "--subgroup-normal", "1"],
+     ["--budget-shifts", "10"]),
+    (["np", "--group", "S(4)", "--k", "2"], ["--budget-tuples", "10"]),
+    (["verify", "--group", "S(4)", "--checks", "class_characterization"],
+     ["--budget-shifts", "1000"]),
+], ids=["np-sup", "np", "verify"])
+def test_budgets_apply_whatever_the_cache_holds(capsys, tmp_path, argv, budget):
+    # a run at the default budgets fills the cache; a lower budget must
+    # then refuse exactly what it refuses without a cache
+    cached = ["--format", "json", "--cache-dir", str(tmp_path)]
+    assert run_cli(capsys, *cached, *argv)[0] == 0
+    warm = run_cli(capsys, *cached, *argv, *budget)
+    cold = run_cli(capsys, "--format", "json", "--no-cache", *argv, *budget)
+    assert warm == cold
+    if argv[0] == "np":
+        assert cold[0] == 2 and "budget is 10" in cold[2]
+    else:
+        doc = json.loads(cold[1])
+        assert [s["group"] for s in doc["skipped"]] == ["S(4)"]
+        assert doc["outcomes"] == []
+
+
 def test_np_bad_group_exits_2(capsys):
     code, _, err = run_cli(capsys, "np", "--group", "Nope(3)", "--no-cache")
     assert code == 2
@@ -100,6 +128,28 @@ def test_np_budget_error_exits_2(capsys):
     )
     assert code == 2
     assert "budget" in err
+
+
+def test_estimate_refuses_an_oversized_chain(capsys):
+    # 200,000 transversal rows of degree 200,000 would need 40 billion
+    # cells; the orbit is found first and refused before any row is
+    # stored.  A subprocess with capped address space keeps a regression
+    # from taking the machine's memory.
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (3 * 10 ** 9, 3 * 10 ** 9))
+
+    src = Path(__file__).resolve().parents[1] / "src"
+    run = subprocess.run(
+        [sys.executable, "-m", "nilprob.cli", "estimate", "--group", "C(200000)",
+         "--k", "1", "--samples", "100"],
+        env={**os.environ, "PYTHONPATH": str(src)}, preexec_fn=cap_memory,
+        capture_output=True, text=True, timeout=60,
+    )
+    assert run.returncode == 2 and run.stdout == ""
+    assert run.stderr.splitlines() == [
+        "error: cannot build permutation group: stabilizer chain transversals "
+        "(orbit points x degree 200000) would exceed 16777216 cells"
+    ]
 
 
 def test_estimate_command(capsys):

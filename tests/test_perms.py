@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from nilprob.errors import DegreeMismatch
+from nilprob import perms
+from nilprob.errors import ChainTooLarge, DegreeMismatch
 from nilprob.groups import catalog_generators
 from nilprob.perms import (
     commutator_rows,
@@ -289,3 +290,18 @@ def test_perm_order_matches_repeated_composition(p):
         acc = compose(acc, p)
         n += 1
     assert perm_order(p) == n
+
+
+@pytest.mark.parametrize("name, cells, order", [
+    ("C(4)", 16, 4), ("C(5)", 25, 5), ("S(4)", 36, 24),
+])
+def test_transversal_cap_counts_every_level(monkeypatch, name, cells, order):
+    # orbit points times degree, summed over the levels: S(4) has orbits
+    # of 4, 3 and 2 points at degree 4; a chain at the cap is built, one
+    # cell below it is refused
+    _, gens, _ = catalog_generators(name)
+    monkeypatch.setattr(perms, "TRANSVERSAL_CELLS", cells)
+    assert schreier_sims(gens).order == order
+    monkeypatch.setattr(perms, "TRANSVERSAL_CELLS", cells - 1)
+    with pytest.raises(ChainTooLarge):
+        schreier_sims(gens)

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from nilprob.exact import cp, identity_shifts, iter_shift_values, np_fast
 from nilprob.groups import catalog_get
 from nilprob.structure import center, normal_subgroups, whole_group
 from nilprob.verify import (
@@ -24,9 +25,69 @@ from nilprob.verify import (
     gap_constant,
     gap_constant_tight,
     max_bad_series_length,
-    _aggregate,
     run_corpus,
+    _subgroup_params,
 )
+
+from test_exact import SMALL, subgroup_pool, tie_case
+
+
+def _aggregate(outcomes: list[CheckOutcome]) -> list[CheckOutcome]:
+    """Oracle: collapse a per-tuple outcome list to its worst representative.
+
+    The returned outcome carries the number of tuples checked and the
+    shifts of the largest margin lhs - rhs; a failing outcome is worse
+    than any holding one.  One-outcome lists pass through unchanged.
+    """
+    if len(outcomes) <= 1:
+        return outcomes
+    worst = outcomes[0]
+    all_hold = True
+    for o in outcomes:
+        all_hold = all_hold and o.holds
+        if not o.holds and worst.holds:
+            worst = o
+        elif o.holds == worst.holds and _margin(o) > _margin(worst):
+            worst = o
+    params = dict(worst.params)
+    params["tuples_checked"] = len(outcomes)
+    return [
+        CheckOutcome(
+            worst.check_id, worst.group, params, worst.lhs, worst.rhs,
+            all_hold, worst.witness,
+        )
+    ]
+
+
+def _margin(o: CheckOutcome) -> Fraction:
+    return o.lhs - o.rhs
+
+
+def per_tuple_npleqcp(g, h):
+    """Oracle: one np_le_cp outcome per shift pair, from the full walk."""
+    rhs = cp(h)
+    base = _subgroup_params(h)
+    if rhs == 1:
+        return [CheckOutcome("np_le_cp", g.label, {**base, "vacuous": True},
+                             Fraction(1), rhs, True)]
+    return [
+        CheckOutcome("np_le_cp", g.label, {**base, "shifts": list(tup)}, val, rhs, val <= rhs)
+        for tup, val in iter_shift_values(g, h, 1)
+    ]
+
+
+def per_tuple_shift_monotonicity(g, n, k):
+    """Oracle: one shift_monotonicity outcome per shift tuple, from the full walk."""
+    rhs = np_fast(g, n, identity_shifts(k)).value
+    base = {**_subgroup_params(n, "n"), "k": k}
+    if rhs == 1:
+        return [CheckOutcome("shift_monotonicity", g.label, {**base, "vacuous": True},
+                             Fraction(1), rhs, True)]
+    return [
+        CheckOutcome("shift_monotonicity", g.label, {**base, "shifts": list(tup)},
+                     val, rhs, val <= rhs)
+        for tup, val in iter_shift_values(g, n, k)
+    ]
 
 
 def normal_of_order(g, n):
@@ -46,18 +107,17 @@ def test_npleqcp_abelian_vacuous():
     s3 = catalog_get("S(3)")
     a3 = normal_of_order(s3, 3)
     out = check_npleqcp(s3, a3)
-    assert len(out) == 1
-    assert out[0].holds and out[0].rhs == 1
-    assert out[0].params["vacuous"]
+    assert out.holds and out.rhs == 1
+    assert out.params["vacuous"]
 
 
 def test_npleqcp_s4_a4():
     s4 = catalog_get("S(4)")
     a4 = normal_of_order(s4, 12)
     out = check_npleqcp(s4, a4)
-    assert len(out) == 4  # two cosets, shift pairs
-    assert all(o.holds for o in out)
-    assert all(o.rhs == Fraction(1, 3) for o in out)
+    assert out.params["tuples_checked"] == 4  # two cosets, shift pairs
+    assert out.holds and out.rhs == Fraction(1, 3)
+    assert out.lhs == out.rhs and out.params["shifts"] == [0, 0]
 
 
 def test_center_recursion_whole_group_examples():
@@ -147,7 +207,7 @@ def test_shift_monotonicity_vacuous_for_abelian():
     s3 = catalog_get("S(3)")
     a3 = normal_of_order(s3, 3)
     out = check_shift_monotonicity(s3, a3, 1)
-    assert len(out) == 1 and out[0].holds and out[0].params["vacuous"]
+    assert out.holds and out.params["vacuous"]
 
 
 def test_shift_monotonicity_s4_a4():
@@ -155,10 +215,10 @@ def test_shift_monotonicity_s4_a4():
     a4 = normal_of_order(s4, 12)
     for k in (1, 2):
         out = check_shift_monotonicity(s4, a4, k)
-        assert len(out) == 2 ** (k + 1)
-        assert all(o.holds for o in out)
-        trivial = next(o for o in out if o.params["shifts"] == [0] * (k + 1))
-        assert trivial.lhs == trivial.rhs
+        assert out.params["tuples_checked"] == 2 ** (k + 1)
+        assert out.holds
+        # the trivial shifts attain the supremum and come first
+        assert out.params["shifts"] == [0] * (k + 1) and out.lhs == out.rhs
 
 
 def test_max_bad_series_length():
@@ -303,3 +363,31 @@ def test_aggregate_picks_the_worst_margin_exactly():
     (worst,) = _aggregate(outcomes)
     assert worst.lhs == nearer and worst.params == {"shifts": [0, 1], "tuples_checked": 2}
     assert worst.holds
+
+
+def supremum_cases():
+    # most subgroups of SMALL are nilpotent, hence vacuous; the larger
+    # groups add subgroups of small index with many non-vacuous tuples
+    for name in SMALL + ["S(4)", "S(3)xS(3)", "D(12)"]:
+        g = catalog_get(name)
+        for h in subgroup_pool(g):
+            yield g, h
+    yield tie_case()
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_supremum_checks_match_aggregated_per_tuple_outcomes(k):
+    # the supremum and its lex-smallest maximiser are exactly what the
+    # worst-tuple aggregation of the full walk reported
+    outcomes = []
+    for g, h in supremum_cases():
+        if (g.order // h.order) ** (k + 1) > 2000:
+            continue
+        if k == 1:
+            (expected,) = _aggregate(per_tuple_npleqcp(g, h))
+            outcomes.append(check_npleqcp(g, h))
+            assert outcomes[-1] == expected, (g.label, h.elements)
+        (expected,) = _aggregate(per_tuple_shift_monotonicity(g, h, k))
+        outcomes.append(check_shift_monotonicity(g, h, k))
+        assert outcomes[-1] == expected, (g.label, h.elements, k)
+    assert sum("tuples_checked" in o.params for o in outcomes) >= 5
