@@ -4,6 +4,11 @@ The cache is one JSON-lines file keyed by content hashes, so entries stay
 valid exactly as long as the multiplication table, subgroup, shifts and k
 match.  Stale entries from older schema versions are ignored on load; the
 file is only ever appended to, which keeps it trivially auditable.
+
+A ``ResultCache`` opens one append handle at its first put and keeps it
+until ``close()`` (or the end of a ``with`` block).  Each entry is one
+line, written and flushed by itself, so caches on the same directory
+interleave whole lines, and a line torn by a crash is skipped on load.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ import json
 import os
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional, Sequence, TextIO
 
 SCHEMA_VERSION = 2
 CACHE_FILENAME = "nilprob-cache.jsonl"
@@ -45,13 +50,26 @@ def _parse_fraction(s: str) -> Fraction:
 
 
 class ResultCache:
-    """Load-once, append-on-write cache of np values and suprema."""
+    """Load-once, append-on-write cache of np values and suprema; close it when done."""
 
     def __init__(self, directory: Optional[Path] = None):
         self.directory = Path(directory) if directory is not None else default_cache_dir()
         self.path = self.directory / CACHE_FILENAME
         self._entries: dict[str, dict] = {}
+        self._fh: Optional[TextIO] = None
         self._load()
+
+    def __enter__(self) -> "ResultCache":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Close the append handle; a later put opens a new one."""
+        if self._fh is not None:
+            self._fh.close()
+            self._fh = None
 
     def _load(self) -> None:
         if not self.path.exists():
@@ -72,9 +90,11 @@ class ResultCache:
                     self._entries[key] = entry
 
     def _append(self, entry: dict) -> None:
-        self.directory.mkdir(parents=True, exist_ok=True)
-        with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(entry, sort_keys=True) + "\n")
+        if self._fh is None:
+            self.directory.mkdir(parents=True, exist_ok=True)
+            self._fh = open(self.path, "a", encoding="utf-8")
+        self._fh.write(json.dumps(entry, sort_keys=True) + "\n")
+        self._fh.flush()
 
     # -- np(H; shifts) ---------------------------------------------------
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import sys
@@ -112,9 +113,10 @@ def _check_k(k: int) -> None:
         raise _UsageError(f"--k must be at least 1, got {k}")
 
 
-def _open_cache(args) -> Optional[ResultCache]:
+def _open_cache(args):
+    """A ``ResultCache`` to use in a ``with`` block, or a null context giving None."""
     if args.no_cache:
-        return None
+        return contextlib.nullcontext()
     directory = Path(args.cache_dir) if args.cache_dir else default_cache_dir()
     try:
         # Created up front, so that a path naming a file is reported here
@@ -157,66 +159,65 @@ def cmd_np(args, parser) -> int:
         raise _UsageError(f"--method brute does not apply to {modes[0]}")
     g = _resolve_group(args, parser)
     h = _resolve_subgroup(g, args)
-    cache = _open_cache(args)
+    with _open_cache(args) as cache:
+        if args.cp:
+            value = cp(h)
+            payload = {"group": g.label, "kind": "cp", "h_order": h.order,
+                       "value": _fraction_str(value)}
+            _emit(args, payload, (["group", "k", "kind", "value"],
+                                  [[g.label, 1, "cp", _fraction_str(value)]]))
+            return 0
 
-    if args.cp:
-        value = cp(h)
-        payload = {"group": g.label, "kind": "cp", "h_order": h.order,
-                   "value": _fraction_str(value)}
-        _emit(args, payload, (["group", "k", "kind", "value"],
-                              [[g.label, 1, "cp", _fraction_str(value)]]))
-        return 0
+        k = args.k
+        if args.sup:
+            require_shift_budget(g, h, k, args.budget_shifts)
+            hit = cache.get_sup(g.table_hash, h.elements, k) if cache is not None else None
+            if hit is not None:
+                value, witness = hit
+            else:
+                value, witness = np_sup(g, h, k, args.budget_shifts)
+                if cache is not None:
+                    cache.put_sup(g.table_hash, h.elements, k, (value, witness))
+            payload = {
+                "group": g.label, "kind": "np_sup", "k": k, "h_order": h.order,
+                "value": _fraction_str(value), "witness_shifts": list(witness),
+            }
+            _emit(args, payload, (["group", "k", "kind", "value"],
+                                  [[g.label, k, "np_sup", _fraction_str(value)]]))
+            return 0
 
-    k = args.k
-    if args.sup:
-        require_shift_budget(g, h, k, args.budget_shifts)
-        hit = cache.get_sup(g.table_hash, h.elements, k) if cache is not None else None
-        if hit is not None:
-            value, witness = hit
+        if args.shifts is not None:
+            shifts = _parse_indices(args.shifts, g.order)
+            if len(shifts) != k + 1:
+                raise _UsageError(f"--shifts needs exactly k+1={k + 1} entries")
         else:
-            value, witness = np_sup(g, h, k, args.budget_shifts)
+            shifts = list(identity_shifts(k))
+
+        cached = None
+        if cache is not None and args.method != "brute":
+            require_dp_budget(g, h, len(shifts), args.budget_tuples)
+            cached = cache.get_np(g.table_hash, h.elements, shifts)
+        if cached is not None:
+            value, counted, total = cached
+            method = "cache"
+        else:
+            fn = np_bruteforce if args.method == "brute" else np_fast
+            result = fn(g, h, shifts, args.budget_tuples)
+            value, counted, total = result.value, result.counted_tuples, result.total_tuples
+            method = result.method
             if cache is not None:
-                cache.put_sup(g.table_hash, h.elements, k, (value, witness))
+                cache.put_np(g.table_hash, h.elements, shifts, value, counted, total)
+
         payload = {
-            "group": g.label, "kind": "np_sup", "k": k, "h_order": h.order,
-            "value": _fraction_str(value), "witness_shifts": list(witness),
+            "group": g.label, "kind": "np", "k": k, "h_order": h.order,
+            "shifts": shifts, "value": _fraction_str(value),
+            "counted": counted, "total": total, "method": method,
         }
-        _emit(args, payload, (["group", "k", "kind", "value"],
-                              [[g.label, k, "np_sup", _fraction_str(value)]]))
+        _emit(args, payload, (
+            ["group", "k", "kind", "value", "counted", "total", "method"],
+            [[g.label, k, "np", _fraction_str(value), counted, total, method]],
+        ))
         return 0
-
-    if args.shifts is not None:
-        shifts = _parse_indices(args.shifts, g.order)
-        if len(shifts) != k + 1:
-            raise _UsageError(f"--shifts needs exactly k+1={k + 1} entries")
-    else:
-        shifts = list(identity_shifts(k))
-
-    cached = None
-    if cache is not None and args.method != "brute":
-        require_dp_budget(g, h, len(shifts), args.budget_tuples)
-        cached = cache.get_np(g.table_hash, h.elements, shifts)
-    if cached is not None:
-        value, counted, total = cached
-        method = "cache"
-    else:
-        fn = np_bruteforce if args.method == "brute" else np_fast
-        result = fn(g, h, shifts, args.budget_tuples)
-        value, counted, total = result.value, result.counted_tuples, result.total_tuples
-        method = result.method
-        if cache is not None:
-            cache.put_np(g.table_hash, h.elements, shifts, value, counted, total)
-
-    payload = {
-        "group": g.label, "kind": "np", "k": k, "h_order": h.order,
-        "shifts": shifts, "value": _fraction_str(value),
-        "counted": counted, "total": total, "method": method,
-    }
-    _emit(args, payload, (
-        ["group", "k", "kind", "value", "counted", "total", "method"],
-        [[g.label, k, "np", _fraction_str(value), counted, total, method]],
-    ))
-    return 0
 
 
 def cmd_estimate(args, parser) -> int:
@@ -276,6 +277,8 @@ def cmd_verify(args, parser) -> int:
                 f"{args.corpus_max_order} (--corpus-max-order)"
             )
 
+    if args.checks == []:
+        raise _UsageError(f"--checks needs at least one name; known: {', '.join(ALL_CHECKS)}")
     checks = tuple(args.checks) if args.checks else ALL_CHECKS
     for c in checks:
         if c not in ALL_CHECKS:
@@ -296,14 +299,13 @@ def cmd_verify(args, parser) -> int:
         max_order=args.max_order,
         threads=args.threads,
     )
-    cache = _open_cache(args) if args.threads <= 1 else None
-    report = run_corpus(cfg, cache)
+    # opened even when workers run without it, so a bad --cache-dir exits 2
+    with _open_cache(args) as cache:
+        report = run_corpus(cfg, cache)
 
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:
-            json.dump(report.to_json(include_timing=args.include_timing), fh,
-                      sort_keys=True, indent=2)
-            fh.write("\n")
+            report.write_json(fh, include_timing=args.include_timing)
     if args.csv:
         with open(args.csv, "w", encoding="utf-8", newline="") as fh:
             _write_csv(fh, ["group", "k", "check", "lhs", "rhs", "holds"], (
@@ -388,7 +390,8 @@ def _add_global_args(p: argparse.ArgumentParser, suppress: bool) -> None:
     p.add_argument("--no-cache", action="store_true", default=d(False),
                    help="disable the results cache")
     p.add_argument("--threads", type=int, default=d(1),
-                   help="worker processes for corpus verification")
+                   help="worker processes for corpus verification; "
+                        "workers neither read nor write the results cache")
     p.add_argument("--max-order", type=int, default=d(4096),
                    help="largest group order to build as a table")
 

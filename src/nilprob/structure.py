@@ -193,13 +193,15 @@ def subgroup_table(g: GroupTable, h: SubgroupRef) -> tuple[GroupTable, list[int]
     return build_from_table(len(elems), rows, label), elems
 
 
-def lower_central_series(g: GroupTable) -> list[SubgroupRef]:
+def lower_central_series(g: GroupTable | SubgroupRef) -> list[SubgroupRef]:
     """gamma_1 = G, gamma_{i+1} = <[gamma_i, G]>, until the chain stabilizes.
 
     The terminal term is included, so a non-nilpotent group ends with a
     repeated nontrivial term and a nilpotent one ends with the trivial
-    subgroup.
+    subgroup.  A subgroup's series is its own, with terms in its parent.
     """
+    if isinstance(g, SubgroupRef):
+        return _lcs_within(g.parent, g.elements)
     return _lcs_within(g, tuple(range(g.order)))
 
 
@@ -227,10 +229,7 @@ def nilpotency_class(g: GroupTable | SubgroupRef) -> Optional[int]:
     The trivial group has class 0 and counts as nilpotent of class at most
     k for every k >= 0.
     """
-    if isinstance(g, SubgroupRef):
-        series = _lcs_within(g.parent, g.elements)
-    else:
-        series = _lcs_within(g, tuple(range(g.order)))
+    series = lower_central_series(g)
     if series[-1].order != 1:
         return None
     return len(series) - 1

@@ -17,16 +17,27 @@ Checks over shift tuples read the supremum ``np_sup``, memoised per
 (table, subgroup, k) in a corpus run.  The right-hand side of ``np_le_cp``
 and ``shift_monotonicity`` is the same for every tuple, so their worst
 tuple is the supremum's lexicographically smallest maximiser.
+
+A corpus run computes each per-group intermediate once: the checks take
+the supremum, np(H; shifts), the nilpotency class and the lower central
+series through hooks that ``_GroupVerifier`` memoises.  A supremum whose
+witness is the identity tuple also fills np at that tuple, which
+``shift_monotonicity``, ``series_bound`` and ``center_recursion`` read.
+``VerificationReport.write_json`` streams the report one outcome at a
+time, in the bytes of ``json.dump(..., sort_keys=True, indent=2)``.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import json
 import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from json.encoder import encode_basestring_ascii
+from typing import Callable, Optional, Sequence, TextIO
 
 from . import __version__ as _version
 from .errors import BudgetExceeded, NilprobError
@@ -36,8 +47,8 @@ from .exact import (
     cp,
     identity_shifts,
     np_fast,
-    np_k,
     np_sup,
+    require_dp_budget,
     require_shift_budget,
 )
 from .groups import GroupTable, catalog_base_names, catalog_get, group_from_definition
@@ -49,6 +60,7 @@ from .structure import (
     image_subgroup,
     lcs_term,
     left_coset_reps,
+    lower_central_series,
     nilpotency_class,
     normal_subgroups,
     quotient,
@@ -107,13 +119,22 @@ class CheckOutcome:
 
 
 def _jsonify(value):
-    if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
     if isinstance(value, dict):
         return {k: _jsonify(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
-        return [_jsonify(v) for v in value]
+        # element lists are the bulk of a report: ints pass without a call
+        return [v if type(v) is int else _jsonify(v) for v in value]
+    # plain scalars first: the Fraction test is an ABC check, and slow
+    if isinstance(value, (str, int, float)) or value is None:
+        return value
+    if isinstance(value, Fraction):
+        return f"{value.numerator}/{value.denominator}"
     return value
+
+
+def _np_value(g: GroupTable, h: SubgroupRef, shifts: Sequence[int], budget: int) -> Fraction:
+    """np(H; shifts) by the forward pass: the checks' default ``_np`` hook."""
+    return np_fast(g, h, shifts, budget).value
 
 
 def _subgroup_params(h: SubgroupRef, role: str = "h") -> dict:
@@ -166,6 +187,7 @@ def check_center_recursion(
     shift_budget: int = DEFAULT_SHIFT_BUDGET,
     tuple_budget: int = DEFAULT_TUPLE_BUDGET,
     _quot: Optional[QuotientMap] = None,
+    _np: Optional[Callable] = None,
 ) -> list[CheckOutcome]:
     """np(H; x_1..x_{k+1}) <= (1 + np(H/(Z cap H); first k image shifts)) / 2.
 
@@ -183,6 +205,7 @@ def check_center_recursion(
     hbar = image_subgroup(qmap, h)
     project = qmap.project
     base = {**_subgroup_params(h), "k": k, "kernel_order": kern.order}
+    np_value = _np or _np_value
     out = []
     reps = left_coset_reps(g, h)
     if len(reps) ** (k + 1) > shift_budget:
@@ -190,9 +213,9 @@ def check_center_recursion(
             "center recursion shift tuples", len(reps) ** (k + 1), shift_budget
         )
     for tup in itertools.product(reps, repeat=k + 1):
-        lhs = np_fast(g, h, tup, tuple_budget).value
+        lhs = np_value(g, h, tup, tuple_budget)
         image = tuple(project[x] for x in tup[:k])
-        rhs = Fraction(1, 2) * (1 + np_fast(qmap.target, hbar, image, tuple_budget).value)
+        rhs = Fraction(1, 2) * (1 + np_value(qmap.target, hbar, image, tuple_budget))
         out.append(
             CheckOutcome(
                 "center_recursion",
@@ -212,10 +235,11 @@ def check_class_characterization(
     k: int,
     shift_budget: int = DEFAULT_SHIFT_BUDGET,
     _sup: Optional[Callable] = None,
+    _cls: Optional[Callable] = None,
 ) -> CheckOutcome:
     """The supremum hits 1 exactly when H is nilpotent of class at most k."""
     value, witness = (_sup or np_sup)(g, h, k, shift_budget)
-    cls = nilpotency_class(h)
+    cls = (_cls or nilpotency_class)(h)
     nilpotent_le_k = cls is not None and cls <= k
     holds = (value == 1) == nilpotent_le_k
     return CheckOutcome(
@@ -235,13 +259,14 @@ def check_gap_bound(
     k: int,
     shift_budget: int = DEFAULT_SHIFT_BUDGET,
     _sup: Optional[Callable] = None,
+    _cls: Optional[Callable] = None,
 ) -> list[CheckOutcome]:
     """Bounded-away-from-1 checks for H of nilpotency class above k.
 
     Returns the must-hold outcome against 1 - 3/2^(k+2) and the probe
     outcome against 1 - 3/2^(k+1); empty when the check does not apply.
     """
-    cls = nilpotency_class(h)
+    cls = (_cls or nilpotency_class)(h)
     if cls is not None and cls <= k:
         return []
     value, witness = (_sup or np_sup)(g, h, k, shift_budget)
@@ -295,6 +320,7 @@ def check_shift_monotonicity(
     shift_budget: int = DEFAULT_SHIFT_BUDGET,
     tuple_budget: int = DEFAULT_TUPLE_BUDGET,
     _sup: Optional[Callable] = None,
+    _np: Optional[Callable] = None,
 ) -> CheckOutcome:
     """For normal N, trivial shifts maximize the shifted probability.
 
@@ -303,7 +329,7 @@ def check_shift_monotonicity(
     lex-smallest maximising tuple; a vacuous outcome when the
     trivial-shift value is already 1.
     """
-    rhs = np_fast(g, n, identity_shifts(k), tuple_budget).value
+    rhs = (_np or _np_value)(g, n, identity_shifts(k), tuple_budget)
     base = {**_subgroup_params(n, "n"), "k": k}
     if rhs == 1:
         return CheckOutcome(
@@ -316,6 +342,7 @@ def max_bad_series_length(
     g: GroupTable,
     k: int,
     normals: Optional[Sequence[SubgroupRef]] = None,
+    _lcs_term: Optional[Callable] = None,
 ) -> tuple[int, list[SubgroupRef]]:
     """Longest normal series of G whose factors all have class above k.
 
@@ -323,13 +350,15 @@ def max_bad_series_length(
     G; a factor A/B is "bad" when it is not nilpotent of class at most k,
     equivalently when the (k+1)-st lower-central term of A is not inside
     B.  Returns r (the number of factors minus one) and a witness chain
-    from G down to 1; r = -1 when no such series exists.
+    from G down to 1; r = -1 when no such series exists.  ``_lcs_term``
+    takes (elements, k) and defaults to ``lcs_term`` in G.
     """
     if normals is None:
         normals = normal_subgroups(g)
+    term = _lcs_term or functools.partial(lcs_term, g)
     elements = [n.elements for n in normals]
     sets = [set(e) for e in elements]
-    gamma = {e: set(lcs_term(g, e, k)) for e in elements}
+    gamma = {e: set(term(e, k)) for e in elements}
 
     def bad(a: int, b: int) -> bool:
         return not gamma[elements[a]] <= sets[b]
@@ -366,6 +395,8 @@ def check_series_bound(
     k: int,
     normals: Optional[Sequence[SubgroupRef]] = None,
     tuple_budget: int = DEFAULT_TUPLE_BUDGET,
+    _np: Optional[Callable] = None,
+    _lcs_term: Optional[Callable] = None,
 ) -> list[CheckOutcome]:
     """Series length against ln(np_k(G)) / ln(constant), both constants.
 
@@ -376,8 +407,10 @@ def check_series_bound(
     """
     if g.order == 1:
         return []
-    npk = np_k(g, k, tuple_budget).value
-    r, chain = max_bad_series_length(g, k, normals)
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    npk = (_np or _np_value)(g, whole_group(g), identity_shifts(k), tuple_budget)
+    r, chain = max_bad_series_length(g, k, normals, _lcs_term)
     witness = {"chain_orders": [c.order for c in chain]} if chain else None
     out = []
     for check_id, const in (
@@ -461,19 +494,129 @@ class VerificationReport:
             "sharpness": len(self.sharpness),
         }
 
-    def to_json(self, include_timing: bool = True) -> dict:
+    def _document(self, include_timing: bool) -> dict:
+        """The report's top-level fields, outcome lists still as ``CheckOutcome``s."""
         out = {
             "summary": self.summary(),
-            "outcomes": [o.to_json() for o in self.outcomes],
-            "findings": [o.to_json() for o in self.findings],
-            "sharpness": [o.to_json() for o in self.sharpness],
-            "violations": [o.to_json() for o in self.violations],
+            "outcomes": self.outcomes,
+            "findings": self.findings,
+            "sharpness": self.sharpness,
+            "violations": self.violations,
             "skipped": self.skipped,
             "environment": self.environment,
         }
         if include_timing:
             out["timing"] = self.timing
         return out
+
+    def to_json(self, include_timing: bool = True) -> dict:
+        out = self._document(include_timing)
+        for key in _OUTCOME_LISTS:
+            out[key] = [o.to_json() for o in out[key]]
+        return out
+
+    def write_json(self, fh: TextIO, include_timing: bool = True) -> None:
+        """Write ``to_json(include_timing)`` to ``fh``, one outcome at a time.
+
+        The bytes are those of ``json.dump(..., sort_keys=True, indent=2)``
+        followed by a newline, but neither the document nor its text is
+        ever held whole.
+        """
+        doc = self._document(include_timing)
+        sep = "{\n  "
+        for key in sorted(doc):
+            fh.write(f"{sep}{encode_basestring_ascii(key)}: ")
+            sep = ",\n  "
+            value = doc[key]
+            if key not in _OUTCOME_LISTS or not value:
+                fh.write(_encode_json(value, "  "))
+                continue
+            item_sep = "[\n    "
+            for outcome in value:
+                fh.write(item_sep + _encode_json(outcome.to_json(), "    "))
+                item_sep = ",\n    "
+            fh.write("\n  ]")
+        fh.write("\n}\n")
+
+
+_OUTCOME_LISTS = ("outcomes", "findings", "sharpness", "violations")
+
+#: The C encoder, for the scalars that are neither str nor int: floats
+#: (``NaN`` and ``Infinity`` included), bools and None.  Anything else
+#: raises ``TypeError``, as in ``json.dumps``.
+_c_encoder = json.encoder.c_make_encoder(
+    None, json.JSONEncoder().default, encode_basestring_ascii, None, ": ", ", ",
+    True, False, True,
+)
+
+
+def _encode_json(value, indent: str) -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)``, nested at ``indent``."""
+    out: list[str] = []
+    _encode_into(value, indent, out)
+    return "".join(out)
+
+
+def _json_key(key) -> str:
+    """A dict key as ``json`` writes it: str as is; int, float, bool or None as text."""
+    if isinstance(key, str):
+        return key
+    if isinstance(key, int) and not isinstance(key, bool):
+        return int.__repr__(key)
+    if key is None or isinstance(key, (bool, float)):
+        return "".join(_c_encoder(key, 0))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _encode_into(value, indent: str, out: list[str]) -> None:
+    """Append the text of ``value`` to ``out``, type by type as ``json`` does.
+
+    str and exact int (not bool) become text here, lists and tuples
+    arrays, dicts objects with sorted keys; the C encoder takes the rest.
+    A dict's plain str and int values are written in its loop, saving a call.
+    """
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif isinstance(value, int) and not isinstance(value, bool):
+        out.append(int.__repr__(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        sep = ",\n" + inner
+        if all(type(v) is int for v in value):
+            # element lists: one join instead of one call per entry
+            out.append(f"[\n{inner}{sep.join(map(int.__repr__, value))}\n{indent}]")
+            return
+        out.append("[\n" + inner)
+        _encode_into(value[0], inner, out)
+        for v in value[1:]:
+            out.append(sep)
+            _encode_into(v, inner, out)
+        out.append(f"\n{indent}]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        sep = "{\n" + inner
+        for key in sorted(value):
+            item = value[key]
+            if type(key) is not str:
+                key = _json_key(key)
+            head = f"{sep}{encode_basestring_ascii(key)}: "
+            if type(item) is str:
+                out.append(head + encode_basestring_ascii(item))
+            elif type(item) is int:
+                out.append(head + int.__repr__(item))
+            else:
+                out.append(head)
+                _encode_into(item, inner, out)
+            sep = ",\n" + inner
+        out.append(f"\n{indent}}}")
+    else:
+        out.append("".join(_c_encoder(value, 0)))
 
 
 def _is_sharp(o: CheckOutcome) -> bool:
@@ -498,6 +641,9 @@ class _GroupVerifier:
         self.cache = cache
         self.normals = normal_subgroups(table)
         self._sup_memo: dict = {}
+        self._np_memo: dict = {}
+        self._class_memo: dict = {}
+        self._series_memo: dict = {}
         self._quot_memo: dict = {}
 
     def subgroup_sources(self) -> list[SubgroupRef]:
@@ -515,14 +661,44 @@ class _GroupVerifier:
         require_shift_budget(g, h, k, budget)
         key = (g.table_hash, h.elements, k)
         value = self._sup_memo.get(key)
-        if value is None and self.cache is not None:
+        if value is not None:
+            return value
+        if self.cache is not None:
             value = self.cache.get_sup(g.table_hash, h.elements, k)
         if value is None:
             value = np_sup(g, h, k, budget)
             if self.cache is not None:
                 self.cache.put_sup(g.table_hash, h.elements, k, value)
         self._sup_memo[key] = value
+        sup, witness = value
+        if witness == identity_shifts(k):
+            # a maximiser's value is the supremum, exactly
+            self._np_memo.setdefault((g.table_hash, h.elements, witness), sup)
         return value
+
+    def np(self, g: GroupTable, h: SubgroupRef, shifts: Sequence[int], budget: int) -> Fraction:
+        """np(H; shifts) through the memo, after the budget check."""
+        require_dp_budget(g, h, len(shifts), budget)
+        key = (g.table_hash, h.elements, tuple(shifts))
+        value = self._np_memo.get(key)
+        if value is None:
+            value = self._np_memo[key] = _np_value(g, h, shifts, budget)
+        return value
+
+    def nilpotency_class(self, h: SubgroupRef) -> Optional[int]:
+        """The class of a subgroup of G, one lower-central walk per subgroup."""
+        if h.elements not in self._class_memo:
+            self._class_memo[h.elements] = nilpotency_class(h)
+        return self._class_memo[h.elements]
+
+    def lcs_term(self, ambient: tuple[int, ...], k: int) -> tuple[int, ...]:
+        """``lcs_term`` in G, read from one memoised series per ambient."""
+        series = self._series_memo.get(ambient)
+        if series is None:
+            series = self._series_memo[ambient] = lower_central_series(
+                SubgroupRef(self.g, ambient)
+            )
+        return series[min(k, len(series) - 1)].elements
 
     def quot(self, n: SubgroupRef) -> QuotientMap:
         if n.elements not in self._quot_memo:
@@ -552,19 +728,21 @@ class _GroupVerifier:
                 raw.extend(
                     check_center_recursion(
                         self.g, whole_group(self.g), k, cfg.shift_budget,
-                        cfg.tuple_budget, _quot=self.quot(center(self.g)),
+                        cfg.tuple_budget, _quot=self.quot(center(self.g)), _np=self.np,
                     )
                 )
             if "class_characterization" in selected:
                 for h in sources:
                     raw.append(
                         check_class_characterization(
-                            self.g, h, k, cfg.shift_budget, _sup=self.sup
+                            self.g, h, k, cfg.shift_budget, _sup=self.sup,
+                            _cls=self.nilpotency_class,
                         )
                     )
             if "gap_bound" in selected or "gap_bound_tight" in selected:
                 for h in sources:
-                    pair = check_gap_bound(self.g, h, k, cfg.shift_budget, _sup=self.sup)
+                    pair = check_gap_bound(self.g, h, k, cfg.shift_budget, _sup=self.sup,
+                                           _cls=self.nilpotency_class)
                     if not pair:
                         gap_skips += 1
                     raw.extend(o for o in pair if o.check_id in selected)
@@ -588,14 +766,15 @@ class _GroupVerifier:
                     raw.append(
                         check_shift_monotonicity(
                             self.g, n, k, cfg.shift_budget, cfg.tuple_budget,
-                            _sup=self.sup,
+                            _sup=self.sup, _np=self.np,
                         )
                     )
             if "series_bound" in selected or "series_bound_tight" in selected:
                 raw.extend(
                     o
                     for o in check_series_bound(
-                        self.g, k, self.normals, cfg.tuple_budget
+                        self.g, k, self.normals, cfg.tuple_budget,
+                        _np=self.np, _lcs_term=self.lcs_term,
                     )
                     if o.check_id in selected
                 )

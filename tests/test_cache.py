@@ -3,6 +3,7 @@
 import json
 from fractions import Fraction
 
+from nilprob import cache as cache_module
 from nilprob.cache import CACHE_FILENAME, ENV_CACHE_DIR, ResultCache, default_cache_dir
 from nilprob.exact import np_fast, np_sup
 from nilprob.groups import catalog_get
@@ -12,17 +13,17 @@ from seeded import stream_rng
 
 
 def test_roundtrip(tmp_path):
-    cache = ResultCache(tmp_path)
-    cache.put_np("hash", (0, 1, 2), (0, 0), Fraction(1, 3), 3, 9)
-    assert cache.get_np("hash", (0, 1, 2), (0, 0)) == (Fraction(1, 3), 3, 9)
-    assert cache.get_np("hash", (0, 1), (0, 0)) is None
-    cache.put_sup("hash", (0, 1), 2, (Fraction(1), (0, 0, 0)))
-    assert cache.get_sup("hash", (0, 1), 2) == (Fraction(1), (0, 0, 0))
+    with ResultCache(tmp_path) as cache:
+        cache.put_np("hash", (0, 1, 2), (0, 0), Fraction(1, 3), 3, 9)
+        assert cache.get_np("hash", (0, 1, 2), (0, 0)) == (Fraction(1, 3), 3, 9)
+        assert cache.get_np("hash", (0, 1), (0, 0)) is None
+        cache.put_sup("hash", (0, 1), 2, (Fraction(1), (0, 0, 0)))
+        assert cache.get_sup("hash", (0, 1), 2) == (Fraction(1), (0, 0, 0))
 
 
 def test_persists_across_instances(tmp_path):
-    a = ResultCache(tmp_path)
-    a.put_np("h", (0,), (0, 0), Fraction(1), 4, 4)
+    with ResultCache(tmp_path) as a:
+        a.put_np("h", (0,), (0, 0), Fraction(1), 4, 4)
     b = ResultCache(tmp_path)
     assert b.get_np("h", (0,), (0, 0)) == (Fraction(1), 4, 4)
     assert len(b) == 1
@@ -37,10 +38,10 @@ def test_ignores_stale_schema_and_torn_lines(tmp_path):
                              "counted": 1, "total": 2})
         + "\n{ torn line\n"
     )
-    cache = ResultCache(tmp_path)
-    assert len(cache) == 0
-    cache.put_np("h", (0,), (0,), Fraction(1, 2), 1, 2)
-    assert ResultCache(tmp_path).get_np("h", (0,), (0,)) == (Fraction(1, 2), 1, 2)
+    with ResultCache(tmp_path) as cache:
+        assert len(cache) == 0
+        cache.put_np("h", (0,), (0,), Fraction(1, 2), 1, 2)
+        assert ResultCache(tmp_path).get_np("h", (0,), (0,)) == (Fraction(1, 2), 1, 2)
 
 
 def test_env_var_controls_default_dir(tmp_path, monkeypatch):
@@ -50,21 +51,21 @@ def test_env_var_controls_default_dir(tmp_path, monkeypatch):
 
 def test_randomized_probes_match_recomputation(tmp_path):
     # cache hits must equal recomputation on 100 randomized probes
-    cache = ResultCache(tmp_path)
     rng = stream_rng(990)
     groups = [catalog_get(n) for n in ["S(3)", "Q8", "A(4)", "D(12)", "C(10)"]]
     probes = []
-    for _ in range(100):
-        g = groups[rng.randrange(len(groups))]
-        normals = normal_subgroups(g)
-        h = normals[rng.randrange(len(normals))]
-        k = rng.choice((1, 2))
-        reps = left_coset_reps(g, h)
-        shifts = tuple(reps[rng.randrange(len(reps))] for _ in range(k + 1))
-        result = np_fast(g, h, shifts)
-        cache.put_np(g.table_hash, h.elements, shifts,
-                     result.value, result.counted_tuples, result.total_tuples)
-        probes.append((g, h, shifts, result))
+    with ResultCache(tmp_path) as cache:
+        for _ in range(100):
+            g = groups[rng.randrange(len(groups))]
+            normals = normal_subgroups(g)
+            h = normals[rng.randrange(len(normals))]
+            k = rng.choice((1, 2))
+            reps = left_coset_reps(g, h)
+            shifts = tuple(reps[rng.randrange(len(reps))] for _ in range(k + 1))
+            result = np_fast(g, h, shifts)
+            cache.put_np(g.table_hash, h.elements, shifts,
+                         result.value, result.counted_tuples, result.total_tuples)
+            probes.append((g, h, shifts, result))
     reloaded = ResultCache(tmp_path)
     for g, h, shifts, result in probes:
         hit = reloaded.get_np(g.table_hash, h.elements, shifts)
@@ -80,11 +81,11 @@ def test_sup_cache_speeds_verify(tmp_path):
     from nilprob.verify import CorpusConfig, run_corpus
 
     cfg = CorpusConfig(group_names=["S(4)", "SL(2,3)"], ks=(1, 2), k_order_limits={})
-    cache = ResultCache(tmp_path)
-    first = run_corpus(cfg, cache)
+    with ResultCache(tmp_path) as cache:
+        first = run_corpus(cfg, cache)
     assert len(cache) > 0
-    warm = ResultCache(tmp_path)
-    second = run_corpus(cfg, warm)
+    with ResultCache(tmp_path) as warm:
+        second = run_corpus(cfg, warm)
     assert json.dumps(first.to_json(include_timing=False), sort_keys=True) == \
         json.dumps(second.to_json(include_timing=False), sort_keys=True)
 
@@ -92,8 +93,46 @@ def test_sup_cache_speeds_verify(tmp_path):
 def test_keying_includes_subgroup_and_shifts(tmp_path):
     g = catalog_get("S(3)")
     s3_sup = np_sup(g, normal_subgroups(g)[-1], 1)
-    cache = ResultCache(tmp_path)
-    cache.put_sup(g.table_hash, normal_subgroups(g)[-1].elements, 1, s3_sup)
+    with ResultCache(tmp_path) as cache:
+        cache.put_sup(g.table_hash, normal_subgroups(g)[-1].elements, 1, s3_sup)
     assert cache.get_sup(g.table_hash, normal_subgroups(g)[0].elements, 1) is None
     assert cache.get_sup(g.table_hash, normal_subgroups(g)[-1].elements, 2) is None
     assert cache.get_sup("otherhash", normal_subgroups(g)[-1].elements, 1) is None
+
+
+def test_interleaved_instances_keep_every_entry(tmp_path):
+    # each instance holds its own append handle; whole lines interleave
+    a, b = ResultCache(tmp_path), ResultCache(tmp_path)
+    with a, b:
+        for i in range(20):
+            (a if i % 2 else b).put_np("h", (0, i), (0, 0), Fraction(1, i + 1), 1, i + 1)
+            (b if i % 3 else a).put_sup("h", (i,), 1, (Fraction(1, i + 2), (0, i)))
+    loaded = ResultCache(tmp_path)
+    assert len(loaded) == 40
+    for i in range(20):
+        assert loaded.get_np("h", (0, i), (0, 0)) == (Fraction(1, i + 1), 1, i + 1)
+        assert loaded.get_sup("h", (i,), 1) == (Fraction(1, i + 2), (0, i))
+    lines = (tmp_path / CACHE_FILENAME).read_text().splitlines()
+    assert len(lines) == 40 and all(json.loads(line)["schema"] for line in lines)
+
+
+def test_one_append_handle_until_close(tmp_path, monkeypatch):
+    appends = []
+
+    def counting_open(path, mode="r", **kwargs):
+        if mode == "a":
+            appends.append(path)
+        return open(path, mode, **kwargs)
+
+    monkeypatch.setattr(cache_module, "open", counting_open, raising=False)
+    directory = tmp_path / "made-at-first-put"
+    with ResultCache(directory) as cache:
+        assert not directory.exists()
+        for i in range(5):
+            cache.put_np("h", (i,), (0,), Fraction(1), 1, 1)
+        # every entry is on disk before the handle closes
+        assert len(ResultCache(directory)) == 5
+    assert appends == [directory / CACHE_FILENAME]
+    cache.put_np("h", (9,), (0,), Fraction(1), 1, 1)  # a put after close reopens
+    cache.close()
+    assert len(appends) == 2 and len(ResultCache(directory)) == 6

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from nilprob import cli
+from nilprob.cache import CACHE_FILENAME
 from nilprob.cli import main
 from nilprob.errors import EmptyInput
 from nilprob.groups import catalog_get, group_from_definition
@@ -331,6 +332,50 @@ def test_cache_dir_naming_a_file_exits_2(capsys, tmp_path, inside):
     assert code == 2 and out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith(f"error: cannot use cache directory {target}")
+
+
+def test_verify_checks_without_names_exits_2(capsys):
+    code, out, err = run_cli(capsys, "verify", "--group", "S(3)", "--no-cache", "--checks")
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: --checks needs at least one name; known: np_le_cp, ")
+
+
+@pytest.mark.parametrize("groups", [["S(3)"], ["S(3)", "Q8"]])
+def test_verify_threads_still_validate_the_cache_dir(capsys, tmp_path, groups):
+    path = tmp_path / "not-a-dir"
+    path.write_text("")
+    argv = [arg for g in groups for arg in ("--group", g)]
+    code, out, err = run_cli(
+        capsys, "verify", *argv, "--threads", "2", "--cache-dir", str(path)
+    )
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: cannot use cache directory {path}: ")
+
+
+def test_verify_workers_neither_read_nor_write_the_cache(capsys, tmp_path):
+    cache_dir = tmp_path / "cache"
+    code, _, _ = run_cli(capsys, "verify", "--group", "S(3)", "--group", "Q8",
+                         "--k", "1", "--threads", "2", "--cache-dir", str(cache_dir))
+    assert code == 0
+    assert cache_dir.is_dir() and not (cache_dir / CACHE_FILENAME).exists()
+
+
+def test_verify_report_closes_every_file(tmp_path):
+    # the cache's append handle included: an unclosed file would print a
+    # ResourceWarning, which -W error turns into a message on stderr
+    src = Path(__file__).resolve().parents[1] / "src"
+    run = subprocess.run(
+        [sys.executable, "-W", "error::ResourceWarning", "-m", "nilprob.cli", "verify",
+         "--group", "S(3)", "--group", "Q8", "--k", "1", "--report", str(tmp_path / "r.json"),
+         "--csv", str(tmp_path / "r.csv"), "--cache-dir", str(tmp_path / "cache")],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert run.returncode == 0 and run.stderr == ""
+    assert (tmp_path / "cache" / CACHE_FILENAME).stat().st_size > 0
+    assert json.loads((tmp_path / "r.json").read_text())["summary"]["violations"] == 0
 
 
 def test_budget_hint_only_for_budget_errors(capsys, monkeypatch):

@@ -1,19 +1,33 @@
 """The inequality harness: individual checks and corpus runs."""
 
+import io
 import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nilprob.exact import cp, identity_shifts, iter_shift_values, np_fast
+from nilprob import verify as verify_module
+from nilprob.errors import BudgetExceeded
+from nilprob.exact import DEFAULT_SHIFT_BUDGET, cp, identity_shifts, iter_shift_values, np_fast
 from nilprob.groups import catalog_get
-from nilprob.structure import center, normal_subgroups, whole_group
+from nilprob.structure import (
+    center,
+    lower_central_series,
+    nilpotency_class,
+    normal_subgroups,
+    whole_group,
+)
 from nilprob.verify import (
     ALL_CHECKS,
     CheckOutcome,
     CorpusConfig,
     MUST_HOLD_CHECKS,
     PROBE_CHECKS,
+    VerificationReport,
+    _GroupVerifier,
+    _encode_json,
     check_center_recursion,
     check_class_characterization,
     check_gap_bound,
@@ -391,3 +405,159 @@ def test_supremum_checks_match_aggregated_per_tuple_outcomes(k):
         outcomes.append(check_shift_monotonicity(g, h, k))
         assert outcomes[-1] == expected, (g.label, h.elements, k)
     assert sum("tuples_checked" in o.params for o in outcomes) >= 5
+
+
+# -- the streamed report writer --------------------------------------------------
+
+
+def _dumped(report: VerificationReport, include_timing: bool) -> str:
+    return json.dumps(report.to_json(include_timing), sort_keys=True, indent=2) + "\n"
+
+
+def _written(report: VerificationReport, include_timing: bool) -> str:
+    buf = io.StringIO()
+    report.write_json(buf, include_timing)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("include_timing", [False, True])
+def test_write_json_matches_json_dump_on_a_corpus(include_timing):
+    cfg = CorpusConfig(group_names=["S(3)", "Q8", "D(8)", "SL(2,3)"], ks=(1, 2),
+                       k_order_limits={})
+    report = run_corpus(cfg)
+    assert report.findings and report.sharpness
+    assert _written(report, include_timing) == _dumped(report, include_timing)
+
+
+def _hand_built_reports():
+    yield VerificationReport()
+    odd = CheckOutcome(
+        "series_bound", 'SL(2,3) "quoted", ünïcode',
+        {"k": 1, "r": -1, "np_k": Fraction(1, 3), "shifts": (0, 5), "nested": [(1, 2), []]},
+        -1, float("nan"), False, {"chain_orders": [], "note": None, "ratio": -0.25},
+    )
+    plain = CheckOutcome("np_le_cp", "C(2)", {}, Fraction(1), Fraction(1), True)
+    yield VerificationReport(
+        outcomes=[plain, odd], findings=[odd], sharpness=[], violations=[odd],
+        skipped=[{"group": "SL(2,3)", "reason": 'order 24 > "cap", or not'},
+                 {"group": "Ω", "reason": "tab\there\nnewline"}],
+        checks_run=2, gap_checks_skipped=3,
+        environment={"seed": None, "ks": (1, 2), "budgets": {}, "inf": float("inf")},
+        timing={"C(2)": 0.001, "SL(2,3)": 1e-7},
+    )
+
+
+@pytest.mark.parametrize("report", list(_hand_built_reports()))
+@pytest.mark.parametrize("include_timing", [False, True])
+def test_write_json_matches_json_dump_on_hand_built_reports(report, include_timing):
+    assert _written(report, include_timing) == _dumped(report, include_timing)
+
+
+_json_scalars = (
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+    | st.sampled_from([2 ** 70, -(2 ** 70), -0.0, 1e300, "SL(2,3)", '"'])
+)
+_json_values = st.recursive(
+    _json_scalars,
+    lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=3).map(tuple)
+    | st.lists(st.integers(), max_size=5)
+    | st.dictionaries(st.text(max_size=5), inner, max_size=4),
+    max_leaves=25,
+)
+
+
+@given(value=_json_values, depth=st.integers(0, 3))
+@settings(max_examples=300, deadline=None)
+def test_encode_json_matches_json_dumps(value, depth):
+    indent = "  " * depth
+    expected = json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n" + indent)
+    assert _encode_json(value, indent) == expected
+
+
+def test_encode_json_converts_keys_as_json_does():
+    for value in ({2: "a", 10: [True, None], -1.5: {}}, {False: 0, True: None, 2: []},
+                  {None: 1}, {float("nan"): (), 0.1: 2}):
+        assert _encode_json(value, "") == json.dumps(value, sort_keys=True, indent=2)
+    with pytest.raises(TypeError):
+        _encode_json({(1, 2): 0}, "")
+    with pytest.raises(TypeError):
+        _encode_json([Fraction(1, 2)], "")
+
+
+# -- per-group memos --------------------------------------------------------------
+
+
+def _a4_in_s4() -> tuple:
+    g = catalog_get("S(4)")
+    (a4,) = [n for n in normal_subgroups(g) if n.order == 12]
+    return g, a4
+
+
+def _counting(monkeypatch, name: str, fn) -> list:
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(verify_module, name, counted)
+    return calls
+
+
+def test_identity_witness_seeds_the_np_memo(monkeypatch):
+    g, a4 = _a4_in_s4()
+    verifier = _GroupVerifier(g, CorpusConfig(group_names=["S(4)"]))
+    value, witness = verifier.sup(g, a4, 1, DEFAULT_SHIFT_BUDGET)
+    assert witness == identity_shifts(1)
+    calls = _counting(monkeypatch, "np_fast", np_fast)
+    out = check_shift_monotonicity(g, a4, 1, _sup=verifier.sup, _np=verifier.np)
+    assert calls == [] and out.rhs == value == np_fast(g, a4, (0, 0)).value
+    assert out == check_shift_monotonicity(g, a4, 1)
+
+
+def test_shift_monotonicity_computes_rhs_when_the_witness_is_not_the_identity(monkeypatch):
+    g, a4 = _a4_in_s4()
+    # a fake supremum attained elsewhere: its value must not stand in for
+    # the identity tuple's
+    monkeypatch.setattr(verify_module, "np_sup", lambda g, h, k, budget: (Fraction(1, 2), (0, 1)))
+    verifier = _GroupVerifier(g, CorpusConfig(group_names=["S(4)"]))
+    assert verifier.sup(g, a4, 1, DEFAULT_SHIFT_BUDGET) == (Fraction(1, 2), (0, 1))
+    calls = _counting(monkeypatch, "np_fast", np_fast)
+    out = check_shift_monotonicity(g, a4, 1, _sup=verifier.sup, _np=verifier.np)
+    assert len(calls) == 1
+    assert out.rhs == np_fast(g, a4, (0, 0)).value == cp(a4)
+    assert out.lhs == Fraction(1, 2) and out.params["shifts"] == [0, 1]
+
+
+def test_np_memo_checks_the_tuple_budget_before_the_lookup():
+    g, a4 = _a4_in_s4()
+    verifier = _GroupVerifier(g, CorpusConfig(group_names=["S(4)"]))
+    verifier.sup(g, a4, 2, DEFAULT_SHIFT_BUDGET)
+    work = 3 * g.order * a4.order
+    assert verifier.np(g, a4, (0, 0, 0), work) == np_fast(g, a4, (0, 0, 0)).value
+    with pytest.raises(BudgetExceeded):
+        verifier.np(g, a4, (0, 0, 0), work - 1)
+    with pytest.raises(BudgetExceeded):
+        check_shift_monotonicity(g, a4, 2, tuple_budget=work - 1,
+                                 _sup=verifier.sup, _np=verifier.np)
+
+
+@pytest.mark.parametrize("name", ["S(4)", "D(12)", "SL(2,3)", "C(2)xQ8"])
+def test_one_lower_central_walk_per_subgroup(monkeypatch, name):
+    g = catalog_get(name)
+    cfg = CorpusConfig(group_names=[name], include_cyclic_subgroups=True,
+                       k_order_limits={})
+    verifier = _GroupVerifier(g, cfg)
+    classes = _counting(monkeypatch, "nilpotency_class", nilpotency_class)
+    series = _counting(monkeypatch, "lower_central_series", lower_central_series)
+    outcomes, _ = verifier.run()
+    walked = [h.elements for (h,) in classes]
+    sources = [h.elements for h in verifier.subgroup_sources()]
+    assert sorted(walked) == sorted(sources) and len(set(walked)) == len(walked)
+    assert sorted(s.elements for (s,) in series) == sorted(n.elements for n in verifier.normals)
+    # the memoised hooks change no outcome
+    monkeypatch.undo()
+    plain = _GroupVerifier(g, cfg)
+    for method in ("sup", "np", "nilpotency_class", "lcs_term"):
+        monkeypatch.setattr(plain, method, None)
+    assert outcomes == plain.run()[0]
