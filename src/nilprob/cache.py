@@ -18,7 +18,7 @@ import json
 import os
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional, Sequence, TextIO
+from typing import Callable, Optional, Sequence, TextIO
 
 SCHEMA_VERSION = 2
 CACHE_FILENAME = "nilprob-cache.jsonl"
@@ -42,6 +42,16 @@ def _key(kind: str, table_hash: str, elements: Sequence[int], extra: str) -> str
     h.update(b"|")
     h.update(extra.encode())
     return h.hexdigest()
+
+
+def np_key(table_hash: str, elements: Sequence[int], shifts: Sequence[int]) -> str:
+    """The key of np(H; shifts) for the subgroup ``elements`` of a table."""
+    return _key("np", table_hash, elements, ",".join(map(str, shifts)))
+
+
+def sup_key(table_hash: str, elements: Sequence[int], k: int) -> str:
+    """The key of the supremum of np(H; shifts) over (k+1)-tuples of shifts."""
+    return _key("sup", table_hash, elements, str(k))
 
 
 def _parse_fraction(s: str) -> Fraction:
@@ -98,25 +108,14 @@ class ResultCache:
 
     # -- np(H; shifts) ---------------------------------------------------
 
-    def get_np(
-        self, table_hash: str, elements: Sequence[int], shifts: Sequence[int]
-    ) -> Optional[tuple[Fraction, int, int]]:
-        key = _key("np", table_hash, elements, ",".join(map(str, shifts)))
+    def get_np(self, key: str) -> Optional[tuple[Fraction, int, int]]:
+        """The entry under an :func:`np_key`, or None."""
         entry = self._entries.get(key)
         if entry is None:
             return None
         return _parse_fraction(entry["value"]), entry["counted"], entry["total"]
 
-    def put_np(
-        self,
-        table_hash: str,
-        elements: Sequence[int],
-        shifts: Sequence[int],
-        value: Fraction,
-        counted: int,
-        total: int,
-    ) -> None:
-        key = _key("np", table_hash, elements, ",".join(map(str, shifts)))
+    def put_np(self, key: str, value: Fraction, counted: int, total: int) -> None:
         if key in self._entries:
             return
         entry = {
@@ -132,23 +131,29 @@ class ResultCache:
 
     # -- np_sup ------------------------------------------------------------
 
-    def get_sup(
-        self, table_hash: str, elements: Sequence[int], k: int
-    ) -> Optional[tuple[Fraction, tuple[int, ...]]]:
-        key = _key("sup", table_hash, elements, str(k))
+    def sup(
+        self,
+        table_hash: str,
+        elements: Sequence[int],
+        k: int,
+        compute: Callable[[], tuple[Fraction, tuple[int, ...]]],
+    ) -> tuple[Fraction, tuple[int, ...]]:
+        """The cached supremum, or ``compute()`` stored; the key is hashed once."""
+        key = sup_key(table_hash, elements, k)
+        value = self.get_sup(key)
+        if value is None:
+            value = compute()
+            self.put_sup(key, value)
+        return value
+
+    def get_sup(self, key: str) -> Optional[tuple[Fraction, tuple[int, ...]]]:
+        """The entry under a :func:`sup_key`, or None."""
         entry = self._entries.get(key)
         if entry is None:
             return None
         return _parse_fraction(entry["value"]), tuple(entry["witness"])
 
-    def put_sup(
-        self,
-        table_hash: str,
-        elements: Sequence[int],
-        k: int,
-        value: tuple[Fraction, tuple[int, ...]],
-    ) -> None:
-        key = _key("sup", table_hash, elements, str(k))
+    def put_sup(self, key: str, value: tuple[Fraction, tuple[int, ...]]) -> None:
         if key in self._entries:
             return
         sup, witness = value

@@ -11,7 +11,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
-from .cache import ResultCache, default_cache_dir
+from .cache import ResultCache, default_cache_dir, np_key
 from .errors import BudgetExceeded, NilprobError
 from .exact import (
     DEFAULT_SHIFT_BUDGET,
@@ -59,10 +59,10 @@ def _fraction_str(v: Fraction) -> str:
     return f"{v.numerator}/{v.denominator}"
 
 
-def _resolve_group(args, parser) -> GroupTable:
+def _resolve_group(args) -> GroupTable:
     sources = [s for s in (args.group, args.group_file, args.group_json) if s]
     if len(sources) != 1:
-        parser.error("exactly one of --group / --group-file / --group-json is required")
+        raise _UsageError("exactly one of --group / --group-file / --group-json is required")
     try:
         if args.group:
             return catalog_get(args.group, args.max_order)
@@ -75,7 +75,7 @@ def _resolve_group(args, parser) -> GroupTable:
 
 
 class _UsageError(Exception):
-    """Raised for bad definitions and budget violations; exits with code 2."""
+    """An input rejected after parsing; exits with code 2 and one ``error:`` line."""
 
 
 def _resolve_subgroup(g: GroupTable, args) -> SubgroupRef:
@@ -149,7 +149,7 @@ def _emit(args, payload: dict, csv_rows: tuple[list[str], list[list]]) -> None:
 # -- commands -------------------------------------------------------------------
 
 
-def cmd_np(args, parser) -> int:
+def cmd_np(args) -> int:
     _check_k(args.k)
     modes = [flag for flag, given in (("--cp", args.cp), ("--sup", args.sup),
                                       ("--shifts", args.shifts is not None)) if given]
@@ -157,7 +157,7 @@ def cmd_np(args, parser) -> int:
         raise _UsageError(f"use only one of --cp / --sup / --shifts, got {' and '.join(modes)}")
     if args.method == "brute" and (args.cp or args.sup):
         raise _UsageError(f"--method brute does not apply to {modes[0]}")
-    g = _resolve_group(args, parser)
+    g = _resolve_group(args)
     h = _resolve_subgroup(g, args)
     with _open_cache(args) as cache:
         if args.cp:
@@ -171,13 +171,11 @@ def cmd_np(args, parser) -> int:
         k = args.k
         if args.sup:
             require_shift_budget(g, h, k, args.budget_shifts)
-            hit = cache.get_sup(g.table_hash, h.elements, k) if cache is not None else None
-            if hit is not None:
-                value, witness = hit
-            else:
+            if cache is None:
                 value, witness = np_sup(g, h, k, args.budget_shifts)
-                if cache is not None:
-                    cache.put_sup(g.table_hash, h.elements, k, (value, witness))
+            else:
+                value, witness = cache.sup(g.table_hash, h.elements, k,
+                                           lambda: np_sup(g, h, k, args.budget_shifts))
             payload = {
                 "group": g.label, "kind": "np_sup", "k": k, "h_order": h.order,
                 "value": _fraction_str(value), "witness_shifts": list(witness),
@@ -194,9 +192,10 @@ def cmd_np(args, parser) -> int:
             shifts = list(identity_shifts(k))
 
         cached = None
+        key = np_key(g.table_hash, h.elements, shifts) if cache is not None else None
         if cache is not None and args.method != "brute":
             require_dp_budget(g, h, len(shifts), args.budget_tuples)
-            cached = cache.get_np(g.table_hash, h.elements, shifts)
+            cached = cache.get_np(key)
         if cached is not None:
             value, counted, total = cached
             method = "cache"
@@ -206,7 +205,7 @@ def cmd_np(args, parser) -> int:
             value, counted, total = result.value, result.counted_tuples, result.total_tuples
             method = result.method
             if cache is not None:
-                cache.put_np(g.table_hash, h.elements, shifts, value, counted, total)
+                cache.put_np(key, value, counted, total)
 
         payload = {
             "group": g.label, "kind": "np", "k": k, "h_order": h.order,
@@ -220,11 +219,11 @@ def cmd_np(args, parser) -> int:
         return 0
 
 
-def cmd_estimate(args, parser) -> int:
+def cmd_estimate(args) -> int:
     if args.samples < 1:
-        parser.error("--samples must be at least 1")
+        raise _UsageError(f"--samples must be at least 1, got {args.samples}")
     if bool(args.group) == bool(args.gens_file):
-        parser.error("exactly one of --group / --gens-file is required")
+        raise _UsageError("exactly one of --group / --gens-file is required")
     _check_k(args.k)
     try:
         if args.group:
@@ -254,7 +253,7 @@ def cmd_estimate(args, parser) -> int:
     return 0
 
 
-def cmd_verify(args, parser) -> int:
+def cmd_verify(args) -> int:
     definitions = []
     if args.corpus_file:
         try:
@@ -282,7 +281,7 @@ def cmd_verify(args, parser) -> int:
     checks = tuple(args.checks) if args.checks else ALL_CHECKS
     for c in checks:
         if c not in ALL_CHECKS:
-            parser.error(f"unknown check {c!r}; known: {', '.join(ALL_CHECKS)}")
+            raise _UsageError(f"unknown check {c!r}; known: {', '.join(ALL_CHECKS)}")
 
     ks = tuple(args.k) if args.k else (1, 2, 3)
     for k in ks:
@@ -320,8 +319,8 @@ def cmd_verify(args, parser) -> int:
     return 0 if report.must_hold_ok else 1
 
 
-def cmd_describe(args, parser) -> int:
-    g = _resolve_group(args, parser)
+def cmd_describe(args) -> int:
+    g = _resolve_group(args)
     if args.emit_definition:
         print(json.dumps(group_to_definition(g), sort_keys=True))
         return 0
@@ -354,7 +353,7 @@ def cmd_describe(args, parser) -> int:
     return 0
 
 
-def cmd_catalog(args, parser) -> int:
+def cmd_catalog(args) -> int:
     names = catalog_base_names(args.max_order_filter)
     if args.format == "json":
         print(json.dumps(names))
@@ -473,7 +472,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         if args.threads < 1:
             raise _UsageError(f"--threads must be at least 1, got {args.threads}")
-        return args.fn(args, parser)
+        return args.fn(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -22,13 +22,19 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import InvalidCounts
-from .perms import PermGroupBSGS, commutator_rows, compose_rows, derive_seed, row_blocks
+from .perms import (
+    DEFAULT_CHUNK_CELLS,
+    PermGroupBSGS,
+    commutator_rows,
+    compose_rows,
+    derive_seed,
+    row_blocks,
+)
 
+#: The default chunk is cut down to at most ``DEFAULT_CHUNK_CELLS`` cells
+#: (samples times degree); 8192 samples of degree 20000 would take 328 MB
+#: per tuple position.
 DEFAULT_CHUNK_SIZE = 8192
-#: The default chunk is cut down to at most this many cells (samples times
-#: degree), because a chunk holds each tuple position as a (samples,
-#: degree) array; 8192 samples of degree 20000 would take 328 MB apiece.
-DEFAULT_CHUNK_CELLS = 1 << 20
 DEFAULT_Z = 1.96
 
 

@@ -16,7 +16,9 @@ the uniform sampling stream for a fixed seed) is bit-reproducible.
 
 Sampling works on batches: :meth:`PermGroupBSGS.random_uniform` returns a
 (size, degree) array, one element per row, and :func:`compose_rows` and
-:func:`commutator_rows` act row by row.
+:func:`commutator_rows` act row by row.  It reads merged tables: consecutive
+chain levels whose representative products fit ``DEFAULT_CHUNK_CELLS``
+cells form one table, so an element is one gather per table, not per level.
 """
 
 from __future__ import annotations
@@ -185,6 +187,10 @@ def uniform_indices(rng: random.Random, bound: int, size: int) -> np.ndarray:
 
 # -- stabilizer chain ---------------------------------------------------------
 
+#: Cap on the cells (rows x degree) of a merged sampling table, and of a
+#: Monte Carlo chunk per tuple position.
+DEFAULT_CHUNK_CELLS = 1 << 20
+
 #: Cap on the cells (orbit points x degree) of a chain's transversals:
 #: 2^24, the cells of the largest multiplication table (order 4096).
 TRANSVERSAL_CELLS = 1 << 24
@@ -232,18 +238,26 @@ class PermGroupBSGS:
         self.degree = degree
         self.generators = generators
         self._levels = levels
-        order = 1
-        for level in levels:
-            order *= len(level.orbit)
-        self.order = order
+        self._sizes = [len(level.orbit) for level in levels]
+        self.order = math.prod(self._sizes)
         # the smallest unsigned type that holds a point keeps sampled
-        # batches compact; each level's transversal is one array with a row
-        # per orbit point, in sorted order
+        # batches compact
         self._dtype = np.min_scalar_type(max(degree - 1, 0))
-        self._rep_arrays = [
-            np.array([level.transversal[x] for x in level.orbit], dtype=self._dtype)
-            for level in levels
-        ]
+        # sampling tables, deepest first: consecutive levels merge while the
+        # table fits DEFAULT_CHUNK_CELLS; the row of the levels' choices, as
+        # one mixed-radix index (upper level most significant), is the
+        # product of the chosen representatives, deepest level first
+        self._tables: list[tuple[slice, np.ndarray]] = []
+        for i in reversed(range(len(levels))):
+            reps = np.array([levels[i].transversal[x] for x in levels[i].orbit], dtype=self._dtype)
+            stop = i + 1
+            if self._tables and len(reps) * self._tables[-1][1].size <= DEFAULT_CHUNK_CELLS:
+                merged, acc = self._tables.pop()
+                table = np.empty((len(reps), *acc.shape), dtype=self._dtype)
+                for c, rep in enumerate(reps):
+                    table[c] = rep[acc]
+                stop, reps = merged.stop, table.reshape(-1, degree)
+            self._tables.append((slice(i, stop), reps))
 
     @property
     def base(self) -> list[int]:
@@ -277,19 +291,29 @@ class PermGroupBSGS:
         """``size`` exactly uniform, independent elements, as a (size, degree) array.
 
         Draws one index vector per chain level with :func:`uniform_indices`,
-        top level first, so the consumption of ``rng`` is well defined; then
-        composes the chosen transversal representatives, deepest level
-        first, in row blocks.  Every group element arises from exactly one
-        choice of representatives, so each row is uniform.
+        top level first, so the consumption of ``rng`` is well defined.  Each
+        merged table folds its levels' indices into one row index, whose row
+        is the product of the chosen representatives, deepest level first;
+        the tables' rows are composed, deepest first, in row blocks.  Every
+        group element arises from exactly one choice of representatives, so
+        each row is uniform.
         """
-        degree = self.degree
-        choices = [uniform_indices(rng, len(reps), size) for reps in self._rep_arrays]
-        out = np.empty((size, degree), dtype=self._dtype)
+        degree, sizes = self.degree, self._sizes
+        choices = [uniform_indices(rng, n, size) for n in sizes]
+        if not self._tables:
+            return np.tile(np.arange(degree, dtype=self._dtype), (size, 1))
+        picks = []
+        for levels, _ in self._tables:
+            idx = np.zeros(size, dtype=np.intp)
+            for n, chosen in zip(sizes[levels], choices[levels]):
+                idx *= n
+                idx += chosen
+            picks.append(idx)
+        (_, deepest), *upper = self._tables
+        out = np.take(deepest, picks[0], axis=0)
         for rows in row_blocks(size, degree):
-            acc = np.arange(degree)
-            for reps, chosen in zip(self._rep_arrays[::-1], choices[::-1]):
-                acc = np.take(reps, acc + (chosen[rows].astype(np.intp) * degree)[:, None])
-            out[rows] = acc
+            for (_, table), idx in zip(upper, picks[1:]):
+                out[rows] = np.take(table, out[rows] + (idx[rows] * degree)[:, None])
         return out
 
 

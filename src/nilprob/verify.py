@@ -663,12 +663,10 @@ class _GroupVerifier:
         value = self._sup_memo.get(key)
         if value is not None:
             return value
-        if self.cache is not None:
-            value = self.cache.get_sup(g.table_hash, h.elements, k)
-        if value is None:
+        if self.cache is None:
             value = np_sup(g, h, k, budget)
-            if self.cache is not None:
-                self.cache.put_sup(g.table_hash, h.elements, k, value)
+        else:
+            value = self.cache.sup(g.table_hash, h.elements, k, lambda: np_sup(g, h, k, budget))
         self._sup_memo[key] = value
         sup, witness = value
         if witness == identity_shifts(k):

@@ -218,9 +218,23 @@ def test_estimate_seed_outside_64_bits_exits_2(capsys, seed):
 
 
 def test_estimate_zero_samples_usage_error(capsys):
-    with pytest.raises(SystemExit) as exc:
-        run_cli(capsys, "estimate", "--group", "S(5)", "--samples", "0")
-    assert exc.value.code == 2
+    code, out, err = run_cli(capsys, "estimate", "--group", "S(5)", "--samples", "0")
+    assert code == 2 and out == ""
+    assert err.splitlines() == ["error: --samples must be at least 1, got 0"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "--group", "S(3)", "--checks", "bogus"], "unknown check 'bogus'; known: "),
+    (["np", "--k", "1"], "exactly one of --group / --group-file / --group-json is required"),
+    (["describe", "--group", "S(3)", "--group-json", "{}"],
+     "exactly one of --group / --group-file / --group-json is required"),
+    (["estimate", "--samples", "10"], "exactly one of --group / --gens-file is required"),
+])
+def test_usage_errors_after_parsing_print_one_line(capsys, argv, message):
+    # no usage block: the same single error line as every other rejected input
+    code, out, err = run_cli(capsys, "--no-cache", *argv)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: {message}")
 
 
 def test_verify_small_corpus(capsys, tmp_path):
@@ -523,3 +537,52 @@ def test_np_conflicting_flags_exit_2(capsys, flags):
     code, out, err = run_cli(capsys, "np", "--group", "S(3)", "--no-cache", *flags)
     assert code == 2 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+#: ``estimate --format json`` output of the per-level sampler, which the
+#: merged sampling tables reproduce byte for byte: a change to the sample
+#: stream has to change these lines on purpose.
+PINNED_ESTIMATES = [
+    ("S(8)", 1, 200000, 0,
+     '{"chunk_size": 8192, "ci_high": 0.0006244882628884948, '
+     '"ci_low": 0.0004246995843113361, "group": "S(8)", "hits": 103, "k": 1, '
+     '"order": "40320", "point": 0.000515, "samples": 200000, "seed": 0, "z": 1.96}'),
+    ("S(8)", 2, 100000, 0,
+     '{"chunk_size": 8192, "ci_high": 0.0015324463735858012, '
+     '"ci_low": 0.001085869041209224, "group": "S(8)", "hits": 129, "k": 2, '
+     '"order": "40320", "point": 0.00129, "samples": 100000, "seed": 0, "z": 1.96}'),
+    ("S(8)", 1, 200000, 1,
+     '{"chunk_size": 8192, "ci_high": 0.0007445430238741867, '
+     '"ci_low": 0.000524640597646811, "group": "S(8)", "hits": 125, "k": 1, '
+     '"order": "40320", "point": 0.000625, "samples": 200000, "seed": 1, "z": 1.96}'),
+    ("S(8)", 2, 100000, 1,
+     '{"chunk_size": 8192, "ci_high": 0.0014889891993308045, '
+     '"ci_low": 0.0010493292886261621, "group": "S(8)", "hits": 125, "k": 2, '
+     '"order": "40320", "point": 0.00125, "samples": 100000, "seed": 1, "z": 1.96}'),
+    ("S(8)", 1, 200000, 2,
+     '{"chunk_size": 8192, "ci_high": 0.0006573283759384986, '
+     '"ci_low": 0.0004518583188034686, "group": "S(8)", "hits": 109, "k": 1, '
+     '"order": "40320", "point": 0.000545, "samples": 200000, "seed": 2, "z": 1.96}'),
+    ("S(8)", 2, 100000, 2,
+     '{"chunk_size": 8192, "ci_high": 0.0014889891993308045, '
+     '"ci_low": 0.0010493292886261621, "group": "S(8)", "hits": 125, "k": 2, '
+     '"order": "40320", "point": 0.00125, "samples": 100000, "seed": 2, "z": 1.96}'),
+    ("A(7)", 1, 50000, 3,
+     '{"chunk_size": 8192, "ci_high": 0.003691587224504174, '
+     '"ci_low": 0.0027047533318581996, "group": "A(7)", "hits": 158, "k": 1, '
+     '"order": "2520", "point": 0.00316, "samples": 50000, "seed": 3, "z": 1.96}'),
+    ("A(7)", 2, 50000, 3,
+     '{"chunk_size": 8192, "ci_high": 0.00743288695772418, '
+     '"ci_low": 0.006002912742913221, "group": "A(7)", "hits": 334, "k": 2, '
+     '"order": "2520", "point": 0.00668, "samples": 50000, "seed": 3, "z": 1.96}'),
+]
+
+
+@pytest.mark.parametrize("group, k, samples, seed, expected", PINNED_ESTIMATES)
+def test_estimate_stream_is_pinned(capsys, group, k, samples, seed, expected):
+    code, out, _ = run_cli(
+        capsys, "--format", "json", "estimate", "--group", group, "--k", str(k),
+        "--samples", str(samples), "--seed", str(seed),
+    )
+    assert code == 0
+    assert out == expected + "\n"

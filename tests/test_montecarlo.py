@@ -15,7 +15,9 @@ from nilprob.errors import InvalidCounts
 from nilprob.exact import np_k
 from nilprob.groups import catalog_generators, catalog_get
 from nilprob.montecarlo import estimate_np, wilson_ci
-from nilprob.perms import identity_perm, perm_from_cycles, row_blocks, schreier_sims
+from nilprob.perms import identity_perm, row_blocks, schreier_sims
+
+from seeded import spread_s5
 
 
 def wilson_oracle(hits, samples, z):
@@ -94,15 +96,6 @@ def test_estimate_s4_np2_contains_truth():
     exact = np_k(catalog_get("S(4)"), 2).value
     result = estimate_np(schreier_sims(gens), 2, 30000, seed=7)
     assert result.ci_low <= exact <= result.ci_high
-
-
-def spread_s5(degree):
-    """S(5) on five points spread over 0..degree-1."""
-    points = [0, degree // 4, degree // 2, 3 * degree // 4, degree - 1]
-    return schreier_sims([
-        perm_from_cycles(degree, [points]),
-        perm_from_cycles(degree, [points[:2]]),
-    ])
 
 
 def test_row_blocks_do_not_change_hits(monkeypatch):

@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 from nilprob import perms
 from nilprob.errors import ChainTooLarge, DegreeMismatch
 from nilprob.groups import catalog_generators
+from nilprob.montecarlo import estimate_np
 from nilprob.perms import (
+    PermGroupBSGS,
     commutator_rows,
     compose,
     compose_rows,
@@ -22,12 +24,13 @@ from nilprob.perms import (
     is_identity,
     perm_from_cycles,
     perm_order,
+    row_blocks,
     schreier_sims,
     uniform_indices,
     validate_perm,
 )
 
-from seeded import stream_rng
+from seeded import spread_s5, stream_rng
 
 perms5 = st.permutations(list(range(5)))
 
@@ -225,6 +228,80 @@ def test_random_uniform_composes_chosen_representatives(name):
         assert row == expected
     assert len(set(map(tuple, got))) == g.order == len(vectors)
     assert all(contains(g, row) for row in got)
+
+
+def per_level_draw(bsgs, rng, size):
+    """Oracle: the sampler before merged tables.  One index vector per level,
+    top level first, then one gather per level, deepest level first, in row
+    blocks."""
+    degree = bsgs.degree
+    dtype = np.min_scalar_type(max(degree - 1, 0))
+    levels = [np.array([t[x] for x in sorted(t)], dtype=dtype) for t in bsgs.transversals()]
+    choices = [uniform_indices(rng, len(reps), size) for reps in levels]
+    out = np.empty((size, degree), dtype=dtype)
+    for rows in row_blocks(size, degree):
+        acc = np.arange(degree)
+        for reps, chosen in zip(levels[::-1], choices[::-1]):
+            acc = np.take(reps, acc + (chosen[rows].astype(np.intp) * degree)[:, None])
+        out[rows] = acc
+    return out
+
+
+def assert_draws_match_oracle(g, sizes):
+    for levels, table in g._tables:
+        # only a level alone may exceed the cap
+        assert table.size <= perms.DEFAULT_CHUNK_CELLS or levels.stop - levels.start == 1
+    for seed in (0, 1, 2):
+        for size in sizes:
+            got_rng, want_rng = stream_rng(seed, size), stream_rng(seed, size)
+            got = g.random_uniform(got_rng, size)
+            want = per_level_draw(g, want_rng, size)
+            assert got.dtype == want.dtype and got.shape == (size, g.degree)
+            assert np.array_equal(got, want)
+            assert got_rng.random() == want_rng.random()  # the same words were read
+
+
+@pytest.mark.parametrize("name, sizes", [
+    # 2048 rows of degree 8 fill a row block, so 5000 ends in a short one
+    ("S(8)", (1, 2048, 5000)),
+    ("A(7)", (7, 2341, 6000)),
+    ("C(2)", (1, 8193)),
+    ("trivial", (0, 3)),
+])
+def test_random_uniform_matches_per_level_oracle(name, sizes):
+    if name == "trivial":
+        g = schreier_sims([identity_perm(3)])
+    else:
+        g = schreier_sims(catalog_generators(name)[1])
+    assert len(g._tables) == (0 if name == "trivial" else 1)
+    assert_draws_match_oracle(g, sizes)
+
+
+def test_random_uniform_composes_tables_above_the_cap():
+    # 2^20 cells hold 16 rows of degree 2^16: S(5)'s levels (5, 4, 3, 2
+    # points) make three tables, levels 2-3 merged, one row per block
+    g = spread_s5(1 << 16)
+    assert [t.shape[0] for _, t in g._tables] == [6, 4, 5]
+    assert_draws_match_oracle(g, (1, 50))
+
+
+@pytest.mark.parametrize("cells, tables", [(1, 7), (8 * 24, 5), (8 * 840, 2)])
+def test_random_uniform_matches_oracle_under_smaller_caps(monkeypatch, cells, tables):
+    # S(8) levels have 8, 7, ..., 2 points of degree 8
+    monkeypatch.setattr(perms, "DEFAULT_CHUNK_CELLS", cells)
+    g = schreier_sims(catalog_generators("S(8)")[1])
+    assert len(g._tables) == tables
+    assert_draws_match_oracle(g, (1, 3000))
+
+
+@pytest.mark.parametrize("name", ["S(5)", "A(5)"])
+def test_estimate_matches_per_level_oracle(monkeypatch, name):
+    # a short final chunk, and every tuple position of k = 1, 2
+    g = schreier_sims(catalog_generators(name)[1])
+    merged = [estimate_np(g, k, 2500, seed=4, chunk_size=1000) for k in (1, 2)]
+    monkeypatch.setattr(PermGroupBSGS, "random_uniform", per_level_draw)
+    assert merged == [estimate_np(g, k, 2500, seed=4, chunk_size=1000) for k in (1, 2)]
+    assert all(0 < r.hits < r.samples for r in merged)
 
 
 def test_uniform_indices_rejects_the_remainder():
