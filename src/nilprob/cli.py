@@ -326,8 +326,9 @@ def cmd_describe(args) -> int:
         return 0
     classes = conjugacy_classes(g)
     z = center(g)
-    series = lower_central_series(g)
-    cls = nilpotency_class(g)
+    top = whole_group(g)
+    series = lower_central_series(top)
+    cls = nilpotency_class(top)
     # the lattice search is capped; above the cap the other properties are
     # still cheap array passes
     if g.order <= NORMAL_LATTICE_CAP:
@@ -389,8 +390,9 @@ def _add_global_args(p: argparse.ArgumentParser, suppress: bool) -> None:
     p.add_argument("--no-cache", action="store_true", default=d(False),
                    help="disable the results cache")
     p.add_argument("--threads", type=int, default=d(1),
-                   help="worker processes for corpus verification; "
-                        "workers neither read nor write the results cache")
+                   help="worker processes for corpus verification, at most one per "
+                        "group and one per CPU; workers neither read nor write the "
+                        "results cache")
     p.add_argument("--max-order", type=int, default=d(4096),
                    help="largest group order to build as a table")
 

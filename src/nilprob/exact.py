@@ -51,7 +51,7 @@ import numpy as np
 
 from .errors import BudgetExceeded, EmptyInput
 from .groups import BLOCK_CELLS, GroupTable, row_blocks
-from .structure import SubgroupRef, left_coset_reps, whole_group
+from .structure import SubgroupRef, commutators, left_coset_reps, whole_group
 
 #: Iteration budget for the brute-force oracle (|H|^(k+1) tuples).
 DEFAULT_TUPLE_BUDGET = 10 ** 9
@@ -141,22 +141,19 @@ def _cosets(g: GroupTable, h: SubgroupRef, xs: Sequence[int]) -> np.ndarray:
     return g.mul[np.array(xs)[:, None], h.elements]
 
 
-def _advance_weights(
-    m: np.ndarray, inv: np.ndarray, weights: np.ndarray, coset: np.ndarray
-) -> np.ndarray:
+def _advance_weights(g: GroupTable, weights: np.ndarray, coset: np.ndarray) -> np.ndarray:
     """One forward stage: W_{m+1}(c) sums W_m(w) over t in the coset with [w, t] = c.
 
     For a block of commutators w of equal weight v, the new commutators
     [w, t] over t in the coset are gathered as one array and v times
     their histogram is added; weights stay integers throughout.
     """
-    n = len(m)
+    n = g.order
     nxt = np.zeros(n, dtype=weights.dtype)
     support = np.flatnonzero(weights)
-    inv_t = inv[coset]
     for rows in row_blocks(len(support), len(coset)):
         w = support[rows]
-        comm = m[m[m[inv[w][:, None], inv_t], w[:, None]], coset]
+        comm = commutators(g, w, coset)
         wt = weights[w]
         for v in set(wt.tolist()):
             # cast first: a Python int of 2^63 or more times an int64 array overflows
@@ -165,20 +162,21 @@ def _advance_weights(
     return nxt
 
 
-def _weights(m: np.ndarray, inv: np.ndarray, cosets: np.ndarray, dtype) -> np.ndarray:
+def _weights(g: GroupTable, cosets: np.ndarray, dtype) -> np.ndarray:
     """W_m for the m cosets (rows), one element chosen from each."""
-    weights = np.zeros(len(m), dtype=dtype)
+    weights = np.zeros(g.order, dtype=dtype)
     weights[cosets[0]] = 1
     for coset in cosets[1:]:
-        weights = _advance_weights(m, inv, weights, coset)
+        weights = _advance_weights(g, weights, coset)
     return weights
 
 
-def _forward_count(m: np.ndarray, inv: np.ndarray, cosets: np.ndarray) -> int:
+def _forward_count(g: GroupTable, cosets: np.ndarray) -> int:
     """Number of commutator-trivial selections, one element per coset (row)."""
     if len(cosets) == 1:
         return int((cosets[0] == 0).sum())
-    weights = _weights(m, inv, cosets[:-1], _count_dtype(cosets.shape[1] ** len(cosets)))
+    weights = _weights(g, cosets[:-1], _count_dtype(cosets.shape[1] ** len(cosets)))
+    m = g.mul
     last = cosets[-1]
     support = np.flatnonzero(weights)
     count = 0
@@ -208,7 +206,7 @@ def np_fast(
     m = len(shifts)
     total = h.order ** m
     require_dp_budget(g, h, m, budget)
-    count = _forward_count(g.mul, g.inv, _cosets(g, h, shifts))
+    count = _forward_count(g, _cosets(g, h, shifts))
     return NpResult(Fraction(count, total), "dp", count, total)
 
 
@@ -228,7 +226,7 @@ def commutator_distribution(
     if not 1 <= m <= len(shifts):
         raise ValueError(f"stage {m} needs at least {m} shifts")
     require_dp_budget(g, h, m, budget, "commutator distribution")
-    weights = _weights(g.mul, g.inv, _cosets(g, h, shifts[:m]), _count_dtype(h.order ** m))
+    weights = _weights(g, _cosets(g, h, shifts[:m]), _count_dtype(h.order ** m))
     support = np.flatnonzero(weights)
     return dict(zip(support.tolist(), weights[support].tolist()))
 
@@ -265,17 +263,15 @@ def _backward_counts(
     time, and each block's counts are handed out before the next, so
     neither v of the second coordinate nor all counts are ever stored.
     """
-    m, inv = g.mul, g.inv
+    m = g.mul
     n = g.order
     reps, size = cosets.shape
     dtype = _count_dtype(size ** (k + 1))
     flat = cosets.ravel()
-    inv_flat = inv[flat]
 
     def stage(v, w):
         """v'[w, x, s], the sum of v[[w, t], s] over t in the coset x, for the rows w."""
-        comm = m[m[m[inv[w][:, None], inv_flat], w[:, None]], flat]
-        return v[comm].reshape(len(w), reps, size, v.shape[1]).sum(axis=2)
+        return v[commutators(g, w, flat)].reshape(len(w), reps, size, v.shape[1]).sum(axis=2)
 
     tail = last.ravel()
     v = np.empty((n, len(last)), dtype)
@@ -329,7 +325,7 @@ def iter_shift_values(
     require_shift_budget(g, h, k, budget)
     total = h.order ** (k + 1)
     ones = identity_shifts(k)
-    first = _forward_count(g.mul, g.inv, _cosets(g, h, ones))
+    first = _forward_count(g, _cosets(g, h, ones))
     # one Fraction per distinct count, so equal values are the same object
     values = {first: Fraction(first, total)}
     yield ones, values[first]

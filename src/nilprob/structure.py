@@ -10,6 +10,7 @@ passes as gathers, and the one search that visits single entries,
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -32,6 +33,11 @@ class SubgroupRef:
     @property
     def order(self) -> int:
         return len(self.elements)
+
+    @functools.cached_property
+    def _lower_central(self) -> tuple["SubgroupRef", ...]:
+        """The lower central series, walked once per object; read by ``lower_central_series``."""
+        return _lcs_within(self)
 
     def __repr__(self) -> str:
         return f"SubgroupRef(order={self.order} in {self.parent.label!r})"
@@ -72,10 +78,10 @@ def whole_group(g: GroupTable) -> SubgroupRef:
     return SubgroupRef(g, tuple(range(g.order)))
 
 
-def _commutators(g: GroupTable, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+def commutators(g: GroupTable, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """The array of [x, y] = x^-1 y^-1 x y over x in ``xs`` (rows), y in ``ys``."""
     m, inv = g.mul, g.inv
-    return m[m[m[np.ix_(inv[xs], inv[ys])], xs[:, None]], ys]
+    return m[m[m[inv[xs][:, None], inv[ys]], xs[:, None]], ys]
 
 
 def centralizer(g: GroupTable, x: int) -> SubgroupRef:
@@ -193,41 +199,44 @@ def subgroup_table(g: GroupTable, h: SubgroupRef) -> tuple[GroupTable, list[int]
     return build_from_table(len(elems), rows, label), elems
 
 
-def lower_central_series(g: GroupTable | SubgroupRef) -> list[SubgroupRef]:
+def lower_central_series(g: GroupTable | SubgroupRef) -> tuple[SubgroupRef, ...]:
     """gamma_1 = G, gamma_{i+1} = <[gamma_i, G]>, until the chain stabilizes.
 
     The terminal term is included, so a non-nilpotent group ends with a
     repeated nontrivial term and a nilpotent one ends with the trivial
-    subgroup.  A subgroup's series is its own, with terms in its parent.
+    subgroup.  A subgroup's series is its own, with terms in its parent,
+    and is computed once per ``SubgroupRef`` object; a table is walked
+    as a fresh ``whole_group`` on every call.
     """
-    if isinstance(g, SubgroupRef):
-        return _lcs_within(g.parent, g.elements)
-    return _lcs_within(g, tuple(range(g.order)))
+    if isinstance(g, GroupTable):
+        g = whole_group(g)
+    return g._lower_central
 
 
-def _lcs_within(g: GroupTable, ambient: tuple[int, ...]) -> list[SubgroupRef]:
-    series = [SubgroupRef(g, ambient)]
+def _lcs_within(h: SubgroupRef) -> tuple[SubgroupRef, ...]:
+    g, ambient = h.parent, h.elements
+    series = [SubgroupRef(g, ambient)]  # not h itself: h caches this tuple
     others = np.array(ambient)
     while True:
         current = series[-1]
         if current.order == 1:
-            return series
+            return tuple(series)
         elems = np.array(current.elements)
         # the commutators [a, b], marked a block of rows at a time
         hit = np.zeros(g.order, dtype=bool)
         for rows in row_blocks(current.order, len(ambient)):
-            hit[_commutators(g, elems[rows], others)] = True
+            hit[commutators(g, elems[rows], others)] = True
         nxt = subgroup_closure(g, np.flatnonzero(hit).tolist())
         series.append(nxt)
         if nxt.elements == current.elements:
-            return series
+            return tuple(series)
 
 
 def nilpotency_class(g: GroupTable | SubgroupRef) -> Optional[int]:
     """Length of the lower central series, or None if it never reaches 1.
 
     The trivial group has class 0 and counts as nilpotent of class at most
-    k for every k >= 0.
+    k for every k >= 0.  For a ``SubgroupRef`` this reads its cached series.
     """
     series = lower_central_series(g)
     if series[-1].order != 1:
@@ -237,9 +246,8 @@ def nilpotency_class(g: GroupTable | SubgroupRef) -> Optional[int]:
 
 def lcs_term(g: GroupTable, ambient: tuple[int, ...], k: int) -> tuple[int, ...]:
     """Elements of gamma_{k+1} of the subgroup spanned by ``ambient``."""
-    series = _lcs_within(g, ambient)
-    idx = min(k, len(series) - 1)
-    return series[idx].elements
+    series = _lcs_within(SubgroupRef(g, ambient))
+    return series[min(k, len(series) - 1)].elements
 
 
 def left_coset_reps(g: GroupTable, h: SubgroupRef) -> list[int]:

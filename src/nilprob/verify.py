@@ -13,31 +13,33 @@ on concrete groups.  Checks come in two strengths:
 Equality cases of must-hold inequalities (below 1) are reported as
 sharpness witnesses.
 
-Checks over shift tuples read the supremum ``np_sup``, memoised per
-(table, subgroup, k) in a corpus run.  The right-hand side of ``np_le_cp``
-and ``shift_monotonicity`` is the same for every tuple, so their worst
-tuple is the supremum's lexicographically smallest maximiser.
+Every check takes a ``GroupVerifier`` first: the group G, its normal
+subgroups, the run's budgets and three memos, the supremum ``np_sup`` per
+(table, subgroup, k), np(H; shifts) per tuple and the quotient G/N per
+normal N.  So a corpus run computes each per-group intermediate once.  A
+supremum whose witness is the identity tuple also fills np at that
+tuple.  The lower central series is cached on each ``SubgroupRef``, so a
+class is a cheap read.  The right-hand side of ``np_le_cp`` and
+``shift_monotonicity`` is the same for every tuple, so their worst tuple
+is the supremum's lexicographically smallest maximiser.
 
-A corpus run computes each per-group intermediate once: the checks take
-the supremum, np(H; shifts), the nilpotency class and the lower central
-series through hooks that ``_GroupVerifier`` memoises.  A supremum whose
-witness is the identity tuple also fills np at that tuple, which
-``shift_monotonicity``, ``series_bound`` and ``center_recursion`` read.
-``VerificationReport.write_json`` streams the report one outcome at a
-time, in the bytes of ``json.dump(..., sort_keys=True, indent=2)``.
+``VerificationReport`` stores the outcomes; its findings, violations and
+sharpness witnesses are filters of them.  ``write_json`` streams the
+report one outcome at a time, in the bytes of
+``json.dump(..., sort_keys=True, indent=2)``.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import math
+import os
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from typing import Callable, Optional, Sequence, TextIO
+from typing import Optional, Sequence, TextIO
 
 from . import __version__ as _version
 from .errors import BudgetExceeded, NilprobError
@@ -58,7 +60,6 @@ from .structure import (
     SubgroupRef,
     center,
     image_subgroup,
-    lcs_term,
     left_coset_reps,
     lower_central_series,
     nilpotency_class,
@@ -66,7 +67,6 @@ from .structure import (
     quotient,
     subgroup,
     subgroup_closure,
-    whole_group,
 )
 
 MUST_HOLD_CHECKS = (
@@ -132,11 +132,6 @@ def _jsonify(value):
     return value
 
 
-def _np_value(g: GroupTable, h: SubgroupRef, shifts: Sequence[int], budget: int) -> Fraction:
-    """np(H; shifts) by the forward pass: the checks' default ``_np`` hook."""
-    return np_fast(g, h, shifts, budget).value
-
-
 def _subgroup_params(h: SubgroupRef, role: str = "h") -> dict:
     params = {f"{role}_order": h.order}
     if h.order <= 16:
@@ -147,23 +142,18 @@ def _subgroup_params(h: SubgroupRef, role: str = "h") -> dict:
 # -- individual checks ---------------------------------------------------------
 
 
-def _sup_outcome(check_id: str, g: GroupTable, h: SubgroupRef, k: int, base: dict,
-                 rhs: Fraction, shift_budget: int, _sup: Optional[Callable]) -> CheckOutcome:
+def _sup_outcome(check_id: str, v: GroupVerifier, h: SubgroupRef, k: int, base: dict,
+                 rhs: Fraction) -> CheckOutcome:
     """sup over shift tuples <= rhs, reported at the lex-smallest maximising tuple."""
-    value, witness = (_sup or np_sup)(g, h, k, shift_budget)
+    value, witness = v.sup(v.g, h, k)
     params = {**base, "shifts": list(witness)}
-    count = (g.order // h.order) ** (k + 1)
+    count = (v.g.order // h.order) ** (k + 1)
     if count > 1:
         params["tuples_checked"] = count
-    return CheckOutcome(check_id, g.label, params, value, rhs, value <= rhs)
+    return CheckOutcome(check_id, v.g.label, params, value, rhs, value <= rhs)
 
 
-def check_npleqcp(
-    g: GroupTable,
-    h: SubgroupRef,
-    shift_budget: int = DEFAULT_SHIFT_BUDGET,
-    _sup: Optional[Callable] = None,
-) -> CheckOutcome:
+def check_npleqcp(v: GroupVerifier, h: SubgroupRef) -> CheckOutcome:
     """Shifted pair probability never exceeds the commuting probability.
 
     The right-hand side cp(H) is the same for every shift pair, so the
@@ -175,20 +165,12 @@ def check_npleqcp(
     base = _subgroup_params(h)
     if rhs == 1:
         return CheckOutcome(
-            "np_le_cp", g.label, {**base, "vacuous": True}, Fraction(1), rhs, True
+            "np_le_cp", v.g.label, {**base, "vacuous": True}, Fraction(1), rhs, True
         )
-    return _sup_outcome("np_le_cp", g, h, 1, base, rhs, shift_budget, _sup)
+    return _sup_outcome("np_le_cp", v, h, 1, base, rhs)
 
 
-def check_center_recursion(
-    g: GroupTable,
-    h: SubgroupRef,
-    k: int,
-    shift_budget: int = DEFAULT_SHIFT_BUDGET,
-    tuple_budget: int = DEFAULT_TUPLE_BUDGET,
-    _quot: Optional[QuotientMap] = None,
-    _np: Optional[Callable] = None,
-) -> list[CheckOutcome]:
+def check_center_recursion(v: GroupVerifier, h: SubgroupRef, k: int) -> list[CheckOutcome]:
     """np(H; x_1..x_{k+1}) <= (1 + np(H/(Z cap H); first k image shifts)) / 2.
 
     Z is the center of the ambient group; the quotient value is the one
@@ -196,26 +178,21 @@ def check_center_recursion(
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    z = center(g)
-    kern = subgroup(g, set(z.elements) & set(h.elements))
-    if _quot is not None and _quot.kernel.elements == kern.elements:
-        qmap = _quot
-    else:
-        qmap = quotient(g, kern)
+    g = v.g
+    kern = subgroup(g, set(center(g).elements) & set(h.elements))
+    qmap = v.quot(kern)
     hbar = image_subgroup(qmap, h)
     project = qmap.project
     base = {**_subgroup_params(h), "k": k, "kernel_order": kern.order}
-    np_value = _np or _np_value
     out = []
     reps = left_coset_reps(g, h)
-    if len(reps) ** (k + 1) > shift_budget:
-        raise BudgetExceeded(
-            "center recursion shift tuples", len(reps) ** (k + 1), shift_budget
-        )
+    budget = v.cfg.shift_budget
+    if len(reps) ** (k + 1) > budget:
+        raise BudgetExceeded("center recursion shift tuples", len(reps) ** (k + 1), budget)
     for tup in itertools.product(reps, repeat=k + 1):
-        lhs = np_value(g, h, tup, tuple_budget)
+        lhs = v.np(g, h, tup)
         image = tuple(project[x] for x in tup[:k])
-        rhs = Fraction(1, 2) * (1 + np_value(qmap.target, hbar, image, tuple_budget))
+        rhs = Fraction(1, 2) * (1 + v.np(qmap.target, hbar, image))
         out.append(
             CheckOutcome(
                 "center_recursion",
@@ -229,22 +206,15 @@ def check_center_recursion(
     return out
 
 
-def check_class_characterization(
-    g: GroupTable,
-    h: SubgroupRef,
-    k: int,
-    shift_budget: int = DEFAULT_SHIFT_BUDGET,
-    _sup: Optional[Callable] = None,
-    _cls: Optional[Callable] = None,
-) -> CheckOutcome:
+def check_class_characterization(v: GroupVerifier, h: SubgroupRef, k: int) -> CheckOutcome:
     """The supremum hits 1 exactly when H is nilpotent of class at most k."""
-    value, witness = (_sup or np_sup)(g, h, k, shift_budget)
-    cls = (_cls or nilpotency_class)(h)
+    value, witness = v.sup(v.g, h, k)
+    cls = nilpotency_class(h)
     nilpotent_le_k = cls is not None and cls <= k
     holds = (value == 1) == nilpotent_le_k
     return CheckOutcome(
         "class_characterization",
-        g.label,
+        v.g.label,
         {**_subgroup_params(h), "k": k, "nilpotency_class": cls},
         value,
         Fraction(1),
@@ -253,53 +223,39 @@ def check_class_characterization(
     )
 
 
-def check_gap_bound(
-    g: GroupTable,
-    h: SubgroupRef,
-    k: int,
-    shift_budget: int = DEFAULT_SHIFT_BUDGET,
-    _sup: Optional[Callable] = None,
-    _cls: Optional[Callable] = None,
-) -> list[CheckOutcome]:
+def check_gap_bound(v: GroupVerifier, h: SubgroupRef, k: int) -> list[CheckOutcome]:
     """Bounded-away-from-1 checks for H of nilpotency class above k.
 
     Returns the must-hold outcome against 1 - 3/2^(k+2) and the probe
     outcome against 1 - 3/2^(k+1); empty when the check does not apply.
     """
-    cls = (_cls or nilpotency_class)(h)
+    cls = nilpotency_class(h)
     if cls is not None and cls <= k:
         return []
-    value, witness = (_sup or np_sup)(g, h, k, shift_budget)
+    value, witness = v.sup(v.g, h, k)
     params = {**_subgroup_params(h), "k": k, "nilpotency_class": cls}
     wit = {"max_shifts": list(witness)}
     loose = gap_constant(k)
     tight = gap_constant_tight(k)
+    label = v.g.label
     return [
-        CheckOutcome("gap_bound", g.label, params, value, loose, value <= loose, wit),
-        CheckOutcome(
-            "gap_bound_tight", g.label, params, value, tight, value <= tight, wit
-        ),
+        CheckOutcome("gap_bound", label, params, value, loose, value <= loose, wit),
+        CheckOutcome("gap_bound_tight", label, params, value, tight, value <= tight, wit),
     ]
 
 
 def check_submultiplicativity(
-    g: GroupTable,
-    n: SubgroupRef,
-    h: SubgroupRef,
-    k: int,
-    shift_budget: int = DEFAULT_SHIFT_BUDGET,
-    _quot: Optional[QuotientMap] = None,
-    _sup: Optional[Callable] = None,
+    v: GroupVerifier, n: SubgroupRef, h: SubgroupRef, k: int
 ) -> CheckOutcome:
     """np sup of H is at most (sup of H/N in G/N) * (sup of N in G)."""
     if not set(n.elements) <= set(h.elements):
         raise ValueError("N must be contained in H")
-    sup = _sup or np_sup
-    qmap = _quot if _quot is not None else quotient(g, n)
+    g = v.g
+    qmap = v.quot(n)
     hbar = image_subgroup(qmap, h)
-    lhs, _ = sup(g, h, k, shift_budget)
-    quot_val, _ = sup(qmap.target, hbar, k, shift_budget)
-    n_val, _ = sup(g, n, k, shift_budget)
+    lhs, _ = v.sup(g, h, k)
+    quot_val, _ = v.sup(qmap.target, hbar, k)
+    n_val, _ = v.sup(g, n, k)
     rhs = quot_val * n_val
     params = {
         **_subgroup_params(h),
@@ -313,15 +269,7 @@ def check_submultiplicativity(
     )
 
 
-def check_shift_monotonicity(
-    g: GroupTable,
-    n: SubgroupRef,
-    k: int,
-    shift_budget: int = DEFAULT_SHIFT_BUDGET,
-    tuple_budget: int = DEFAULT_TUPLE_BUDGET,
-    _sup: Optional[Callable] = None,
-    _np: Optional[Callable] = None,
-) -> CheckOutcome:
+def check_shift_monotonicity(v: GroupVerifier, n: SubgroupRef, k: int) -> CheckOutcome:
     """For normal N, trivial shifts maximize the shifted probability.
 
     The right-hand side, the trivial-shift value, is the same for every
@@ -329,45 +277,35 @@ def check_shift_monotonicity(
     lex-smallest maximising tuple; a vacuous outcome when the
     trivial-shift value is already 1.
     """
-    rhs = (_np or _np_value)(g, n, identity_shifts(k), tuple_budget)
+    rhs = v.np(v.g, n, identity_shifts(k))
     base = {**_subgroup_params(n, "n"), "k": k}
     if rhs == 1:
         return CheckOutcome(
-            "shift_monotonicity", g.label, {**base, "vacuous": True}, Fraction(1), rhs, True
+            "shift_monotonicity", v.g.label, {**base, "vacuous": True}, Fraction(1), rhs, True
         )
-    return _sup_outcome("shift_monotonicity", g, n, k, base, rhs, shift_budget, _sup)
+    return _sup_outcome("shift_monotonicity", v, n, k, base, rhs)
 
 
 def max_bad_series_length(
-    g: GroupTable,
-    k: int,
-    normals: Optional[Sequence[SubgroupRef]] = None,
-    _lcs_term: Optional[Callable] = None,
+    normals: Sequence[SubgroupRef], k: int
 ) -> tuple[int, list[SubgroupRef]]:
     """Longest normal series of G whose factors all have class above k.
 
-    Series run 1 = G_{r+1} <= ... <= G_0 = G through normal subgroups of
-    G; a factor A/B is "bad" when it is not nilpotent of class at most k,
-    equivalently when the (k+1)-st lower-central term of A is not inside
-    B.  Returns r (the number of factors minus one) and a witness chain
-    from G down to 1; r = -1 when no such series exists.  ``_lcs_term``
-    takes (elements, k) and defaults to ``lcs_term`` in G.
+    ``normals`` are the normal subgroups of G as ``normal_subgroups``
+    returns them: by order, so the trivial subgroup first and G last.
+    Series run 1 = G_{r+1} <= ... <= G_0 = G through them; a factor A/B
+    is "bad" when it is not nilpotent of class at most k, equivalently
+    when the (k+1)-st lower-central term of A is not inside B.  Returns r
+    (the number of factors minus one) and a witness chain from G down to
+    1; r = -1 when no such series exists.
     """
-    if normals is None:
-        normals = normal_subgroups(g)
-    term = _lcs_term or functools.partial(lcs_term, g)
-    elements = [n.elements for n in normals]
-    sets = [set(e) for e in elements]
-    gamma = {e: set(term(e, k)) for e in elements}
+    sets = [set(n.elements) for n in normals]
+    gamma = []
+    for n in normals:
+        series = lower_central_series(n)
+        gamma.append(set(series[min(k, len(series) - 1)].elements))
 
-    def bad(a: int, b: int) -> bool:
-        return not gamma[elements[a]] <= sets[b]
-
-    order = {e: i for i, e in enumerate(elements)}
-    trivial = order[(0,)]
-    top = order[tuple(range(g.order))]
-
-    best: dict[int, tuple[int, list[int]]] = {trivial: (0, [trivial])}
+    best: dict[int, tuple[int, list[int]]] = {0: (0, [0])}
 
     def solve(i: int) -> tuple[int, list[int]]:
         if i in best:
@@ -376,28 +314,21 @@ def max_bad_series_length(
         for j in range(len(normals)):
             if j == i or not sets[j] < sets[i]:
                 continue
-            if not bad(i, j):
-                continue
+            if gamma[i] <= sets[j]:
+                continue  # the factor A/B is nilpotent of class at most k
             sub_len, sub_chain = solve(j)
             if sub_len >= 0 and sub_len + 1 > best_len:
                 best_len, best_chain = sub_len + 1, [i] + sub_chain
         best[i] = (best_len, best_chain)
         return best[i]
 
-    length, chain = solve(top)
+    length, chain = solve(len(normals) - 1)
     if length < 1:
         return -1, []
     return length - 1, [normals[i] for i in chain]
 
 
-def check_series_bound(
-    g: GroupTable,
-    k: int,
-    normals: Optional[Sequence[SubgroupRef]] = None,
-    tuple_budget: int = DEFAULT_TUPLE_BUDGET,
-    _np: Optional[Callable] = None,
-    _lcs_term: Optional[Callable] = None,
-) -> list[CheckOutcome]:
+def check_series_bound(v: GroupVerifier, k: int) -> list[CheckOutcome]:
     """Series length against ln(np_k(G)) / ln(constant), both constants.
 
     With 0 < constant < 1, ``r < ln(np_k) / ln(constant)`` is equivalent
@@ -405,12 +336,12 @@ def check_series_bound(
     equality counts as a violation.  The float ratio is only reported as
     ``rhs``.  Reports both r and the factor count r + 1.
     """
-    if g.order == 1:
+    if v.g.order == 1:
         return []
     if k < 1:
         raise ValueError("k must be at least 1")
-    npk = (_np or _np_value)(g, whole_group(g), identity_shifts(k), tuple_budget)
-    r, chain = max_bad_series_length(g, k, normals, _lcs_term)
+    npk = v.np(v.g, v.top, identity_shifts(k))
+    r, chain = max_bad_series_length(v.normals, k)
     witness = {"chain_orders": [c.order for c in chain]} if chain else None
     out = []
     for check_id, const in (
@@ -422,7 +353,7 @@ def check_series_bound(
         out.append(
             CheckOutcome(
                 check_id,
-                g.label,
+                v.g.label,
                 {"k": k, "r": r, "factors": r + 1, "np_k": npk},
                 r,
                 bound,
@@ -468,28 +399,43 @@ class CorpusConfig:
 
 @dataclass
 class VerificationReport:
-    """Aggregated outcomes of a corpus run."""
+    """Aggregated outcomes of a corpus run; every outcome list is a filter of ``outcomes``."""
 
     outcomes: list[CheckOutcome] = field(default_factory=list)
-    findings: list[CheckOutcome] = field(default_factory=list)
-    sharpness: list[CheckOutcome] = field(default_factory=list)
-    violations: list[CheckOutcome] = field(default_factory=list)
     skipped: list[dict] = field(default_factory=list)
-    checks_run: int = 0
     gap_checks_skipped: int = 0
     environment: dict = field(default_factory=dict)
     timing: dict = field(default_factory=dict)
+
+    @property
+    def checks_run(self) -> int:
+        return len(self.outcomes)
+
+    @property
+    def findings(self) -> list[CheckOutcome]:
+        """Failed probes."""
+        return [o for o in self.outcomes if not o.holds and o.check_id in PROBE_CHECKS]
+
+    @property
+    def violations(self) -> list[CheckOutcome]:
+        """Failed must-hold checks."""
+        return [o for o in self.outcomes if not o.holds and o.check_id not in PROBE_CHECKS]
+
+    @property
+    def sharpness(self) -> list[CheckOutcome]:
+        return [o for o in self.outcomes if _is_sharp(o)]
 
     @property
     def must_hold_ok(self) -> bool:
         return not self.violations
 
     def summary(self) -> dict:
+        violations, findings = len(self.violations), len(self.findings)
         return {
             "checks": self.checks_run,
-            "passed": self.checks_run - len(self.violations) - len(self.findings),
-            "violations": len(self.violations),
-            "findings": len(self.findings),
+            "passed": self.checks_run - violations - findings,
+            "violations": violations,
+            "findings": findings,
             "skipped": len(self.skipped) + self.gap_checks_skipped,
             "sharpness": len(self.sharpness),
         }
@@ -632,32 +578,36 @@ def _is_sharp(o: CheckOutcome) -> bool:
     return o.lhs == o.rhs and o.rhs < 1
 
 
-class _GroupVerifier:
-    """Runs all configured checks on one group, sharing heavy intermediates."""
+class GroupVerifier:
+    """One group's checks and the intermediates they share.
+
+    ``normals`` are the normal subgroups of G by order, so ``top``, the
+    last, is G itself.  The memos ``sup``, ``np`` and ``quot`` check the
+    budgets of ``cfg`` before every lookup, so a run refuses the same
+    inputs whatever they hold.
+    """
 
     def __init__(self, table: GroupTable, cfg: CorpusConfig, cache=None):
         self.g = table
         self.cfg = cfg
         self.cache = cache
         self.normals = normal_subgroups(table)
+        self.top = self.normals[-1]
         self._sup_memo: dict = {}
         self._np_memo: dict = {}
-        self._class_memo: dict = {}
-        self._series_memo: dict = {}
         self._quot_memo: dict = {}
 
     def subgroup_sources(self) -> list[SubgroupRef]:
         subs = {h.elements: h for h in self.normals}
-        top = whole_group(self.g)
-        subs.setdefault(top.elements, top)
         if self.cfg.include_cyclic_subgroups:
             for x in self.g.elements():
                 sub = subgroup_closure(self.g, [x])
                 subs.setdefault(sub.elements, sub)
         return sorted(subs.values(), key=lambda s: (s.order, s.elements))
 
-    def sup(self, g: GroupTable, h: SubgroupRef, k: int, budget: int):
-        """``np_sup`` through the memo and the cache, after the budget check."""
+    def sup(self, g: GroupTable, h: SubgroupRef, k: int) -> tuple[Fraction, tuple[int, ...]]:
+        """``np_sup`` through the memo and the cache; ``g`` is G or a quotient of it."""
+        budget = self.cfg.shift_budget
         require_shift_budget(g, h, k, budget)
         key = (g.table_hash, h.elements, k)
         value = self._sup_memo.get(key)
@@ -674,31 +624,18 @@ class _GroupVerifier:
             self._np_memo.setdefault((g.table_hash, h.elements, witness), sup)
         return value
 
-    def np(self, g: GroupTable, h: SubgroupRef, shifts: Sequence[int], budget: int) -> Fraction:
-        """np(H; shifts) through the memo, after the budget check."""
+    def np(self, g: GroupTable, h: SubgroupRef, shifts: Sequence[int]) -> Fraction:
+        """np(H; shifts) through the memo; ``g`` is G or a quotient of it."""
+        budget = self.cfg.tuple_budget
         require_dp_budget(g, h, len(shifts), budget)
         key = (g.table_hash, h.elements, tuple(shifts))
         value = self._np_memo.get(key)
         if value is None:
-            value = self._np_memo[key] = _np_value(g, h, shifts, budget)
+            value = self._np_memo[key] = np_fast(g, h, shifts, budget).value
         return value
 
-    def nilpotency_class(self, h: SubgroupRef) -> Optional[int]:
-        """The class of a subgroup of G, one lower-central walk per subgroup."""
-        if h.elements not in self._class_memo:
-            self._class_memo[h.elements] = nilpotency_class(h)
-        return self._class_memo[h.elements]
-
-    def lcs_term(self, ambient: tuple[int, ...], k: int) -> tuple[int, ...]:
-        """``lcs_term`` in G, read from one memoised series per ambient."""
-        series = self._series_memo.get(ambient)
-        if series is None:
-            series = self._series_memo[ambient] = lower_central_series(
-                SubgroupRef(self.g, ambient)
-            )
-        return series[min(k, len(series) - 1)].elements
-
     def quot(self, n: SubgroupRef) -> QuotientMap:
+        """G/N for a normal subgroup N of G."""
         if n.elements not in self._quot_memo:
             self._quot_memo[n.elements] = quotient(self.g, n)
         return self._quot_memo[n.elements]
@@ -710,72 +647,38 @@ class _GroupVerifier:
                 yield k
 
     def run(self) -> tuple[list[CheckOutcome], int]:
-        cfg = self.cfg
-        selected = set(cfg.checks)
+        selected = set(self.cfg.checks)
         raw: list[CheckOutcome] = []
         gap_skips = 0
         sources = self.subgroup_sources()
 
         if "np_le_cp" in selected:
-            for h in sources:
-                raw.append(check_npleqcp(self.g, h, cfg.shift_budget, _sup=self.sup))
+            raw.extend(check_npleqcp(self, h) for h in sources)
 
         for k in self.ks_for_group():
             if "center_recursion" in selected:
                 # H = G: a single shift tuple, so a single outcome
-                raw.extend(
-                    check_center_recursion(
-                        self.g, whole_group(self.g), k, cfg.shift_budget,
-                        cfg.tuple_budget, _quot=self.quot(center(self.g)), _np=self.np,
-                    )
-                )
+                raw.extend(check_center_recursion(self, self.top, k))
             if "class_characterization" in selected:
-                for h in sources:
-                    raw.append(
-                        check_class_characterization(
-                            self.g, h, k, cfg.shift_budget, _sup=self.sup,
-                            _cls=self.nilpotency_class,
-                        )
-                    )
+                raw.extend(check_class_characterization(self, h, k) for h in sources)
             if "gap_bound" in selected or "gap_bound_tight" in selected:
                 for h in sources:
-                    pair = check_gap_bound(self.g, h, k, cfg.shift_budget, _sup=self.sup,
-                                           _cls=self.nilpotency_class)
+                    pair = check_gap_bound(self, h, k)
                     if not pair:
                         gap_skips += 1
                     raw.extend(o for o in pair if o.check_id in selected)
             if "submultiplicativity" in selected:
                 for n in self.normals:
-                    quot_map = self.quot(n)
                     n_set = set(n.elements)
-                    hs = [whole_group(self.g)] + [
+                    hs = [self.top] + [
                         h for h in self.normals
                         if n_set <= set(h.elements) and h.order < self.g.order
                     ]
-                    for h in hs:
-                        raw.append(
-                            check_submultiplicativity(
-                                self.g, n, h, k, cfg.shift_budget,
-                                _quot=quot_map, _sup=self.sup,
-                            )
-                        )
+                    raw.extend(check_submultiplicativity(self, n, h, k) for h in hs)
             if "shift_monotonicity" in selected:
-                for n in self.normals:
-                    raw.append(
-                        check_shift_monotonicity(
-                            self.g, n, k, cfg.shift_budget, cfg.tuple_budget,
-                            _sup=self.sup, _np=self.np,
-                        )
-                    )
+                raw.extend(check_shift_monotonicity(self, n, k) for n in self.normals)
             if "series_bound" in selected or "series_bound_tight" in selected:
-                raw.extend(
-                    o
-                    for o in check_series_bound(
-                        self.g, k, self.normals, cfg.tuple_budget,
-                        _np=self.np, _lcs_term=self.lcs_term,
-                    )
-                    if o.check_id in selected
-                )
+                raw.extend(o for o in check_series_bound(self, k) if o.check_id in selected)
         return raw, gap_skips
 
 
@@ -802,7 +705,7 @@ def _verify_one(
 ) -> tuple[str, list, int, float, Optional[dict]]:
     start = time.perf_counter()
     try:
-        verifier = _GroupVerifier(table, cfg, cache)
+        verifier = GroupVerifier(table, cfg, cache)
         outcomes, gap_skips = verifier.run()
         return table.label, outcomes, gap_skips, time.perf_counter() - start, None
     except NilprobError as exc:
@@ -836,11 +739,13 @@ def run_corpus(cfg: CorpusConfig, cache=None) -> VerificationReport:
     report.skipped.extend(skipped)
     tables.sort(key=lambda t: t.label)
 
-    if cfg.threads > 1 and len(tables) > 1:
+    # every worker starts at the first submit, so never more than there is work for
+    workers = min(cfg.threads, len(tables), os.cpu_count() or 1)
+    if workers > 1:
         import concurrent.futures
 
         # the cache is in-process state, so workers run without it
-        with concurrent.futures.ProcessPoolExecutor(max_workers=cfg.threads) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_verify_one, tables, itertools.repeat(cfg)))
     else:
         results = [_verify_one(table, cfg, cache) for table in tables]
@@ -851,16 +756,7 @@ def run_corpus(cfg: CorpusConfig, cache=None) -> VerificationReport:
         report.gap_checks_skipped += gap_skips
         if skip is not None:
             report.skipped.append(skip)
-        for outcome in outcomes:
-            report.checks_run += 1
-            report.outcomes.append(outcome)
-            if _is_sharp(outcome):
-                report.sharpness.append(outcome)
-            if not outcome.holds:
-                if outcome.check_id in PROBE_CHECKS:
-                    report.findings.append(outcome)
-                else:
-                    report.violations.append(outcome)
+        report.outcomes.extend(outcomes)
     return report
 
 
@@ -883,18 +779,19 @@ def render_report_table(report: VerificationReport) -> str:
             f"{o.group:<18} {o.check_id:<24} {k!s:>2} "
             f"{_fmt_val(o.lhs):>12} {_fmt_val(o.rhs):>12}  {status}"
         )
-    if report.sharpness:
+    sharpness, findings = report.sharpness, report.findings
+    if sharpness:
         lines.append("")
         lines.append("sharpness witnesses:")
-        for o in report.sharpness:
+        for o in sharpness:
             lines.append(
                 f"  {o.group}: {o.check_id} at k={o.params.get('k', 1)} "
                 f"with value {_fmt_val(o.lhs)}"
             )
-    if report.findings:
+    if findings:
         lines.append("")
         lines.append("findings (tight-constant probes that fail):")
-        for o in report.findings:
+        for o in findings:
             lines.append(
                 f"  {o.group}: {o.check_id} k={o.params.get('k')} "
                 f"lhs={_fmt_val(o.lhs)} rhs={_fmt_val(o.rhs)}"

@@ -1,19 +1,23 @@
 """Acceptance suite: one test per criterion, one pass/fail line each.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the lines as they
-print.  Criteria 3, 4, 5 and the report half of criterion 8 share one
-default-corpus verification run (module-scoped fixture).
+print.  Criteria 3, 4, 5, the report half of criterion 8 and the two
+corpus pins at the end share one default-corpus verification run
+(module-scoped fixture).
 """
 
 import contextlib
+import hashlib
 import io
 import itertools
 import json
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from nilprob import structure
 from nilprob.cli import main
 from nilprob.exact import identity_shifts, np_bruteforce, np_fast, np_k
 from nilprob.groups import catalog_base_names, catalog_generators, catalog_get
@@ -44,24 +48,40 @@ class criterion:
         return False
 
 
+#: Per-group digests of the default corpus's (group, check, k, lhs, holds) rows.
+CORPUS_ROWS = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "corpus_rows.json"
+
+
 @pytest.fixture(scope="module")
 def corpus_run(tmp_path_factory):
-    """Two identical default-corpus CLI runs; reports written to disk."""
+    """Two identical default-corpus CLI runs; reports written to disk.
+
+    Also returns how often each run walked a lower central series.
+    """
     tmp = tmp_path_factory.mktemp("verify")
     paths = [tmp / "report1.json", tmp / "report2.json"]
-    codes = []
+    codes, walks = [], []
+    lcs_within = structure._lcs_within
     start = time.monotonic()
     for path in paths:
-        with contextlib.redirect_stdout(io.StringIO()):
+        calls = []
+
+        def counted(h):
+            calls.append(h)
+            return lcs_within(h)
+
+        with contextlib.redirect_stdout(io.StringIO()), pytest.MonkeyPatch.context() as mp:
+            mp.setattr(structure, "_lcs_within", counted)
             codes.append(
                 main(
                     ["--format", "json", "--no-cache", "verify",
                      "--report", str(path)]
                 )
             )
+        walks.append(len(calls))
     elapsed = time.monotonic() - start
     docs = [json.loads(p.read_text()) for p in paths]
-    return codes, docs, [p.read_bytes() for p in paths], elapsed
+    return codes, docs, [p.read_bytes() for p in paths], elapsed, walks
 
 
 def test_criterion_1_exact_values():
@@ -120,7 +140,7 @@ def test_criterion_2_oracle_equivalence():
 
 def test_criterion_3_theorem_suite(corpus_run):
     with criterion(3, "must-hold suite clean on the default corpus, exit 0"):
-        codes, docs, _, elapsed = corpus_run
+        codes, docs, _, elapsed, _ = corpus_run
         assert codes[0] == 0
         assert docs[0]["summary"]["violations"] == 0
         assert docs[0]["violations"] == []
@@ -133,7 +153,7 @@ def test_criterion_3_theorem_suite(corpus_run):
 
 def test_criterion_4_sharpness_witnesses(corpus_run):
     with criterion(4, "sharpness: Q8/D(8) at 5/8 and S(3) recursion at 3/4"):
-        _, docs, _, _ = corpus_run
+        _, docs, _, _, _ = corpus_run
         sharp = {
             (s["group"], s["check"], s["params"].get("k"), s["lhs"])
             for s in docs[0]["sharpness"]
@@ -145,7 +165,7 @@ def test_criterion_4_sharpness_witnesses(corpus_run):
 
 def test_criterion_5_tight_constant_findings(corpus_run):
     with criterion(5, "tight-constant findings recorded while exiting 0"):
-        codes, docs, _, _ = corpus_run
+        codes, docs, _, _, _ = corpus_run
         assert codes[0] == 0  # findings never fail the run
         findings = {
             (f["group"], f["check"], f["params"].get("k")) for f in docs[0]["findings"]
@@ -208,10 +228,33 @@ def test_criterion_8_determinism(corpus_run):
         ]
         assert runs[0] == runs[1]
         # criterion 3 report files
-        codes, _, blobs, _ = corpus_run
+        codes, _, blobs, _, _ = corpus_run
         assert codes[0] == codes[1] == 0
         assert blobs[0] == blobs[1]
         # criterion 7 estimator
         _, gens, _ = catalog_generators("S(5)")
         s5 = schreier_sims(gens)
         assert estimate_np(s5, 1, 20000, seed=42) == estimate_np(s5, 1, 20000, seed=42)
+
+
+def test_corpus_rows_match_the_reference_digests(corpus_run):
+    # all 9407 rows, pinned per group in the digest format of perfbench/workloads.py
+    _, docs, _, _, _ = corpus_run
+    reference = json.loads(CORPUS_ROWS.read_text(encoding="utf-8"))
+    rows: dict[str, list[str]] = {}
+    for o in docs[0]["outcomes"]:
+        row = [o["group"], o["check"], o["params"].get("k"), o["lhs"], o["holds"]]
+        rows.setdefault(o["group"], []).append(json.dumps(row))
+    assert len(docs[0]["outcomes"]) == reference["outcomes"] == 9407
+    assert sorted(rows) == sorted(reference["groups"])
+    for group, expected in reference["groups"].items():
+        digest = hashlib.sha256("\n".join(rows[group]).encode()).hexdigest()
+        assert (len(rows[group]), digest) == (expected["rows"], expected["sha256"]), group
+
+
+def test_corpus_walks_each_lower_central_series_once(corpus_run):
+    # one walk per distinct subgroup source (the normal subgroups of each
+    # group, G among them); walking for the class and again for the series
+    # bound took 1250
+    _, _, _, _, walks = corpus_run
+    assert walks == [627, 627]

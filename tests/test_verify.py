@@ -2,6 +2,7 @@
 
 import io
 import json
+import os
 from fractions import Fraction
 
 import pytest
@@ -10,23 +11,18 @@ from hypothesis import strategies as st
 
 from nilprob import verify as verify_module
 from nilprob.errors import BudgetExceeded
-from nilprob.exact import DEFAULT_SHIFT_BUDGET, cp, identity_shifts, iter_shift_values, np_fast
+from nilprob import structure
+from nilprob.exact import cp, identity_shifts, iter_shift_values, np_fast
 from nilprob.groups import catalog_get
-from nilprob.structure import (
-    center,
-    lower_central_series,
-    nilpotency_class,
-    normal_subgroups,
-    whole_group,
-)
+from nilprob.structure import center, normal_subgroups
 from nilprob.verify import (
     ALL_CHECKS,
     CheckOutcome,
     CorpusConfig,
+    GroupVerifier,
     MUST_HOLD_CHECKS,
     PROBE_CHECKS,
     VerificationReport,
-    _GroupVerifier,
     _encode_json,
     check_center_recursion,
     check_class_characterization,
@@ -104,8 +100,12 @@ def per_tuple_shift_monotonicity(g, n, k):
     ]
 
 
-def normal_of_order(g, n):
-    return next(h for h in normal_subgroups(g) if h.order == n)
+def verifier(name: str, **cfg) -> GroupVerifier:
+    return GroupVerifier(catalog_get(name), CorpusConfig(**cfg))
+
+
+def normal_of_order(v: GroupVerifier, n: int):
+    return next(h for h in v.normals if h.order == n)
 
 
 def test_gap_constants():
@@ -118,68 +118,72 @@ def test_gap_constants():
 
 
 def test_npleqcp_abelian_vacuous():
-    s3 = catalog_get("S(3)")
-    a3 = normal_of_order(s3, 3)
-    out = check_npleqcp(s3, a3)
+    v = verifier("S(3)")
+    out = check_npleqcp(v, normal_of_order(v, 3))
     assert out.holds and out.rhs == 1
     assert out.params["vacuous"]
 
 
 def test_npleqcp_s4_a4():
-    s4 = catalog_get("S(4)")
-    a4 = normal_of_order(s4, 12)
-    out = check_npleqcp(s4, a4)
+    v = verifier("S(4)")
+    out = check_npleqcp(v, normal_of_order(v, 12))
     assert out.params["tuples_checked"] == 4  # two cosets, shift pairs
     assert out.holds and out.rhs == Fraction(1, 3)
     assert out.lhs == out.rhs and out.params["shifts"] == [0, 0]
 
 
 def test_center_recursion_whole_group_examples():
-    s3 = catalog_get("S(3)")
-    out = check_center_recursion(s3, whole_group(s3), 2)
+    v = verifier("S(3)")
+    out = check_center_recursion(v, v.top, 2)
     assert len(out) == 1
     o = out[0]
     assert o.holds and o.lhs == Fraction(3, 4) and o.rhs == Fraction(3, 4)
 
-    q8 = catalog_get("Q8")
-    out = check_center_recursion(q8, whole_group(q8), 2)
+    v = verifier("Q8")
+    out = check_center_recursion(v, v.top, 2)
     assert out[0].holds and out[0].lhs == 1 and out[0].rhs == 1
 
 
 def test_center_recursion_central_subgroup_trivial_shifts():
     # for central H the trivial-shift instance has rhs exactly 1
-    q8 = catalog_get("Q8")
-    z = center(q8)
-    out = check_center_recursion(q8, z, 1)
+    v = verifier("Q8")
+    out = check_center_recursion(v, center(v.g), 1)
     trivial = next(o for o in out if o.params["shifts"] == [0, 0])
     assert trivial.rhs == 1 and trivial.holds
 
 
+def test_center_recursion_proper_subgroup_is_not_an_inequality():
+    # the README's example: A3 in S3 at k = 1, trivial shifts
+    v = verifier("S(3)")
+    trivial = check_center_recursion(v, normal_of_order(v, 3), 1)[0]
+    assert trivial.params["shifts"] == [0, 0]
+    assert (trivial.lhs, trivial.rhs, trivial.holds) == (1, Fraction(2, 3), False)
+
+
 def test_class_characterization_examples():
-    c6 = catalog_get("C(6)")
-    o = check_class_characterization(c6, whole_group(c6), 1)
+    v = verifier("C(6)")
+    o = check_class_characterization(v, v.top, 1)
     assert o.holds and o.lhs == 1
 
-    s3 = catalog_get("S(3)")
-    a3 = normal_of_order(s3, 3)
-    assert check_class_characterization(s3, a3, 1).holds
+    v = verifier("S(3)")
+    assert check_class_characterization(v, normal_of_order(v, 3), 1).holds
 
-    o = check_class_characterization(s3, whole_group(s3), 3)
+    o = check_class_characterization(v, v.top, 3)
     assert o.holds
     assert o.lhs == Fraction(7, 8)  # below 1, and S3 is not nilpotent
 
 
 def test_gap_bound_skips_low_class():
-    c12 = catalog_get("C(12)")
-    assert check_gap_bound(c12, whole_group(c12), 1) == []
-    q8 = catalog_get("Q8")
-    assert check_gap_bound(q8, whole_group(q8), 2) == []
+    v = verifier("C(12)")
+    assert check_gap_bound(v, v.top, 1) == []
+    v = verifier("Q8")
+    assert check_gap_bound(v, v.top, 2) == []
 
 
 def test_gap_bound_s3():
-    s3 = catalog_get("S(3)")
+    v = verifier("S(3)")
     for k, value, tight_holds in [(1, Fraction(1, 2), False), (2, Fraction(3, 4), False)]:
-        loose, tight = check_gap_bound(s3, whole_group(s3), k)
+        loose, tight = check_gap_bound(v, v.top, k)
         assert loose.check_id == "gap_bound" and loose.holds
         assert loose.lhs == value
         assert tight.check_id == "gap_bound_tight"
@@ -187,48 +191,42 @@ def test_gap_bound_s3():
 
 
 def test_gap_bound_sharp_at_q8():
-    q8 = catalog_get("Q8")
-    loose, tight = check_gap_bound(q8, whole_group(q8), 1)
+    v = verifier("Q8")
+    loose, tight = check_gap_bound(v, v.top, 1)
     assert loose.lhs == loose.rhs == Fraction(5, 8)
     assert loose.holds and not tight.holds
 
 
 def test_submultiplicativity_examples():
-    s3 = catalog_get("S(3)")
-    a3 = normal_of_order(s3, 3)
-    o = check_submultiplicativity(s3, a3, whole_group(s3), 1)
+    v = verifier("S(3)")
+    o = check_submultiplicativity(v, normal_of_order(v, 3), v.top, 1)
     assert o.holds and o.lhs == Fraction(1, 2) and o.rhs == 1
 
-    trivial = normal_of_order(s3, 1)
-    o = check_submultiplicativity(s3, trivial, whole_group(s3), 1)
+    o = check_submultiplicativity(v, normal_of_order(v, 1), v.top, 1)
     assert o.holds and o.lhs == o.rhs == Fraction(1, 2)
 
-    g = catalog_get("S(3)xS(3)")
-    a3a3 = normal_of_order(g, 9)
-    o = check_submultiplicativity(g, a3a3, whole_group(g), 1)
+    v = verifier("S(3)xS(3)")
+    o = check_submultiplicativity(v, normal_of_order(v, 9), v.top, 1)
     assert o.holds and o.lhs == Fraction(1, 4) and o.rhs == 1
 
 
 def test_submultiplicativity_requires_containment():
-    s4 = catalog_get("S(4)")
-    v4 = normal_of_order(s4, 4)
-    a4 = normal_of_order(s4, 12)
+    v = verifier("S(4)")
     with pytest.raises(ValueError):
-        check_submultiplicativity(s4, a4, v4, 1)
+        check_submultiplicativity(v, normal_of_order(v, 12), normal_of_order(v, 4), 1)
 
 
 def test_shift_monotonicity_vacuous_for_abelian():
-    s3 = catalog_get("S(3)")
-    a3 = normal_of_order(s3, 3)
-    out = check_shift_monotonicity(s3, a3, 1)
+    v = verifier("S(3)")
+    out = check_shift_monotonicity(v, normal_of_order(v, 3), 1)
     assert out.holds and out.params["vacuous"]
 
 
 def test_shift_monotonicity_s4_a4():
-    s4 = catalog_get("S(4)")
-    a4 = normal_of_order(s4, 12)
+    v = verifier("S(4)")
+    a4 = normal_of_order(v, 12)
     for k in (1, 2):
-        out = check_shift_monotonicity(s4, a4, k)
+        out = check_shift_monotonicity(v, a4, k)
         assert out.params["tuples_checked"] == 2 ** (k + 1)
         assert out.holds
         # the trivial shifts attain the supremum and come first
@@ -237,30 +235,29 @@ def test_shift_monotonicity_s4_a4():
 
 def test_max_bad_series_length():
     k = 1
-    assert max_bad_series_length(catalog_get("C(12)"), k)[0] == -1
-    assert max_bad_series_length(catalog_get("C(1)"), k)[0] == -1
+    assert max_bad_series_length(normal_subgroups(catalog_get("C(12)")), k)[0] == -1
+    assert max_bad_series_length(normal_subgroups(catalog_get("C(1)")), k)[0] == -1
 
-    r, chain = max_bad_series_length(catalog_get("S(3)"), k)
+    r, chain = max_bad_series_length(normal_subgroups(catalog_get("S(3)")), k)
     assert r == 0
     assert [c.order for c in chain] == [6, 1]
 
-    r, chain = max_bad_series_length(catalog_get("S(3)xS(3)"), k)
+    normals = normal_subgroups(catalog_get("S(3)xS(3)"))
+    r, chain = max_bad_series_length(normals, k)
     assert r == 1
     assert [c.order for c in chain] == [36, 6, 1]
 
     # at k = 2 the S3 factors are still not nilpotent, so r stays 1
-    assert max_bad_series_length(catalog_get("S(3)xS(3)"), 2)[0] == 1
+    assert max_bad_series_length(normals, 2)[0] == 1
 
 
 def test_series_bound_examples():
-    s3 = catalog_get("S(3)")
-    loose, tight = check_series_bound(s3, 1)
+    loose, tight = check_series_bound(verifier("S(3)"), 1)
     assert loose.holds
     assert abs(loose.rhs - 1.4747) < 1e-3  # ln(1/2)/ln(5/8)
     assert tight.holds  # 0 < ln(1/2)/ln(1/4) = 0.5
 
-    g = catalog_get("S(3)xS(3)")
-    loose, tight = check_series_bound(g, 1)
+    loose, tight = check_series_bound(verifier("S(3)xS(3)"), 1)
     assert loose.holds and abs(loose.rhs - 2.9497) < 1e-3
     assert not tight.holds and abs(tight.rhs - 1.0) < 1e-12
     # the equality boundary, decided exactly: np_1 = 1/4 is the tight
@@ -268,7 +265,7 @@ def test_series_bound_examples():
     assert tight.params["np_k"] == gap_constant_tight(1) == Fraction(1, 4)
     assert tight.params["r"] == 1 and tight.holds is False
 
-    assert check_series_bound(catalog_get("C(1)"), 1) == []
+    assert check_series_bound(verifier("C(1)"), 1) == []
 
 
 def test_run_corpus_empty():
@@ -383,10 +380,11 @@ def supremum_cases():
     # most subgroups of SMALL are nilpotent, hence vacuous; the larger
     # groups add subgroups of small index with many non-vacuous tuples
     for name in SMALL + ["S(4)", "S(3)xS(3)", "D(12)"]:
-        g = catalog_get(name)
-        for h in subgroup_pool(g):
-            yield g, h
-    yield tie_case()
+        v = verifier(name)
+        for h in subgroup_pool(v.g):
+            yield v, h
+    g, h = tie_case()
+    yield GroupVerifier(g, CorpusConfig()), h
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -394,15 +392,16 @@ def test_supremum_checks_match_aggregated_per_tuple_outcomes(k):
     # the supremum and its lex-smallest maximiser are exactly what the
     # worst-tuple aggregation of the full walk reported
     outcomes = []
-    for g, h in supremum_cases():
+    for v, h in supremum_cases():
+        g = v.g
         if (g.order // h.order) ** (k + 1) > 2000:
             continue
         if k == 1:
             (expected,) = _aggregate(per_tuple_npleqcp(g, h))
-            outcomes.append(check_npleqcp(g, h))
+            outcomes.append(check_npleqcp(v, h))
             assert outcomes[-1] == expected, (g.label, h.elements)
         (expected,) = _aggregate(per_tuple_shift_monotonicity(g, h, k))
-        outcomes.append(check_shift_monotonicity(g, h, k))
+        outcomes.append(check_shift_monotonicity(v, h, k))
         assert outcomes[-1] == expected, (g.label, h.elements, k)
     assert sum("tuples_checked" in o.params for o in outcomes) >= 5
 
@@ -438,10 +437,10 @@ def _hand_built_reports():
     )
     plain = CheckOutcome("np_le_cp", "C(2)", {}, Fraction(1), Fraction(1), True)
     yield VerificationReport(
-        outcomes=[plain, odd], findings=[odd], sharpness=[], violations=[odd],
+        outcomes=[plain, odd],
         skipped=[{"group": "SL(2,3)", "reason": 'order 24 > "cap", or not'},
                  {"group": "Ω", "reason": "tab\there\nnewline"}],
-        checks_run=2, gap_checks_skipped=3,
+        gap_checks_skipped=3,
         environment={"seed": None, "ks": (1, 2), "budgets": {}, "inf": float("inf")},
         timing={"C(2)": 0.001, "SL(2,3)": 1e-7},
     )
@@ -487,77 +486,95 @@ def test_encode_json_converts_keys_as_json_does():
 # -- per-group memos --------------------------------------------------------------
 
 
-def _a4_in_s4() -> tuple:
-    g = catalog_get("S(4)")
-    (a4,) = [n for n in normal_subgroups(g) if n.order == 12]
-    return g, a4
-
-
-def _counting(monkeypatch, name: str, fn) -> list:
+def _counting(monkeypatch, module, name: str) -> list:
     calls = []
+    fn = getattr(module, name)
 
     def counted(*args, **kwargs):
         calls.append(args)
         return fn(*args, **kwargs)
 
-    monkeypatch.setattr(verify_module, name, counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
 
 
 def test_identity_witness_seeds_the_np_memo(monkeypatch):
-    g, a4 = _a4_in_s4()
-    verifier = _GroupVerifier(g, CorpusConfig(group_names=["S(4)"]))
-    value, witness = verifier.sup(g, a4, 1, DEFAULT_SHIFT_BUDGET)
+    v = verifier("S(4)")
+    a4 = normal_of_order(v, 12)
+    value, witness = v.sup(v.g, a4, 1)
     assert witness == identity_shifts(1)
-    calls = _counting(monkeypatch, "np_fast", np_fast)
-    out = check_shift_monotonicity(g, a4, 1, _sup=verifier.sup, _np=verifier.np)
-    assert calls == [] and out.rhs == value == np_fast(g, a4, (0, 0)).value
-    assert out == check_shift_monotonicity(g, a4, 1)
+    calls = _counting(monkeypatch, verify_module, "np_fast")
+    out = check_shift_monotonicity(v, a4, 1)
+    assert calls == [] and out.rhs == value == np_fast(v.g, a4, (0, 0)).value
+    assert out == check_shift_monotonicity(verifier("S(4)"), a4, 1)
 
 
 def test_shift_monotonicity_computes_rhs_when_the_witness_is_not_the_identity(monkeypatch):
-    g, a4 = _a4_in_s4()
+    v = verifier("S(4)")
+    a4 = normal_of_order(v, 12)
     # a fake supremum attained elsewhere: its value must not stand in for
     # the identity tuple's
     monkeypatch.setattr(verify_module, "np_sup", lambda g, h, k, budget: (Fraction(1, 2), (0, 1)))
-    verifier = _GroupVerifier(g, CorpusConfig(group_names=["S(4)"]))
-    assert verifier.sup(g, a4, 1, DEFAULT_SHIFT_BUDGET) == (Fraction(1, 2), (0, 1))
-    calls = _counting(monkeypatch, "np_fast", np_fast)
-    out = check_shift_monotonicity(g, a4, 1, _sup=verifier.sup, _np=verifier.np)
+    assert v.sup(v.g, a4, 1) == (Fraction(1, 2), (0, 1))
+    calls = _counting(monkeypatch, verify_module, "np_fast")
+    out = check_shift_monotonicity(v, a4, 1)
     assert len(calls) == 1
-    assert out.rhs == np_fast(g, a4, (0, 0)).value == cp(a4)
+    assert out.rhs == np_fast(v.g, a4, (0, 0)).value == cp(a4)
     assert out.lhs == Fraction(1, 2) and out.params["shifts"] == [0, 1]
 
 
 def test_np_memo_checks_the_tuple_budget_before_the_lookup():
-    g, a4 = _a4_in_s4()
-    verifier = _GroupVerifier(g, CorpusConfig(group_names=["S(4)"]))
-    verifier.sup(g, a4, 2, DEFAULT_SHIFT_BUDGET)
+    g = catalog_get("S(4)")
+    a4 = normal_of_order(verifier("S(4)"), 12)
     work = 3 * g.order * a4.order
-    assert verifier.np(g, a4, (0, 0, 0), work) == np_fast(g, a4, (0, 0, 0)).value
+    enough = GroupVerifier(g, CorpusConfig(tuple_budget=work))
+    assert enough.np(g, a4, (0, 0, 0)) == np_fast(g, a4, (0, 0, 0)).value
+    short = GroupVerifier(g, CorpusConfig(tuple_budget=work - 1))
+    short.sup(g, a4, 2)  # an identity witness, so np at (0, 0, 0) is memoised
     with pytest.raises(BudgetExceeded):
-        verifier.np(g, a4, (0, 0, 0), work - 1)
+        short.np(g, a4, (0, 0, 0))
     with pytest.raises(BudgetExceeded):
-        check_shift_monotonicity(g, a4, 2, tuple_budget=work - 1,
-                                 _sup=verifier.sup, _np=verifier.np)
+        check_shift_monotonicity(short, a4, 2)
 
 
 @pytest.mark.parametrize("name", ["S(4)", "D(12)", "SL(2,3)", "C(2)xQ8"])
 def test_one_lower_central_walk_per_subgroup(monkeypatch, name):
-    g = catalog_get(name)
-    cfg = CorpusConfig(group_names=[name], include_cyclic_subgroups=True,
-                       k_order_limits={})
-    verifier = _GroupVerifier(g, cfg)
-    classes = _counting(monkeypatch, "nilpotency_class", nilpotency_class)
-    series = _counting(monkeypatch, "lower_central_series", lower_central_series)
-    outcomes, _ = verifier.run()
-    walked = [h.elements for (h,) in classes]
-    sources = [h.elements for h in verifier.subgroup_sources()]
-    assert sorted(walked) == sorted(sources) and len(set(walked)) == len(walked)
-    assert sorted(s.elements for (s,) in series) == sorted(n.elements for n in verifier.normals)
-    # the memoised hooks change no outcome
-    monkeypatch.undo()
-    plain = _GroupVerifier(g, cfg)
-    for method in ("sup", "np", "nilpotency_class", "lcs_term"):
-        monkeypatch.setattr(plain, method, None)
-    assert outcomes == plain.run()[0]
+    v = verifier(name, include_cyclic_subgroups=True, k_order_limits={})
+    walks = _counting(monkeypatch, structure, "_lcs_within")
+    v.run()
+    walked = [h.elements for (h,) in walks]
+    subgroups = {h.elements for h in v.subgroup_sources() + v.normals}
+    assert sorted(walked) == sorted(subgroups)
+
+
+def test_threads_are_bounded_by_groups_and_cpus(monkeypatch):
+    import concurrent.futures
+
+    pools = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    names = ["S(3)", "Q8", "C(4)"]
+    serial = run_corpus(CorpusConfig(group_names=names, ks=(1,))).to_json(False)
+    for cpus, threads, workers in [(64, 100_000, 3), (2, 100_000, 2), (64, 2, 2)]:
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        cfg = CorpusConfig(group_names=names, ks=(1,), threads=threads)
+        assert run_corpus(cfg).to_json(False) == serial
+        assert pools[-1] == workers
+    # one CPU, or one group, runs in-process
+    for cpus, names in [(1, ["S(3)", "Q8"]), (None, ["S(3)", "Q8"]), (64, ["S(3)"])]:
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        run_corpus(CorpusConfig(group_names=names, ks=(1,), threads=100_000))
+    assert len(pools) == 3
