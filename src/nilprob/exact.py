@@ -37,7 +37,8 @@ coordinate, and the lexicographically smallest maximizer ends in
 representative 0.  Value and witness are those of the full enumeration;
 the shift budget still counts all [G:H]^(k+1) tuples.  The identity
 tuple comes first, from the forward pass, so a value of 1 returns
-before the backward pass runs.
+before the backward pass runs; that is why a supremum over H of class
+at most k, where the value is 1, is exempt from the shift budget.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ import numpy as np
 
 from .errors import BudgetExceeded, EmptyInput
 from .groups import BLOCK_CELLS, GroupTable, row_blocks
-from .structure import SubgroupRef, commutators, left_coset_reps, whole_group
+from .structure import SubgroupRef, commutators, left_coset_reps, nilpotency_class, whole_group
 
 #: Iteration budget for the brute-force oracle (|H|^(k+1) tuples).
 DEFAULT_TUPLE_BUDGET = 10 ** 9
@@ -292,12 +293,18 @@ def _backward_counts(
         yield from part.sum(axis=1).ravel().tolist()
 
 
-def require_shift_budget(g: GroupTable, h: SubgroupRef, k: int, budget: int) -> None:
-    """Refuse the [G:H]^(k+1) shift tuples above ``budget``, also before a cache lookup."""
+def require_shift_budget(g: GroupTable, h: SubgroupRef, k: int, budget: int,
+                         sup: bool = True) -> None:
+    """Refuse the [G:H]^(k+1) shift tuples above ``budget``, also before a cache lookup.
+
+    A supremum (``sup``) over H of class at most k is exempt: np_k(H) = 1,
+    and the identity tuple, drawn first by the forward pass, returns it.
+    The class is read only once the count is over budget.
+    """
     if k < 1:
         raise ValueError("k must be at least 1")
     count = (g.order // h.order) ** (k + 1)
-    if count > budget:
+    if count > budget and not (sup and nilpotency_class(h) in range(k + 1)):
         raise BudgetExceeded("shift tuple enumeration", count, budget)
 
 
@@ -317,12 +324,14 @@ def iter_shift_values(
     ``sup_candidates`` only the tuples whose last coordinate is the coset
     H itself (representative 0) are yielded: they hold every prefix's
     maximum, as the module docstring explains.  The budget counts all
-    [G:H]^(k+1) tuples in both modes.
+    [G:H]^(k+1) tuples in both modes; only ``sup_candidates`` exempts H of
+    class at most k (see ``require_shift_budget``), whose identity tuple
+    gives 1, so ``np_sup`` stops there.
 
     ``np_sup`` is the only caller in the package; the full mode is the
     reference that tests check ``np_sup`` and the harness against.
     """
-    require_shift_budget(g, h, k, budget)
+    require_shift_budget(g, h, k, budget, sup_candidates)
     total = h.order ** (k + 1)
     ones = identity_shifts(k)
     first = _forward_count(g, _cosets(g, h, ones))
@@ -360,7 +369,8 @@ def np_sup(
     evaluated: for every prefix that coset attains the maximum over the
     last coordinate (see the module docstring), so a lex-smallest
     maximizer always ends in it.  The budget still counts all [G:H]^(k+1)
-    tuples.  Stops early once the unbeatable value 1 is reached; the
+    tuples, and does not apply to H of class at most k, where the identity
+    tuple gives 1.  Stops early once the unbeatable value 1 is reached; the
     identity tuple is drawn first, so the common nilpotent case (identity
     witness) never runs the backward pass.
     """

@@ -50,7 +50,6 @@ class ClassData:
     class_of: tuple[int, ...]
     reps: tuple[int, ...]
     sizes: tuple[int, ...]
-    centralizer_order: tuple[int, ...]
 
     @property
     def num_classes(self) -> int:
@@ -110,8 +109,7 @@ def conjugacy_classes(g: GroupTable) -> ClassData:
     reps = np.flatnonzero(least == np.arange(n))
     class_of = np.searchsorted(reps, least)
     sizes = np.bincount(class_of).tolist()
-    cent = tuple(n // s for s in sizes)
-    return ClassData(tuple(class_of.tolist()), tuple(reps.tolist()), tuple(sizes), cent)
+    return ClassData(tuple(class_of.tolist()), tuple(reps.tolist()), tuple(sizes))
 
 
 def subgroup_closure(g: GroupTable, seeds: Iterable[int]) -> SubgroupRef:
@@ -142,37 +140,39 @@ def is_normal(g: GroupTable, h: SubgroupRef) -> bool:
     return True
 
 
-def normal_closure_of_class(g: GroupTable, rep: int, classes: ClassData) -> SubgroupRef:
-    cid = classes.class_of[rep]
-    seeds = [x for x in g.elements() if classes.class_of[x] == cid]
-    return subgroup_closure(g, seeds)
-
-
 def normal_subgroups(g: GroupTable, cap: int = NORMAL_LATTICE_CAP) -> list[SubgroupRef]:
     """All normal subgroups, sorted by order then by element tuple.
 
-    Every normal subgroup is a join of normal closures of single conjugacy
-    classes, so the lattice is generated by closing that seed set under
-    pairwise joins.  The join of normal A and B is the product set AB,
-    gathered from the table in one step.
+    Every normal subgroup is a join of normal closures N(x) of single
+    conjugacy classes (Holt, Eick & O'Brien, *Handbook of Computational
+    Group Theory*, 2005), so the lattice is reached from the trivial
+    subgroup by joining each subgroup A found with every distinct N(x),
+    skipping x in A.  The join A N(x) is the union of the cosets of A that
+    meet N(x): one gather labels each element by the least member of its
+    coset of A, and then all the joins of A are rows of one coset mask,
+    keyed by their packed bits.  The cost grows with the lattice size
+    times the number of distinct N(x), not with the order.
     """
     if g.order > cap:
         raise OrderExceeded(g.order, cap)
     classes = conjugacy_classes(g)
-    found: dict[tuple[int, ...], SubgroupRef] = {}
-    for rep in classes.reps:
-        sub = normal_closure_of_class(g, rep, classes)
-        found.setdefault(sub.elements, sub)
-    worklist = list(found.values())
+    class_of = np.array(classes.class_of)
+    seeds: dict[tuple[int, ...], int] = {}  # each distinct N(x) -> one such x
+    for cid, x in enumerate(classes.reps):
+        seeds.setdefault(subgroup_closure(g, np.flatnonzero(class_of == cid).tolist()).elements, x)
+    reps = np.array(list(seeds.values()))
+    owner, members = np.array([(i, y) for i, c in enumerate(seeds) for y in c]).T
+    worklist = [SubgroupRef(g, (0,))]
+    found = {np.packbits(np.arange(g.order) == 0).tobytes(): worklist[0]}
     while worklist:
-        sub = worklist.pop()
-        for other in list(found.values()):
-            hit = np.zeros(g.order, dtype=bool)
-            hit[g.mul[np.ix_(sub.elements, other.elements)]] = True
-            joined = SubgroupRef(g, tuple(np.flatnonzero(hit).tolist()))
-            if joined.elements not in found:
-                found[joined.elements] = joined
-                worklist.append(joined)
+        least = g.mul[:, list(worklist.pop().elements)].min(axis=1)
+        mark = np.zeros((len(reps), g.order), dtype=bool)
+        mark[owner, least[members]] = True
+        joins = mark[least[reps] != 0][:, least]
+        for row, key in zip(joins, map(bytes, np.packbits(joins, axis=1))):
+            if key not in found:
+                found[key] = SubgroupRef(g, tuple(np.flatnonzero(row).tolist()))
+                worklist.append(found[key])
     return sorted(found.values(), key=lambda s: (s.order, s.elements))
 
 

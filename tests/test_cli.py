@@ -83,12 +83,15 @@ def test_np_uses_cache(capsys, tmp_path):
     assert doc["method"] == "cache" and doc["value"] == "3/4"
 
 
+# a supremum over H of class at most k is exempt from the shift budget, so
+# the refused suprema are over A(4), the non-nilpotent normal subgroup of
+# index 2 in S(4): 2^(k+1) shift tuples
 @pytest.mark.parametrize("argv, budget", [
-    (["np", "--group", "S(4)", "--k", "2", "--sup", "--subgroup-normal", "1"],
+    (["np", "--group", "S(4)", "--k", "3", "--sup", "--subgroup-normal", "2"],
      ["--budget-shifts", "10"]),
     (["np", "--group", "S(4)", "--k", "2"], ["--budget-tuples", "10"]),
     (["verify", "--group", "S(4)", "--checks", "class_characterization"],
-     ["--budget-shifts", "1000"]),
+     ["--budget-shifts", "3"]),
 ], ids=["np-sup", "np", "verify"])
 def test_budgets_apply_whatever_the_cache_holds(capsys, tmp_path, argv, budget):
     # a run at the default budgets fills the cache; a lower budget must
@@ -125,10 +128,21 @@ def test_mul_table_above_max_order_exits_2(capsys):
 def test_np_budget_error_exits_2(capsys):
     code, _, err = run_cli(
         capsys, "--budget-shifts", "2", "np", "--group", "S(4)",
-        "--subgroup-normal", "0", "--k", "1", "--sup", "--no-cache",
+        "--subgroup-normal", "2", "--k", "1", "--sup", "--no-cache",
     )
     assert code == 2
     assert "budget" in err
+
+
+def test_np_sup_over_h_of_class_at_most_k_has_no_shift_budget(capsys):
+    # H = 1 in S(4) at k = 1: 576 shift tuples, but np_1(1) = 1 at the identity
+    code, out, _ = run_cli(
+        capsys, "--budget-shifts", "2", "--format", "json", "np", "--group", "S(4)",
+        "--subgroup-normal", "0", "--k", "1", "--sup", "--no-cache",
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["value"] == "1/1" and doc["witness_shifts"] == [0, 0]
 
 
 def test_estimate_refuses_an_oversized_chain(capsys):
@@ -394,8 +408,8 @@ def test_verify_report_closes_every_file(tmp_path):
 
 def test_budget_hint_only_for_budget_errors(capsys, monkeypatch):
     code, _, err = run_cli(
-        capsys, "--budget-shifts", "10", "np", "--group", "S(3)",
-        "--subgroup-normal", "0", "--k", "1", "--sup", "--no-cache",
+        capsys, "--budget-shifts", "3", "np", "--group", "S(4)",
+        "--subgroup-normal", "2", "--k", "1", "--sup", "--no-cache",
     )
     assert code == 2
     assert "hint: raise --budget-tuples/--budget-shifts" in err

@@ -373,9 +373,16 @@ def test_budget_errors_are_precise():
         np_bruteforce(s4, whole_group(s4), identity_shifts(3), budget=1000)
     assert exc.value.required == 24 ** 4
     assert exc.value.budget == 1000
+    a4 = next(n for n in normal_subgroups(s4) if n.order == 12)
     with pytest.raises(BudgetExceeded) as exc2:
-        np_sup(s4, subgroup(s4, (0,)), 2, budget=100)
-    assert exc2.value.required == 24 ** 3
+        np_sup(s4, a4, 2, budget=7)
+    assert exc2.value.required == 2 ** 3
+    # H = 1 has class 0 <= k: the supremum is exempt, the full enumeration is not
+    trivial = subgroup(s4, (0,))
+    assert np_sup(s4, trivial, 2, budget=100) == (Fraction(1), identity_shifts(2))
+    with pytest.raises(BudgetExceeded) as exc3:
+        next(iter_shift_values(s4, trivial, 2, budget=100))
+    assert exc3.value.required == 24 ** 3
 
 
 def test_cp_of_subgroup_ref():

@@ -16,7 +16,6 @@ from nilprob.structure import (
     left_coset_reps,
     lower_central_series,
     nilpotency_class,
-    normal_closure_of_class,
     normal_subgroups,
     quotient,
     subgroup,
@@ -130,11 +129,10 @@ def test_class_data_invariants():
         g = catalog_get(name)
         data = conjugacy_classes(g)
         assert sum(data.sizes) == g.order
-        for size, cent in zip(data.sizes, data.centralizer_order):
-            assert size * cent == g.order
         for cid, rep in enumerate(data.reps):
             assert data.class_of[rep] == cid
-            assert centralizer(g, rep).order == data.centralizer_order[cid]
+            # orbit-stabilizer: |class| |C_G(rep)| = |G|
+            assert data.sizes[cid] * centralizer(g, rep).order == g.order
 
 
 def test_subgroup_closure():
@@ -187,13 +185,20 @@ def test_normal_subgroups_against_oracle(name, expected_count):
     assert normals[0].order == 1 and normals[-1].order == g.order
 
 
-def normal_subgroups_by_closure(g):
-    """Oracle: the normal-subgroup lattice with every join a subgroup closure."""
+def class_closures(g):
+    """Oracle seeds: the normal closure of each conjugacy class, deduplicated."""
     classes = conjugacy_classes(g)
     found = {}
-    for rep in classes.reps:
-        sub = normal_closure_of_class(g, rep, classes)
+    for cid in range(classes.num_classes):
+        seeds = [x for x in g.elements() if classes.class_of[x] == cid]
+        sub = subgroup_closure(g, seeds)
         found.setdefault(sub.elements, sub)
+    return found
+
+
+def normal_subgroups_by_closure(g):
+    """Oracle: the normal-subgroup lattice with every join a subgroup closure."""
+    found = class_closures(g)
     worklist = list(found.values())
     while worklist:
         sub = worklist.pop()
@@ -214,6 +219,49 @@ def test_normal_subgroups_product_joins_match_closure(name):
         # (a, b) has index 24 a + b, so S(3)x1 is the multiples of 24
         assert len(normals) == 36
         assert normals[7] == tuple(range(0, 144, 24))
+
+
+def normal_subgroups_by_products(g):
+    """Oracle: the normal-subgroup lattice with every pair of subgroups found
+    joined as the product set AB, gathered from the table in one step."""
+    found = class_closures(g)
+    worklist = list(found.values())
+    while worklist:
+        sub = worklist.pop()
+        for other in list(found.values()):
+            hit = np.zeros(g.order, dtype=bool)
+            hit[g.mul[np.ix_(sub.elements, other.elements)]] = True
+            joined = subgroup(g, np.flatnonzero(hit).tolist())
+            if joined.elements not in found:
+                found[joined.elements] = joined
+                worklist.append(joined)
+    return sorted(found, key=lambda elems: (len(elems), elems))
+
+
+@pytest.mark.parametrize("name", ["S(4)", "Q8xC(2)xC(2)", "D(64)xD(8)"])
+def test_normal_subgroups_match_pairwise_products(name):
+    # D(64)xD(8) has order 512, the lattice cap
+    g = catalog_get(name)
+    assert [n.elements for n in normal_subgroups(g)] == normal_subgroups_by_products(g)
+
+
+def test_normal_subgroups_at_the_cap_with_a_large_lattice():
+    # the pairwise-product oracle takes tens of seconds here, so the
+    # lattice is pinned by its size and checked for its defining properties
+    g = catalog_get("Dic(16)xC(2)xC(2)xC(2)")
+    assert g.order == 512
+    normals = normal_subgroups(g)
+    assert len(normals) == 578
+    lattice = {n.elements for n in normals}
+    assert len(lattice) == len(normals)
+    assert all(is_normal(g, n) for n in normals)
+    # every normal subgroup is a product of class closures, so closure under
+    # products with each of them is closure under all products
+    seeds = class_closures(g)
+    assert set(seeds) <= lattice
+    for n in normals:
+        for c in seeds:
+            assert tuple(np.unique(g.mul[np.ix_(n.elements, c)]).tolist()) in lattice
 
 
 def test_normal_subgroups_cap():

@@ -3,6 +3,7 @@
 import io
 import json
 import os
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -535,6 +536,18 @@ def test_np_memo_checks_the_tuple_budget_before_the_lookup():
         short.np(g, a4, (0, 0, 0))
     with pytest.raises(BudgetExceeded):
         check_shift_monotonicity(short, a4, 2)
+
+
+def test_groups_over_the_shift_budget_only_at_h_of_class_at_most_k_are_kept():
+    # at the default budget, S(5) and Heis(5) exceed it only at H = 1 and
+    # k = 2 (120^3 and 125^3 shift tuples), where the identity tuple gives 1
+    report = run_corpus(CorpusConfig(group_names=["S(5)", "Heis(5)"]))
+    assert report.skipped == []
+    assert Counter(o.group for o in report.outcomes) == {"S(5)": 41, "Heis(5)": 113}
+    trivial = [o for o in report.outcomes if o.check_id == "class_characterization"
+               and o.params["h_order"] == 1 and o.params["k"] == 2]
+    assert [(o.group, o.lhs, o.holds) for o in trivial] == [
+        ("Heis(5)", Fraction(1), True), ("S(5)", Fraction(1), True)]
 
 
 @pytest.mark.parametrize("name", ["S(4)", "D(12)", "SL(2,3)", "C(2)xQ8"])
