@@ -18,7 +18,11 @@ import json
 import os
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Optional, Sequence, TextIO
+from typing import Optional, Sequence, TextIO
+
+from .exact import np_sup, require_shift_budget
+from .groups import GroupTable
+from .structure import SubgroupRef
 
 SCHEMA_VERSION = 2
 CACHE_FILENAME = "nilprob-cache.jsonl"
@@ -132,17 +136,18 @@ class ResultCache:
     # -- np_sup ------------------------------------------------------------
 
     def sup(
-        self,
-        table_hash: str,
-        elements: Sequence[int],
-        k: int,
-        compute: Callable[[], tuple[Fraction, tuple[int, ...]]],
+        self, g: GroupTable, h: SubgroupRef, k: int, budget: int
     ) -> tuple[Fraction, tuple[int, ...]]:
-        """The cached supremum, or ``compute()`` stored; the key is hashed once."""
-        key = sup_key(table_hash, elements, k)
+        """``np_sup(g, h, k, budget)``, cached; the key is hashed once.
+
+        The shift budget is checked before the lookup, so a cached value
+        is refused exactly when computing it would be.
+        """
+        require_shift_budget(g, h, k, budget)
+        key = sup_key(g.table_hash, h.elements, k)
         value = self.get_sup(key)
         if value is None:
-            value = compute()
+            value = np_sup(g, h, k, budget)
             self.put_sup(key, value)
         return value
 

@@ -12,7 +12,7 @@ from pathlib import Path
 from typing import Optional
 
 from .cache import ResultCache, default_cache_dir, np_key
-from .errors import BudgetExceeded, NilprobError
+from .errors import BudgetExceeded, LatticeTooLarge, NilprobError
 from .exact import (
     DEFAULT_SHIFT_BUDGET,
     DEFAULT_TUPLE_BUDGET,
@@ -22,7 +22,6 @@ from .exact import (
     np_fast,
     np_sup,
     require_dp_budget,
-    require_shift_budget,
 )
 from .groups import (
     GroupTable,
@@ -170,12 +169,8 @@ def cmd_np(args) -> int:
 
         k = args.k
         if args.sup:
-            require_shift_budget(g, h, k, args.budget_shifts)
-            if cache is None:
-                value, witness = np_sup(g, h, k, args.budget_shifts)
-            else:
-                value, witness = cache.sup(g.table_hash, h.elements, k,
-                                           lambda: np_sup(g, h, k, args.budget_shifts))
+            sup = np_sup if cache is None else cache.sup
+            value, witness = sup(g, h, k, args.budget_shifts)
             payload = {
                 "group": g.label, "kind": "np_sup", "k": k, "h_order": h.order,
                 "value": _fraction_str(value), "witness_shifts": list(witness),
@@ -329,15 +324,15 @@ def cmd_describe(args) -> int:
     top = whole_group(g)
     series = lower_central_series(top)
     cls = nilpotency_class(top)
-    # the lattice search is capped; above the cap the other properties are
-    # still cheap array passes
-    if g.order <= NORMAL_LATTICE_CAP:
+    # the lattice search is capped by order and by work; past either cap
+    # the other properties are still cheap array passes
+    try:
+        if g.order > NORMAL_LATTICE_CAP:
+            raise LatticeTooLarge(f"above the lattice cap {NORMAL_LATTICE_CAP}")
         normals = normal_subgroups(g)
         lattice = (len(normals), [n.order for n in normals])
-    elif args.format == "json":
-        lattice = (None, None)
-    else:
-        lattice = (f"not computed: above the lattice cap {NORMAL_LATTICE_CAP}",) * 2
+    except LatticeTooLarge as exc:
+        lattice = (None, None) if args.format == "json" else (f"not computed: {exc}",) * 2
     payload = {
         "group": g.label,
         "order": g.order,

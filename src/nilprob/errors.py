@@ -34,6 +34,10 @@ class OrderExceeded(NilprobError):
         )
 
 
+class LatticeTooLarge(NilprobError):
+    """The normal-subgroup lattice search would pass its work cap."""
+
+
 class ChainTooLarge(NilprobError):
     """A stabilizer chain's transversals would hold more cells than the cap."""
 

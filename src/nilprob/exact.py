@@ -8,8 +8,8 @@ enters any probability.  Counts are ``int64`` arrays while |H|^(k+1) <
 A shift tuple (x_1, .., x_{k+1}) counts the tuples (y_1, .., y_{k+1}) in
 H^(k+1) whose shifted left-normed commutator [x_1 y_1, .., x_{k+1} y_{k+1}]
 is the identity.  The value depends on each x_i only through its left
-coset x_i H, so suprema over shifts are taken over canonical
-(least-index) coset representatives.  There are three evaluations:
+coset x_i H, so shifts are taken as canonical (least-index) coset
+representatives.  There are three evaluations:
 
 * ``np_bruteforce`` enumerates all |H|^(k+1) tuples and is the oracle;
   it reads its own list copy of the table and shares no code with the
@@ -18,27 +18,29 @@ coset x_i H, so suprema over shifts are taken over canonical
   W_{m+1}(c) sums W_m(w) over t in x_{m+1} H with [w, t] = c, and the
   count sums W_k(w) |C_G(w) ∩ x_{k+1} H|.  A stage reads only the rows w
   in the support of W_m.
-* ``iter_shift_values`` evaluates every tuple at once by a backward pass:
-  v(w, i) = |C_G(w) ∩ r_i H| for the last coordinate, each middle one
-  sets v'(w, (x, s)) = sum over t in xH of v([w, t], s) for all suffixes
-  s at once, and the first sums v over its coset.  The C-order
-  flattening of the result is the lexicographic order of the tuples.
+* ``iter_shift_values`` evaluates the [G:H]^k tuples whose last
+  coordinate is the coset H itself by a backward pass: v(w) = |C_G(w) ∩
+  H| for the last coordinate, each middle one sets v'(w, (x, s)) = sum
+  over t in xH of v([w, t], s) for all suffixes s at once, and the first
+  sums v over its coset.  The C-order flattening of the result is the
+  lexicographic order of the tuples.
 
 One tuple goes forward because a backward stage fills every row of G,
 while W_m is often supported on a small subgroup: W_2 of
 np_2(D(64)xD(32)) lives on the 128 elements of the derived subgroup.
 
-``np_sup`` draws only the [G:H]^k tuples whose last coordinate is the
-coset H itself.  The count of a tuple is the sum over w of W_k(w) times
-|C_G(w) ∩ rH| for its last coordinate r.  That intersection is empty or
-a left coset x(C_G(w) ∩ H) for any x in it, so each term is at most
-|C_G(w) ∩ H|: the coset H attains every prefix's maximum over the last
-coordinate, and the lexicographically smallest maximizer ends in
-representative 0.  Value and witness are those of the full enumeration;
-the shift budget still counts all [G:H]^(k+1) tuples.  The identity
-tuple comes first, from the forward pass, so a value of 1 returns
-before the backward pass runs; that is why a supremum over H of class
-at most k, where the value is 1, is exempt from the shift budget.
+Those [G:H]^k tuples are all that ``np_sup``, the supremum over all
+[G:H]^(k+1) tuples, has to read.  The count of a tuple is the sum over w
+of W_k(w) times |C_G(w) ∩ rH| for its last coordinate r.  That
+intersection is empty or a left coset x(C_G(w) ∩ H) for any x in it, so
+each term is at most |C_G(w) ∩ H|: the coset H attains every prefix's
+maximum over the last coordinate, and the lexicographically smallest
+maximizer ends in representative 0.  The shift budget still counts all
+[G:H]^(k+1) tuples.  The identity tuple comes first, from the forward
+pass, so a value of 1 returns before the backward pass runs; that is why
+a supremum over H of class at most k, where the value is 1, is exempt
+from the shift budget.  The tests check ``np_sup`` against the
+enumeration of all [G:H]^(k+1) tuples, one ``np_fast`` each.
 """
 
 from __future__ import annotations
@@ -73,14 +75,6 @@ class NpResult:
     method: str
     counted_tuples: int
     total_tuples: int
-
-    def to_json(self) -> dict:
-        return {
-            "value": f"{self.value.numerator}/{self.value.denominator}",
-            "method": self.method,
-            "counted": self.counted_tuples,
-            "total": self.total_tuples,
-        }
 
 
 def _check_shifts(g: GroupTable, shifts: Sequence[int]) -> tuple[int, ...]:
@@ -253,16 +247,14 @@ def cp(g: GroupTable | SubgroupRef) -> Fraction:
     return Fraction(int((block == block.T).sum()), n * n)
 
 
-def _backward_counts(
-    g: GroupTable, cosets: np.ndarray, last: np.ndarray, k: int
-) -> Iterator[int]:
-    """Counts of all shift tuples, in lexicographic order.
+def _backward_counts(g: GroupTable, cosets: np.ndarray, k: int) -> Iterator[int]:
+    """Counts of the shift tuples whose last coordinate is H, in lexicographic order.
 
     ``cosets`` holds the left cosets of H as rows, in representative
-    order, and ``last`` the rows the last coordinate runs over.  The
-    second coordinate is summed into the first a block of cosets at a
-    time, and each block's counts are handed out before the next, so
-    neither v of the second coordinate nor all counts are ever stored.
+    order, so the first row is H itself.  The second coordinate is summed
+    into the first a block of cosets at a time, and each block's counts
+    are handed out before the next, so neither v of the second coordinate
+    nor all counts are ever stored.
     """
     m = g.mul
     n = g.order
@@ -274,12 +266,11 @@ def _backward_counts(
         """v'[w, x, s], the sum of v[[w, t], s] over t in the coset x, for the rows w."""
         return v[commutators(g, w, flat)].reshape(len(w), reps, size, v.shape[1]).sum(axis=2)
 
-    tail = last.ravel()
-    v = np.empty((n, len(last)), dtype)
-    for rows in row_blocks(n, len(tail), COUNT_BLOCK_CELLS):
+    tail = cosets[0]
+    v = np.empty((n, 1), dtype)
+    for rows in row_blocks(n, size, COUNT_BLOCK_CELLS):
         w = np.arange(n)[rows]
-        commutes = m[w[:, None], tail] == m[tail[:, None], w].T
-        v[rows] = commutes.reshape(len(w), len(last), size).sum(axis=2)
+        v[rows, 0] = (m[w[:, None], tail] == m[tail[:, None], w].T).sum(axis=1)
     for _ in range(k - 2):
         nxt = np.empty((n, reps * v.shape[1]), dtype)
         for rows in row_blocks(n, n * v.shape[1], COUNT_BLOCK_CELLS):
@@ -293,18 +284,17 @@ def _backward_counts(
         yield from part.sum(axis=1).ravel().tolist()
 
 
-def require_shift_budget(g: GroupTable, h: SubgroupRef, k: int, budget: int,
-                         sup: bool = True) -> None:
-    """Refuse the [G:H]^(k+1) shift tuples above ``budget``, also before a cache lookup.
+def require_shift_budget(g: GroupTable, h: SubgroupRef, k: int, budget: int) -> None:
+    """Refuse a supremum over [G:H]^(k+1) shift tuples above ``budget``, also before a lookup.
 
-    A supremum (``sup``) over H of class at most k is exempt: np_k(H) = 1,
-    and the identity tuple, drawn first by the forward pass, returns it.
-    The class is read only once the count is over budget.
+    H of class at most k is exempt: np_k(H) = 1, and the identity tuple,
+    drawn first by the forward pass, returns it.  The class is read only
+    once the count is over budget.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     count = (g.order // h.order) ** (k + 1)
-    if count > budget and not (sup and nilpotency_class(h) in range(k + 1)):
+    if count > budget and nilpotency_class(h) not in range(k + 1):
         raise BudgetExceeded("shift tuple enumeration", count, budget)
 
 
@@ -313,25 +303,17 @@ def iter_shift_values(
     h: SubgroupRef,
     k: int,
     budget: int = DEFAULT_SHIFT_BUDGET,
-    sup_candidates: bool = False,
 ) -> Iterator[tuple[tuple[int, ...], Fraction]]:
-    """Yield (shift tuple, exact value) over all canonical coset-rep tuples.
+    """Yield (shift tuple, exact value) over the canonical tuples ending in the coset H.
 
-    Tuples are produced in lexicographic order of representatives, which
-    are the least indices of the left cosets of H.  The identity tuple
-    comes first and is evaluated alone by the forward pass; the others
-    come from one backward pass (see the module docstring).  With
-    ``sup_candidates`` only the tuples whose last coordinate is the coset
-    H itself (representative 0) are yielded: they hold every prefix's
-    maximum, as the module docstring explains.  The budget counts all
-    [G:H]^(k+1) tuples in both modes; only ``sup_candidates`` exempts H of
-    class at most k (see ``require_shift_budget``), whose identity tuple
-    gives 1, so ``np_sup`` stops there.
-
-    ``np_sup`` is the only caller in the package; the full mode is the
-    reference that tests check ``np_sup`` and the harness against.
+    Coordinates are the least indices of the left cosets of H, and the
+    last one is always 0, the representative of H itself; these [G:H]^k
+    tuples hold every prefix's maximum (see the module docstring).  They
+    come in lexicographic order.  The identity tuple comes first and is
+    evaluated alone by the forward pass; the others come from one
+    backward pass.  The budget is ``require_shift_budget``'s.
     """
-    require_shift_budget(g, h, k, budget, sup_candidates)
+    require_shift_budget(g, h, k, budget)
     total = h.order ** (k + 1)
     ones = identity_shifts(k)
     first = _forward_count(g, _cosets(g, h, ones))
@@ -340,19 +322,14 @@ def iter_shift_values(
     yield ones, values[first]
 
     reps = left_coset_reps(g, h)
-    cosets = _cosets(g, h, reps)
-    if sup_candidates:
-        counts = _backward_counts(g, cosets, cosets[:1], k)
-        tuples = (t + (0,) for t in itertools.product(reps, repeat=k))
-    else:
-        counts = _backward_counts(g, cosets, cosets, k)
-        tuples = itertools.product(reps, repeat=k + 1)
-    next(counts), next(tuples)  # the identity tuple, yielded above
-    for c, tup in zip(counts, tuples):
+    counts = _backward_counts(g, _cosets(g, h, reps), k)
+    prefixes = itertools.product(reps, repeat=k)
+    next(counts), next(prefixes)  # the identity tuple, yielded above
+    for c, prefix in zip(counts, prefixes):
         value = values.get(c)
         if value is None:
             value = values[c] = Fraction(c, total)
-        yield tup, value
+        yield prefix + (0,), value
 
 
 def np_sup(
@@ -361,22 +338,18 @@ def np_sup(
     k: int,
     budget: int = DEFAULT_SHIFT_BUDGET,
 ) -> tuple[Fraction, tuple[int, ...]]:
-    """Supremum of the shifted probability over all shift tuples.
+    """Supremum of the shifted probability over all [G:H]^(k+1) shift tuples.
 
-    All k+1 coordinates are maximized over coset representatives; the
-    witness is the lexicographically smallest maximizing tuple.  Only the
-    [G:H]^k tuples whose last coordinate is the coset H itself are
-    evaluated: for every prefix that coset attains the maximum over the
-    last coordinate (see the module docstring), so a lex-smallest
-    maximizer always ends in it.  The budget still counts all [G:H]^(k+1)
-    tuples, and does not apply to H of class at most k, where the identity
-    tuple gives 1.  Stops early once the unbeatable value 1 is reached; the
-    identity tuple is drawn first, so the common nilpotent case (identity
-    witness) never runs the backward pass.
+    The witness is the lexicographically smallest maximizing tuple of coset
+    representatives.  Only the tuples of ``iter_shift_values``, those ending
+    in the coset H, are read (see the module docstring).  The walk stops at
+    the unbeatable value 1, and the identity tuple comes first, so the common
+    nilpotent case never runs the backward pass.  The budget is
+    ``require_shift_budget``'s.
     """
     best_val = Fraction(-1)
     best_tup: tuple[int, ...] = ()
-    for tup, val in iter_shift_values(g, h, k, budget, sup_candidates=True):
+    for tup, val in iter_shift_values(g, h, k, budget):
         # values are memoised per count, so the same object is often drawn
         # again; identity implies equality and skips the Fraction compare
         if val is not best_val and val > best_val:

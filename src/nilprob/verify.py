@@ -51,7 +51,6 @@ from .exact import (
     np_fast,
     np_sup,
     require_dp_budget,
-    require_shift_budget,
 )
 from .groups import GroupTable, catalog_base_names, catalog_get, group_from_definition
 from .structure import (
@@ -582,9 +581,11 @@ class GroupVerifier:
     """One group's checks and the intermediates they share.
 
     ``normals`` are the normal subgroups of G by order, so ``top``, the
-    last, is G itself.  The memos ``sup``, ``np`` and ``quot`` check the
-    budgets of ``cfg`` before every lookup, so a run refuses the same
-    inputs whatever they hold.
+    last, is G itself.  ``np`` checks the tuple budget of ``cfg`` before
+    its memo lookup.  ``sup``'s memo holds only values that passed the
+    shift budget, which ``ResultCache.sup`` checks before its lookup and
+    ``np_sup`` before it computes.  So a run refuses the same inputs
+    whatever the memos and the cache hold.
     """
 
     def __init__(self, table: GroupTable, cfg: CorpusConfig, cache=None):
@@ -607,17 +608,12 @@ class GroupVerifier:
 
     def sup(self, g: GroupTable, h: SubgroupRef, k: int) -> tuple[Fraction, tuple[int, ...]]:
         """``np_sup`` through the memo and the cache; ``g`` is G or a quotient of it."""
-        budget = self.cfg.shift_budget
-        require_shift_budget(g, h, k, budget)
         key = (g.table_hash, h.elements, k)
         value = self._sup_memo.get(key)
         if value is not None:
             return value
-        if self.cache is None:
-            value = np_sup(g, h, k, budget)
-        else:
-            value = self.cache.sup(g.table_hash, h.elements, k, lambda: np_sup(g, h, k, budget))
-        self._sup_memo[key] = value
+        compute = np_sup if self.cache is None else self.cache.sup
+        value = self._sup_memo[key] = compute(g, h, k, self.cfg.shift_budget)
         sup, witness = value
         if witness == identity_shifts(k):
             # a maximiser's value is the supremum, exactly
@@ -683,6 +679,7 @@ class GroupVerifier:
 
 
 def _resolve_groups(cfg: CorpusConfig) -> tuple[list[GroupTable], list[dict]]:
+    """The corpus's tables, the first one of each label, and the skipped entries."""
     tables: list[GroupTable] = []
     skipped: list[dict] = []
     for name in cfg.group_names:
@@ -697,7 +694,11 @@ def _resolve_groups(cfg: CorpusConfig) -> tuple[list[GroupTable], list[dict]]:
             label = definition.get("label") if isinstance(definition, dict) else None
             skipped.append({"group": label if isinstance(label, str) else "<definition>",
                             "reason": str(exc)})
-    return tables, skipped
+    unique: dict[str, GroupTable] = {}
+    for table in tables:
+        if unique.setdefault(table.label, table) is not table:
+            skipped.append({"group": table.label, "reason": "duplicate label"})
+    return list(unique.values()), skipped
 
 
 def _verify_one(

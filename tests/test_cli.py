@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nilprob import cli
+from nilprob import cli, structure
 from nilprob.cache import CACHE_FILENAME
 from nilprob.cli import main
 from nilprob.errors import EmptyInput
@@ -320,6 +320,62 @@ def test_describe_above_lattice_cap(capsys):
     marker = "not computed: above the lattice cap 512"
     assert lines["normal_subgroups"] == lines["normal_subgroup_orders"] == marker
     assert lines["classes"] == "121"
+
+
+def test_lattice_search_past_its_work_cap_exits_2(capsys):
+    # C(2)^9 has 8,283,458 normal subgroups; the search stops after 2049
+    c2_9 = "x".join(["C(2)"] * 9)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "np", "--group", c2_9, "--k", "1",
+                             "--subgroup-normal", "1", "--no-cache")
+    assert time.perf_counter() - start < 30
+    assert code == 2 and out == ""
+    assert err.splitlines() == [
+        "error: normal-subgroup lattice search stopped: 2049 subgroups found "
+        "x 512 class closures x order 512 pass the work cap 536870912"
+    ]
+
+
+def test_describe_and_verify_past_the_lattice_work_cap(capsys, monkeypatch):
+    # C(2)^3 has 8 class closures, so a cap of 100 stops at the second subgroup
+    monkeypatch.setattr(structure, "LATTICE_WORK_CAP", 100)
+    reason = ("normal-subgroup lattice search stopped: 2 subgroups found "
+              "x 8 class closures x order 8 pass the work cap 100")
+    code, out, _ = run_cli(capsys, "describe", "--group", "C(2)xC(2)xC(2)")
+    assert code == 0
+    lines = dict(line.split(None, 1) for line in out.splitlines())
+    assert lines["normal_subgroups"] == f"not computed: {reason}"
+    assert lines["normal_subgroup_orders"] == lines["normal_subgroups"]
+    assert lines["classes"] == "8"
+    code, out, _ = run_cli(capsys, "--format", "json", "describe", "--group", "C(2)xC(2)xC(2)")
+    doc = json.loads(out)
+    assert code == 0 and doc["normal_subgroups"] is None and doc["center_order"] == 8
+    code, out, _ = run_cli(capsys, "--format", "json", "verify", "--group", "C(2)xC(2)xC(2)",
+                           "--group", "S(3)", "--k", "1", "--no-cache")
+    report = json.loads(out)
+    assert code == 0 and report["skipped"] == [{"group": "C(2)xC(2)xC(2)", "reason": reason}]
+    assert {o["group"] for o in report["outcomes"]} == {"S(3)"}
+
+
+def test_verify_skips_repeated_labels(capsys, tmp_path):
+    def verify(*argv):
+        code, out, _ = run_cli(capsys, "--format", "json", "verify", "--k", "1",
+                               "--no-cache", "--include-timing", *argv)
+        assert code == 0
+        return json.loads(out)
+
+    once = verify("--group", "S(3)")
+    twice = verify("--group", "S(3)", "--group", "S(3)")
+    assert twice["skipped"] == [{"group": "S(3)", "reason": "duplicate label"}]
+    assert twice["outcomes"] == once["outcomes"] and list(twice["timing"]) == ["S(3)"]
+
+    # two definitions under one label: the first is verified
+    corpus = tmp_path / "corpus.json"
+    corpus.write_text(json.dumps([{"kind": "catalog", "name": "S(3)", "label": "six"},
+                                  {"kind": "catalog", "name": "C(6)", "label": "six"}]))
+    report = verify("--corpus-file", str(corpus))
+    assert report["skipped"] == [{"group": "six", "reason": "duplicate label"}]
+    assert [o["lhs"] for o in report["outcomes"]] == [o["lhs"] for o in once["outcomes"]]
 
 
 def test_describe_emit_definition_roundtrip(capsys):

@@ -45,6 +45,17 @@ def subgroup_pool(g):
     return sorted(pool.values(), key=lambda s: (s.order, s.elements))
 
 
+def all_shift_values(g, h, k):
+    """Oracle: (tuple, np(H; tuple)) for all [G:H]^(k+1) canonical shift tuples.
+
+    One ``np_fast`` per tuple, in lexicographic order of the coset
+    representatives; ``np_sup`` and the supremum checks are its maximum
+    and lex-smallest maximizer.
+    """
+    return [(t, np_fast(g, h, t).value)
+            for t in itertools.product(left_coset_reps(g, h), repeat=k + 1)]
+
+
 def test_known_exact_values():
     s3 = catalog_get("S(3)")
     assert np_k(s3, 1).value == Fraction(1, 2)
@@ -149,7 +160,7 @@ def test_np_le_cp_exhaustive_small():
         g = catalog_get(name)
         for h in subgroup_pool(g):
             bound = cp(h)
-            for _, val in iter_shift_values(g, h, 1):
+            for _, val in all_shift_values(g, h, 1):
                 assert val <= bound
 
 
@@ -199,7 +210,7 @@ def test_np_sup_witness_is_lex_smallest():
     # the witness must be the first tuple in lexicographic order
     s3 = catalog_get("S(3)")
     a3 = next(n for n in normal_subgroups(s3) if n.order == 3)
-    values = dict(iter_shift_values(s3, a3, 1))
+    values = dict(all_shift_values(s3, a3, 1))
     maximum = max(values.values())
     expected = min(t for t, v in values.items() if v == maximum)
     assert np_sup(s3, a3, 1)[1] == expected
@@ -207,8 +218,8 @@ def test_np_sup_witness_is_lex_smallest():
 
 @pytest.mark.parametrize("name", SMALL)
 def test_iter_shift_values_matches_per_tuple_dp(name):
-    # the prefix-shared walk yields exactly what evaluating each shift
-    # tuple on its own gives, in the same lexicographic order; a few
+    # the prefix-shared walk yields exactly the oracle's items whose last
+    # coordinate is the coset H, in the same lexicographic order; a few
     # seeded tuples per case are also checked against brute force
     g = catalog_get(name)
     rng = stream_rng(7)
@@ -218,8 +229,7 @@ def test_iter_shift_values_matches_per_tuple_dp(name):
             if len(reps) ** (k + 1) > 2000:
                 continue
             got = list(iter_shift_values(g, h, k))
-            expected = [(t, np_fast(g, h, t).value)
-                        for t in itertools.product(reps, repeat=k + 1)]
+            expected = [(t, v) for t, v in all_shift_values(g, h, k) if t[-1] == reps[0]]
             assert got == expected, (name, h.elements, k)
             for _ in range(3):
                 tup, val = got[rng.randrange(len(got))]
@@ -260,7 +270,7 @@ def test_np_sup_witness_with_ties_in_last_coordinate(k):
     # and every batch of the full walk peaks at its first item.
     g, h = tie_case()
     assert h.order == 6 and h.elements not in {n.elements for n in normal_subgroups(g)}
-    values = list(iter_shift_values(g, h, k))
+    values = all_shift_values(g, h, k)
     sup, witness = np_sup(g, h, k)
     assert sup == max(v for _, v in values)
     assert witness == min(t for t, v in values if v == sup) == identity_shifts(k)
@@ -272,25 +282,17 @@ def test_np_sup_witness_with_ties_in_last_coordinate(k):
 
 
 def test_np_sup_matches_full_enumeration():
-    # the reduced walk gives the maximum of the full enumeration and its
-    # lex-smallest maximizer, normal and non-normal H alike
+    # the reduced walk is the oracle's items whose last coordinate is the
+    # coset H, and gives the maximum of all of them and its lex-smallest
+    # maximizer, normal and non-normal H alike
     for name, g, h in sup_cases():
         for k in (1, 2, 3):
-            values = list(iter_shift_values(g, h, k))
+            values = all_shift_values(g, h, k)
+            assert list(iter_shift_values(g, h, k)) == [
+                (t, v) for t, v in values if t[-1] == 0], (name, h.elements, k)
             best = max(v for _, v in values)
             witness = min(t for t, v in values if v == best)
             assert np_sup(g, h, k) == (best, witness), (name, h.elements, k)
-
-
-def test_sup_candidates_are_the_last_coordinate_zero_items():
-    # same items, order and values as the full walk, restricted to the
-    # tuples whose last coordinate is representative 0
-    for name, g, h in sup_cases():
-        rep0 = left_coset_reps(g, h)[0]
-        for k in (1, 2, 3):
-            full = [(t, v) for t, v in iter_shift_values(g, h, k) if t[-1] == rep0]
-            got = list(iter_shift_values(g, h, k, sup_candidates=True))
-            assert got == full, (name, h.elements, k)
 
 
 def test_np_sup_draws_its_items_through_iter_shift_values(monkeypatch):
@@ -377,12 +379,11 @@ def test_budget_errors_are_precise():
     with pytest.raises(BudgetExceeded) as exc2:
         np_sup(s4, a4, 2, budget=7)
     assert exc2.value.required == 2 ** 3
-    # H = 1 has class 0 <= k: the supremum is exempt, the full enumeration is not
+    # H = 1 has class 0 <= k: the supremum is exempt, and the walk stops
+    # at its first item, the identity tuple with value 1
     trivial = subgroup(s4, (0,))
     assert np_sup(s4, trivial, 2, budget=100) == (Fraction(1), identity_shifts(2))
-    with pytest.raises(BudgetExceeded) as exc3:
-        next(iter_shift_values(s4, trivial, 2, budget=100))
-    assert exc3.value.required == 24 ** 3
+    assert next(iter_shift_values(s4, trivial, 2, budget=100)) == (identity_shifts(2), 1)
 
 
 def test_cp_of_subgroup_ref():

@@ -8,6 +8,7 @@ import pytest
 from nilprob.errors import EmptyInput, NotNormal, OrderExceeded
 from nilprob.groups import catalog_base_names, catalog_get
 from nilprob.structure import (
+    LATTICE_WORK_CAP,
     center,
     centralizer,
     conjugacy_classes,
@@ -269,6 +270,13 @@ def test_normal_subgroups_cap():
         normal_subgroups(catalog_get("C(60)"), cap=32)
 
 
+def test_normal_subgroups_work_cap_margin():
+    # C(2)^7, the largest lattice computed (29,212 subgroups, 127 class
+    # closures and the trivial one), fits under the cap, which C(2)^8
+    # (417,199 subgroups, 255 closures and the trivial one) passes at 8193
+    assert 29_212 * 128 * 128 <= LATTICE_WORK_CAP < 8193 * 256 * 256
+
+
 def test_quotient_s3_by_a3():
     s3 = catalog_get("S(3)")
     a3 = next(n for n in normal_subgroups(s3) if n.order == 3)
@@ -311,9 +319,9 @@ def test_image_subgroup():
 def test_quotient_serialization():
     s3 = catalog_get("S(3)")
     a3 = next(n for n in normal_subgroups(s3) if n.order == 3)
-    doc = quotient(s3, a3).to_json()
-    assert sorted(doc["kernel"]) == list(a3.elements)
-    assert len(doc["projection"]) == 6 and doc["projection"][0] == 0
+    q = quotient(s3, a3)
+    assert q.kernel.elements == a3.elements
+    assert len(q.project) == 6 and q.project[0] == 0
 
 
 def test_lower_central_series():

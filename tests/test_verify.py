@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from nilprob import verify as verify_module
 from nilprob.errors import BudgetExceeded
 from nilprob import structure
-from nilprob.exact import cp, identity_shifts, iter_shift_values, np_fast
+from nilprob.exact import cp, identity_shifts, np_fast
 from nilprob.groups import catalog_get
 from nilprob.structure import center, normal_subgroups
 from nilprob.verify import (
@@ -40,7 +40,7 @@ from nilprob.verify import (
     _subgroup_params,
 )
 
-from test_exact import SMALL, subgroup_pool, tie_case
+from test_exact import SMALL, all_shift_values, subgroup_pool, tie_case
 
 
 def _aggregate(outcomes: list[CheckOutcome]) -> list[CheckOutcome]:
@@ -83,7 +83,7 @@ def per_tuple_npleqcp(g, h):
                              Fraction(1), rhs, True)]
     return [
         CheckOutcome("np_le_cp", g.label, {**base, "shifts": list(tup)}, val, rhs, val <= rhs)
-        for tup, val in iter_shift_values(g, h, 1)
+        for tup, val in all_shift_values(g, h, 1)
     ]
 
 
@@ -97,7 +97,7 @@ def per_tuple_shift_monotonicity(g, n, k):
     return [
         CheckOutcome("shift_monotonicity", g.label, {**base, "shifts": list(tup)},
                      val, rhs, val <= rhs)
-        for tup, val in iter_shift_values(g, n, k)
+        for tup, val in all_shift_values(g, n, k)
     ]
 
 
