@@ -5,7 +5,9 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import dataclasses
 import json
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -35,7 +37,6 @@ from .groups import (
 from .montecarlo import DEFAULT_Z, estimate_np
 from .perms import schreier_sims
 from .structure import (
-    NORMAL_LATTICE_CAP,
     SubgroupRef,
     center,
     conjugacy_classes,
@@ -238,7 +239,7 @@ def cmd_estimate(args) -> int:
         result = estimate_np(bsgs, args.k, args.samples, args.seed, args.z)
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
-    payload = {"group": label, "order": str(bsgs.order), **result.to_json()}
+    payload = {"group": label, "order": str(bsgs.order), **dataclasses.asdict(result)}
     _emit(args, payload, (
         ["group", "k", "samples", "seed", "hits", "point", "ci_low", "ci_high", "z"],
         [[label, args.k, result.samples, result.seed, result.hits,
@@ -311,6 +312,9 @@ def cmd_verify(args) -> int:
                          sort_keys=True))
     else:
         print(render_report_table(report))
+    # each corpus entry either runs or is skipped, so this many skips ran nothing
+    if len(report.skipped) == len(names) + len(definitions):
+        raise _UsageError(f"nothing verified: {len(report.skipped)} skipped, no group ran")
     return 0 if report.must_hold_ok else 1
 
 
@@ -324,11 +328,9 @@ def cmd_describe(args) -> int:
     top = whole_group(g)
     series = lower_central_series(top)
     cls = nilpotency_class(top)
-    # the lattice search is capped by order and by work; past either cap
-    # the other properties are still cheap array passes
+    # past the lattice search's work cap the other properties are still
+    # cheap array passes
     try:
-        if g.order > NORMAL_LATTICE_CAP:
-            raise LatticeTooLarge(f"above the lattice cap {NORMAL_LATTICE_CAP}")
         normals = normal_subgroups(g)
         lattice = (len(normals), [n.order for n in normals])
     except LatticeTooLarge as exc:
@@ -469,7 +471,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         if args.threads < 1:
             raise _UsageError(f"--threads must be at least 1, got {args.threads}")
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # so that a closed pipe raises here, not at exit
+        return code
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -479,6 +483,13 @@ def main(argv: Optional[list[str]] = None) -> int:
             print("hint: raise --budget-tuples/--budget-shifts or use `estimate`",
                   file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader closed stdout (`| head`); send what is left to devnull so
+        # that the interpreter's final flush does not raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
 
 
 if __name__ == "__main__":

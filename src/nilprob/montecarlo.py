@@ -52,19 +52,6 @@ class EstimateResult:
     k: int
     chunk_size: int
 
-    def to_json(self) -> dict:
-        return {
-            "hits": self.hits,
-            "samples": self.samples,
-            "point": self.point,
-            "ci_low": self.ci_low,
-            "ci_high": self.ci_high,
-            "z": self.z,
-            "seed": self.seed,
-            "k": self.k,
-            "chunk_size": self.chunk_size,
-        }
-
 
 def wilson_ci(hits: int, samples: int, z: float) -> tuple[float, float]:
     """Wilson score interval, clamped to [0, 1].

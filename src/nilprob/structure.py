@@ -16,17 +16,13 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .errors import LatticeTooLarge, NotNormal, OrderExceeded
+from .errors import LatticeTooLarge, NotNormal
 from .groups import GroupTable, build_from_table, row_blocks
 
-#: Largest order for which the normal-subgroup lattice is enumerated.
-NORMAL_LATTICE_CAP = 512
-
-#: Cap on the lattice search's mask cells, (subgroups found) x (distinct
-#: class closures) x |G|: each subgroup found is joined through one mask of
-#: that many cells per subgroup.  C(2)^7, the largest lattice computed
-#: (29,212 normal subgroups, 127 closures), stays under it; C(2)^8 and
-#: C(2)^9 (417,199 and 8,283,458) are refused within seconds.
+#: Cap on the table cells the lattice search gathers and marks: |G| x
+#: (|A| + distinct class closures) for each subgroup A it finds.  C(2)^7,
+#: the largest lattice computed (29,212 normal subgroups, 128 closures),
+#: stays under it; C(2)^8 and D(16)xD(16)xD(16) are refused within seconds.
 LATTICE_WORK_CAP = 2 ** 29
 
 
@@ -144,7 +140,7 @@ def is_normal(g: GroupTable, h: SubgroupRef) -> bool:
     return True
 
 
-def normal_subgroups(g: GroupTable, cap: int = NORMAL_LATTICE_CAP) -> list[SubgroupRef]:
+def normal_subgroups(g: GroupTable) -> list[SubgroupRef]:
     """All normal subgroups, sorted by order then by element tuple.
 
     Every normal subgroup is a join of normal closures N(x) of single
@@ -152,15 +148,15 @@ def normal_subgroups(g: GroupTable, cap: int = NORMAL_LATTICE_CAP) -> list[Subgr
     Group Theory*, 2005), so the lattice is reached from the trivial
     subgroup by joining each subgroup A found with every distinct N(x),
     skipping x in A.  The join A N(x) is the union of the cosets of A that
-    meet N(x): one gather labels each element by the least member of its
-    coset of A, and then all the joins of A are rows of one coset mask,
-    keyed by their packed bits.  The cost grows with the lattice size
-    times the number of distinct N(x), not with the order; the search
-    raises ``LatticeTooLarge`` once that product times |G| passes
-    ``LATTICE_WORK_CAP``.
+    meet N(x): one gather of the rows of A labels each element x by the
+    least member of Ax = xA, and then all the joins of A are rows of one
+    coset mask, keyed by their packed bits.  So each subgroup A found
+    costs |G| x |A| gathered cells and |G| x R mask cells, R the number
+    of distinct N(x); the search counts these cells, starting from the
+    trivial subgroup's, and raises ``LatticeTooLarge`` once they pass
+    ``LATTICE_WORK_CAP``.  This is its only bound: the order alone
+    refuses nothing.
     """
-    if g.order > cap:
-        raise OrderExceeded(g.order, cap)
     classes = conjugacy_classes(g)
     class_of = np.array(classes.class_of)
     seeds: dict[tuple[int, ...], int] = {}  # each distinct N(x) -> one such x
@@ -170,8 +166,9 @@ def normal_subgroups(g: GroupTable, cap: int = NORMAL_LATTICE_CAP) -> list[Subgr
     owner, members = np.array([(i, y) for i, c in enumerate(seeds) for y in c]).T
     worklist = [SubgroupRef(g, (0,))]
     found = {np.packbits(np.arange(g.order) == 0).tobytes(): worklist[0]}
+    work = g.order * (1 + len(reps))
     while worklist:
-        least = g.mul[:, list(worklist.pop().elements)].min(axis=1)
+        least = g.mul[list(worklist.pop().elements)].min(axis=0)
         mark = np.zeros((len(reps), g.order), dtype=bool)
         mark[owner, least[members]] = True
         joins = mark[least[reps] != 0][:, least]
@@ -179,11 +176,12 @@ def normal_subgroups(g: GroupTable, cap: int = NORMAL_LATTICE_CAP) -> list[Subgr
             if key not in found:
                 found[key] = SubgroupRef(g, tuple(np.flatnonzero(row).tolist()))
                 worklist.append(found[key])
-                if len(found) * len(reps) * g.order > LATTICE_WORK_CAP:
+                work += g.order * (found[key].order + len(reps))
+                if work > LATTICE_WORK_CAP:
                     raise LatticeTooLarge(
                         f"normal-subgroup lattice search stopped: {len(found)} subgroups "
-                        f"found x {len(reps)} class closures x order {g.order} pass the "
-                        f"work cap {LATTICE_WORK_CAP}")
+                        f"found with {len(reps)} class closures in order {g.order} "
+                        f"touch {work} cells, above the work cap {LATTICE_WORK_CAP}")
     return sorted(found.values(), key=lambda s: (s.order, s.elements))
 
 

@@ -54,7 +54,6 @@ from .exact import (
 )
 from .groups import GroupTable, catalog_base_names, catalog_get, group_from_definition
 from .structure import (
-    NORMAL_LATTICE_CAP,
     QuotientMap,
     SubgroupRef,
     center,
@@ -728,7 +727,6 @@ def run_corpus(cfg: CorpusConfig, cache=None) -> VerificationReport:
         "budgets": {
             "shift_budget": cfg.shift_budget,
             "tuple_budget": cfg.tuple_budget,
-            "lattice_cap": NORMAL_LATTICE_CAP,
             "max_order": cfg.max_order,
         },
         "ks": list(cfg.ks),

@@ -287,6 +287,45 @@ def test_verify_abelian_corpus_skips_gap_checks(capsys):
     assert doc["summary"]["skipped"] > 0
 
 
+def test_verify_that_ran_no_group_exits_2(capsys, tmp_path):
+    # every group skipped: the report and CSV are still written, then exit 2
+    report_path, csv_path = tmp_path / "report.json", tmp_path / "outcomes.csv"
+    code, out, err = run_cli(capsys, "verify", "--group", "NOPE", "--group", "C(9000)",
+                             "--no-cache", "--report", str(report_path), "--csv", str(csv_path))
+    assert code == 2
+    assert out.startswith("checks=0 passed=0 violations=0 findings=0 sharpness=0 skipped=2\n")
+    assert err.splitlines() == ["error: nothing verified: 2 skipped, no group ran"]
+    assert [s["group"] for s in json.loads(report_path.read_text())["skipped"]] == [
+        "NOPE", "C(9000)"]
+    assert csv_path.read_text() == "group,k,check,lhs,rhs,holds\n"
+
+    # a group that ran without giving an outcome is not skipped
+    code, out, err = run_cli(capsys, "verify", "--group", "C(1)", "--checks", "series_bound",
+                             "--no-cache")
+    assert code == 0 and err == ""
+    assert out.startswith("checks=0 passed=0 violations=0 findings=0 sharpness=0 skipped=0\n")
+
+
+def test_closed_stdout_exits_141_without_a_traceback(capsys, monkeypatch, tmp_path):
+    class ClosedPipe(io.TextIOBase):
+        def __init__(self, fd):
+            self.fd = fd
+
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def fileno(self):
+            return self.fd
+
+    with open(tmp_path / "stdout", "w") as fh:
+        monkeypatch.setattr(sys, "stdout", ClosedPipe(fh.fileno()))
+        code = main(["verify", "--group", "S(3)", "--k", "1", "--no-cache"])
+        # the descriptor behind stdout now writes to the null device
+        assert os.path.samestat(os.fstat(fh.fileno()), os.stat(os.devnull))
+    assert code == 141
+    assert capsys.readouterr().err == ""
+
+
 def test_describe(capsys):
     code, out, _ = run_cli(capsys, "--format", "json", "describe", "--group", "Q8")
     assert code == 0
@@ -306,24 +345,34 @@ def test_describe(capsys):
 
 
 def test_describe_above_lattice_cap(capsys):
+    # no order cap: D(32)xD(32) (order 1024) lists its lattice
     code, out, _ = run_cli(capsys, "--format", "json", "describe", "--group", "D(32)xD(32)")
     assert code == 0
     doc = json.loads(out)
     assert doc["order"] == 1024 and doc["classes"] == 121 and doc["cp"] == "121/1024"
     assert doc["center_order"] == 4 and doc["nilpotency_class"] == 4
     assert doc["lower_central_orders"] == [1024, 64, 16, 4, 1]
-    assert doc["normal_subgroups"] is None and doc["normal_subgroup_orders"] is None
+    assert doc["normal_subgroups"] == len(doc["normal_subgroup_orders"]) == 151
+    orders = doc["normal_subgroup_orders"]
+    assert orders[0] == 1 and orders[-1] == 1024 and orders == sorted(orders)
 
-    code, out, _ = run_cli(capsys, "describe", "--group", "D(32)xD(32)")
+    # D(16)xD(16)xD(16) passes the work cap: only the lattice is not computed
+    reason = ("normal-subgroup lattice search stopped: 401 subgroups found with "
+              "216 class closures in order 4096 touch 540291072 cells, above the "
+              "work cap 536870912")
+    code, out, _ = run_cli(capsys, "describe", "--group", "D(16)xD(16)xD(16)")
     assert code == 0
     lines = dict(line.split(None, 1) for line in out.splitlines())
-    marker = "not computed: above the lattice cap 512"
-    assert lines["normal_subgroups"] == lines["normal_subgroup_orders"] == marker
-    assert lines["classes"] == "121"
+    assert lines["normal_subgroups"] == lines["normal_subgroup_orders"] == f"not computed: {reason}"
+    assert lines["classes"] == "343" and lines["lower_central_orders"] == "[4096, 64, 8, 1]"
+    code, out, _ = run_cli(capsys, "--format", "json", "describe", "--group", "D(16)xD(16)xD(16)")
+    doc = json.loads(out)
+    assert code == 0 and doc["center_order"] == 8
+    assert doc["normal_subgroups"] is None and doc["normal_subgroup_orders"] is None
 
 
 def test_lattice_search_past_its_work_cap_exits_2(capsys):
-    # C(2)^9 has 8,283,458 normal subgroups; the search stops after 2049
+    # C(2)^9 has 8,283,458 normal subgroups; the search stops after 1866
     c2_9 = "x".join(["C(2)"] * 9)
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "np", "--group", c2_9, "--k", "1",
@@ -331,16 +380,18 @@ def test_lattice_search_past_its_work_cap_exits_2(capsys):
     assert time.perf_counter() - start < 30
     assert code == 2 and out == ""
     assert err.splitlines() == [
-        "error: normal-subgroup lattice search stopped: 2049 subgroups found "
-        "x 512 class closures x order 512 pass the work cap 536870912"
+        "error: normal-subgroup lattice search stopped: 1866 subgroups found with "
+        "512 class closures in order 512 touch 537085440 cells, above the work cap 536870912"
     ]
 
 
 def test_describe_and_verify_past_the_lattice_work_cap(capsys, monkeypatch):
-    # C(2)^3 has 8 class closures, so a cap of 100 stops at the second subgroup
-    monkeypatch.setattr(structure, "LATTICE_WORK_CAP", 100)
-    reason = ("normal-subgroup lattice search stopped: 2 subgroups found "
-              "x 8 class closures x order 8 pass the work cap 100")
+    # C(2)^3 has 8 class closures, so the trivial subgroup counts 8 x (1 + 8)
+    # cells and the first one found 8 x (2 + 8), which passes a cap of 120;
+    # all of S(3)'s lattice counts 6 x (1 + 3) + 6 x (3 + 3) + 6 x (6 + 3) = 114
+    monkeypatch.setattr(structure, "LATTICE_WORK_CAP", 120)
+    reason = ("normal-subgroup lattice search stopped: 2 subgroups found with "
+              "8 class closures in order 8 touch 152 cells, above the work cap 120")
     code, out, _ = run_cli(capsys, "describe", "--group", "C(2)xC(2)xC(2)")
     assert code == 0
     lines = dict(line.split(None, 1) for line in out.splitlines())

@@ -5,7 +5,8 @@ import itertools
 import numpy as np
 import pytest
 
-from nilprob.errors import EmptyInput, NotNormal, OrderExceeded
+from nilprob.errors import EmptyInput, LatticeTooLarge, NotNormal
+from nilprob import structure
 from nilprob.groups import catalog_base_names, catalog_get
 from nilprob.structure import (
     LATTICE_WORK_CAP,
@@ -241,18 +242,12 @@ def normal_subgroups_by_products(g):
 
 @pytest.mark.parametrize("name", ["S(4)", "Q8xC(2)xC(2)", "D(64)xD(8)"])
 def test_normal_subgroups_match_pairwise_products(name):
-    # D(64)xD(8) has order 512, the lattice cap
     g = catalog_get(name)
     assert [n.elements for n in normal_subgroups(g)] == normal_subgroups_by_products(g)
 
 
-def test_normal_subgroups_at_the_cap_with_a_large_lattice():
-    # the pairwise-product oracle takes tens of seconds here, so the
-    # lattice is pinned by its size and checked for its defining properties
-    g = catalog_get("Dic(16)xC(2)xC(2)xC(2)")
-    assert g.order == 512
-    normals = normal_subgroups(g)
-    assert len(normals) == 578
+def assert_normal_lattice(g, normals):
+    """The lattice's defining properties, for groups too large for the oracles."""
     lattice = {n.elements for n in normals}
     assert len(lattice) == len(normals)
     assert all(is_normal(g, n) for n in normals)
@@ -265,16 +260,37 @@ def test_normal_subgroups_at_the_cap_with_a_large_lattice():
             assert tuple(np.unique(g.mul[np.ix_(n.elements, c)]).tolist()) in lattice
 
 
-def test_normal_subgroups_cap():
-    with pytest.raises(OrderExceeded):
-        normal_subgroups(catalog_get("C(60)"), cap=32)
+def test_normal_subgroups_at_the_cap_with_a_large_lattice():
+    # the pairwise-product oracle takes tens of seconds here, so the
+    # lattice is pinned by its size and checked for its defining properties
+    g = catalog_get("Dic(16)xC(2)xC(2)xC(2)")
+    assert g.order == 512
+    normals = normal_subgroups(g)
+    assert len(normals) == 578
+    assert_normal_lattice(g, normals)
 
 
-def test_normal_subgroups_work_cap_margin():
-    # C(2)^7, the largest lattice computed (29,212 subgroups, 127 class
-    # closures and the trivial one), fits under the cap, which C(2)^8
-    # (417,199 subgroups, 255 closures and the trivial one) passes at 8193
-    assert 29_212 * 128 * 128 <= LATTICE_WORK_CAP < 8193 * 256 * 256
+def test_normal_subgroups_above_order_512():
+    # the order alone bounds nothing: only the work cap refuses a lattice
+    g = catalog_get("D(32)xD(32)")
+    assert g.order == 1024
+    normals = normal_subgroups(g)
+    assert len(normals) == 151
+    assert_normal_lattice(g, normals)
+
+
+def test_normal_subgroups_work_cap_margin(monkeypatch):
+    # the search counts |G| x (|A| + R) cells for each subgroup A it finds,
+    # R the distinct class closures.  C(2)^7, the largest lattice computed
+    # (29,212 subgroups of total order 387,987, R = 128), fits under the cap
+    assert 128 * (387_987 + 29_212 * 128) == 528_271_744 <= LATTICE_WORK_CAP
+    # C(2)^3: 16 subgroups of total order 1 + 7*2 + 7*4 + 8 = 51, R = 8
+    g = catalog_get("C(2)xC(2)xC(2)")
+    monkeypatch.setattr(structure, "LATTICE_WORK_CAP", 8 * (51 + 16 * 8))
+    assert len(normal_subgroups(g)) == 16
+    monkeypatch.setattr(structure, "LATTICE_WORK_CAP", 8 * (51 + 16 * 8) - 1)
+    with pytest.raises(LatticeTooLarge, match="16 subgroups found .* touch 1432 cells"):
+        normal_subgroups(g)
 
 
 def test_quotient_s3_by_a3():
