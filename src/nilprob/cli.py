@@ -280,8 +280,10 @@ def cmd_verify(args) -> int:
             raise _UsageError(f"unknown check {c!r}; known: {', '.join(ALL_CHECKS)}")
 
     ks = tuple(args.k) if args.k else (1, 2, 3)
-    for k in ks:
+    for i, k in enumerate(ks):
         _check_k(k)
+        if k in ks[:i]:
+            raise _UsageError(f"--k {k} is given more than once; each k is checked once")
     cfg = CorpusConfig(
         group_names=names,
         definitions=definitions,

@@ -54,10 +54,6 @@ class DegreeMismatch(NilprobError):
         super().__init__(f"permutation degrees differ: {a} != {b}")
 
 
-class NotNormal(NilprobError):
-    """A quotient was requested by a subgroup that is not normal."""
-
-
 class EmptyInput(NilprobError):
     """An operation that needs at least one element received none."""
 

@@ -24,6 +24,7 @@ O(n^2) each.
 from __future__ import annotations
 
 import hashlib
+import itertools
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Optional, Sequence
@@ -370,33 +371,23 @@ def _alternating_gens(n: int) -> tuple[int, list[Perm]]:
 def _heisenberg_gens(p: int) -> tuple[int, list[Perm]]:
     if p not in (2, 3, 5):
         raise UnknownCatalogName(f"Heis(p) is provided for p in {{2, 3, 5}}, got {p}")
-
-    def matrix_perm(m: list[list[int]]) -> Perm:
-        out = [0] * (p ** 3)
-        for v0 in range(p):
-            for v1 in range(p):
-                for v2 in range(p):
-                    v = (v0, v1, v2)
-                    w = [sum(m[r][c] * v[c] for c in range(3)) % p for r in range(3)]
-                    out[v0 * p * p + v1 * p + v2] = w[0] * p * p + w[1] * p + w[2]
-        return out
-
     x = [[1, 1, 0], [0, 1, 0], [0, 0, 1]]
     y = [[1, 0, 0], [0, 1, 1], [0, 0, 1]]
-    return p ** 3, [matrix_perm(x), matrix_perm(y)]
+    return p ** 3, [_matrix_perm(x, p), _matrix_perm(y, p)]
 
 
 def _sl23_gens() -> tuple[int, list[Perm]]:
-    def matrix_perm(m: tuple[int, int, int, int]) -> Perm:
-        out = [0] * 9
-        for v0 in range(3):
-            for v1 in range(3):
-                w0 = (m[0] * v0 + m[1] * v1) % 3
-                w1 = (m[2] * v0 + m[3] * v1) % 3
-                out[3 * v0 + v1] = 3 * w0 + w1
-        return out
+    return 9, [_matrix_perm([[0, 2], [1, 0]], 3), _matrix_perm([[1, 1], [0, 1]], 3)]
 
-    return 9, [matrix_perm((0, 2, 1, 0)), matrix_perm((1, 1, 0, 1))]
+
+def _matrix_perm(m: Sequence[Sequence[int]], p: int) -> Perm:
+    """The matrix ``m`` over F_p acting on column vectors, as a permutation.
+
+    Vectors are numbered in base p, first entry most significant.
+    """
+    vectors = list(itertools.product(range(p), repeat=len(m)))
+    number = {v: i for i, v in enumerate(vectors)}
+    return [number[tuple(sum(a * x for a, x in zip(row, v)) % p for row in m)] for v in vectors]
 
 
 def _parse_int_arg(name: str, prefix: str) -> int:

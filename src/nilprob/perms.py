@@ -227,6 +227,16 @@ class _ChainLevel:
         self.orbit = sorted(self.transversal)
 
 
+def _sift(levels: Sequence[_ChainLevel], residue: Perm) -> Perm:
+    """Strip ``residue`` through ``levels``; the identity iff it lies in their group."""
+    for level in levels:
+        rep = level.transversal.get(residue[level.point])
+        if rep is None:
+            return residue
+        residue = compose(residue, inverse(rep))
+    return residue
+
+
 class PermGroupBSGS:
     """A permutation group with base and strong generating set.
 
@@ -278,14 +288,7 @@ class PermGroupBSGS:
         """Reduce ``p`` through the chain; identity iff ``p`` is a member."""
         if len(p) != self.degree:
             raise DegreeMismatch(len(p), self.degree)
-        residue = list(p)
-        for level in self._levels:
-            x = residue[level.point]
-            rep = level.transversal.get(x)
-            if rep is None:
-                return residue
-            residue = compose(residue, inverse(rep))
-        return residue
+        return _sift(self._levels, list(p))
 
     def random_uniform(self, rng: random.Random, size: int) -> np.ndarray:
         """``size`` exactly uniform, independent elements, as a (size, degree) array.
@@ -369,14 +372,8 @@ def schreier_sims(generators: Sequence[Sequence[int]]) -> PermGroupBSGS:
             for a in level.orbit:
                 t_a = level.transversal[a]
                 for s in level.gens:
-                    u = compose(t_a, s)
-                    residue = compose(u, inverse(level.transversal[u[level.point]]))
-                    for deeper in levels[i + 1 :]:
-                        x = residue[deeper.point]
-                        rep = deeper.transversal.get(x)
-                        if rep is None:
-                            return residue
-                        residue = compose(residue, inverse(rep))
+                    # t_a s maps the base point into the orbit, so level i strips it
+                    residue = _sift(levels[i:], compose(t_a, s))
                     if not is_identity(residue):
                         return residue
         return None

@@ -293,35 +293,26 @@ def max_bad_series_length(
     returns them: by order, so the trivial subgroup first and G last.
     Series run 1 = G_{r+1} <= ... <= G_0 = G through them; a factor A/B
     is "bad" when it is not nilpotent of class at most k, equivalently
-    when the (k+1)-st lower-central term of A is not inside B.  Returns r
-    (the number of factors minus one) and a witness chain from G down to
-    1; r = -1 when no such series exists.
+    when the (k+1)-st lower-central term of A is not inside B.  As every
+    B < A comes before A, one forward pass extends to each A the longest
+    series below it, the lowest B winning ties.  Returns r (the number of
+    factors minus one) and a witness chain from G down to 1; r = -1 when
+    no such series exists.
     """
     sets = [set(n.elements) for n in normals]
-    gamma = []
-    for n in normals:
+    reached: list[tuple[int, int, list[int]]] = []  # (index, factors, chain down to 1)
+    for i, n in enumerate(normals):
         series = lower_central_series(n)
-        gamma.append(set(series[min(k, len(series) - 1)].elements))
+        gamma = set(series[min(k, len(series) - 1)].elements)
+        length, chain = (0, [0]) if i == 0 else (-1, [])
+        for j, sub_len, sub_chain in reached:
+            if sub_len >= length and not gamma <= sets[j] and sets[j] < sets[i]:
+                length, chain = sub_len + 1, [i] + sub_chain
+        if length >= 0:
+            reached.append((i, length, chain))
 
-    best: dict[int, tuple[int, list[int]]] = {0: (0, [0])}
-
-    def solve(i: int) -> tuple[int, list[int]]:
-        if i in best:
-            return best[i]
-        best_len, best_chain = -1, []
-        for j in range(len(normals)):
-            if j == i or not sets[j] < sets[i]:
-                continue
-            if gamma[i] <= sets[j]:
-                continue  # the factor A/B is nilpotent of class at most k
-            sub_len, sub_chain = solve(j)
-            if sub_len >= 0 and sub_len + 1 > best_len:
-                best_len, best_chain = sub_len + 1, [i] + sub_chain
-        best[i] = (best_len, best_chain)
-        return best[i]
-
-    length, chain = solve(len(normals) - 1)
-    if length < 1:
+    i, length, chain = reached[-1]
+    if i < len(normals) - 1 or length < 1:
         return -1, []
     return length - 1, [normals[i] for i in chain]
 
@@ -495,21 +486,14 @@ _c_encoder = json.encoder.c_make_encoder(
 
 
 def _encode_json(value, indent: str) -> str:
-    """``json.dumps(value, sort_keys=True, indent=2)``, nested at ``indent``."""
+    """``json.dumps(value, sort_keys=True, indent=2)``, nested at ``indent``.
+
+    Dict keys must be str, as every report key is; any other key raises
+    ``TypeError``, where ``json.dumps`` would write an int key as text.
+    """
     out: list[str] = []
     _encode_into(value, indent, out)
     return "".join(out)
-
-
-def _json_key(key) -> str:
-    """A dict key as ``json`` writes it: str as is; int, float, bool or None as text."""
-    if isinstance(key, str):
-        return key
-    if isinstance(key, int) and not isinstance(key, bool):
-        return int.__repr__(key)
-    if key is None or isinstance(key, (bool, float)):
-        return "".join(_c_encoder(key, 0))
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
 def _encode_into(value, indent: str, out: list[str]) -> None:
@@ -547,8 +531,6 @@ def _encode_into(value, indent: str, out: list[str]) -> None:
         sep = "{\n" + inner
         for key in sorted(value):
             item = value[key]
-            if type(key) is not str:
-                key = _json_key(key)
             head = f"{sep}{encode_basestring_ascii(key)}: "
             if type(item) is str:
                 out.append(head + encode_basestring_ascii(item))

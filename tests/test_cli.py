@@ -469,6 +469,19 @@ def test_cache_dir_naming_a_file_exits_2(capsys, tmp_path, inside):
     assert err.startswith(f"error: cannot use cache directory {target}")
 
 
+@pytest.mark.parametrize("ks", [("1", "1"), ("2", "1", "3", "2")])
+def test_verify_repeated_k_exits_2(capsys, tmp_path, ks):
+    report = tmp_path / "report.json"
+    argv = [arg for k in ks for arg in ("--k", k)]
+    code, out, err = run_cli(
+        capsys, "verify", "--group", "S(3)", "--no-cache", *argv, "--report", str(report)
+    )
+    assert code == 2 and out == "" and not report.exists()
+    assert err.splitlines() == [
+        f"error: --k {ks[-1]} is given more than once; each k is checked once"
+    ]
+
+
 def test_verify_checks_without_names_exits_2(capsys):
     code, out, err = run_cli(capsys, "verify", "--group", "S(3)", "--no-cache", "--checks")
     assert code == 2 and out == ""

@@ -5,16 +5,15 @@ import itertools
 import numpy as np
 import pytest
 
-from nilprob.errors import EmptyInput, LatticeTooLarge, NotNormal
+from nilprob.errors import EmptyInput, LatticeTooLarge
 from nilprob import structure
-from nilprob.groups import catalog_base_names, catalog_get
+from nilprob.groups import catalog_base_names, catalog_get, row_blocks, validate_table
 from nilprob.structure import (
     LATTICE_WORK_CAP,
     center,
     centralizer,
     conjugacy_classes,
     image_subgroup,
-    is_normal,
     left_coset_reps,
     lower_central_series,
     nilpotency_class,
@@ -38,6 +37,19 @@ def element_order(g, x):
 def is_subgroup(g, elements):
     elems = set(elements)
     return 0 in elems and all(g.mul[a][b] in elems for a in elems for b in elems)
+
+
+def is_normal(g, h):
+    """Oracle: every conjugate a^-1 x a of a member x is a member, a block of a at a time."""
+    m, inv = g.mul, g.inv
+    elems = np.array(h.elements)
+    member = np.zeros(g.order, dtype=bool)
+    member[elems] = True
+    for rows in row_blocks(g.order, len(elems)):
+        a = np.arange(g.order)[rows]
+        if not member[m[m[np.ix_(inv[a], elems)], a[:, None]]].all():
+            return False
+    return True
 
 
 def first_of_order(g, n):
@@ -315,12 +327,16 @@ def test_quotient_by_trivial_and_whole():
     assert q_all.target.order == 1
 
 
-def test_quotient_requires_normal():
-    s3 = catalog_get("S(3)")
-    t = first_of_order(s3, 2)
-    h = subgroup_closure(s3, [t])
-    with pytest.raises(NotNormal):
-        quotient(s3, h)
+@pytest.mark.parametrize("name", ["S(4)", "SL(2,3)", "D(8)xD(8)", "Q8xC(2)"])
+def test_quotient_labels_cosets_as_the_column_gather(name):
+    g = catalog_get(name)
+    for n in normal_subgroups(g):
+        q = quotient(g, n)
+        # each x labelled by the least member of its left coset xN
+        least = g.mul[:, list(n.elements)].min(axis=1)
+        reps = np.flatnonzero(least == np.arange(g.order))
+        assert q.project == tuple(np.searchsorted(reps, least).tolist())
+        assert np.array_equal(validate_table(q.target.order, q.target.mul), q.target.mul)
 
 
 def test_image_subgroup():

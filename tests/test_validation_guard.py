@@ -2,8 +2,11 @@
 
 Tables built inside the package are groups by construction, so the only
 caller of ``validate_table`` is the ``mul_table`` branch of
-``groups.group_from_definition``.  The source is read with ``ast``, never
-imported, so a call on a branch no test reaches is found too.
+``groups.group_from_definition``.  Likewise ``quotient`` trusts that its
+kernel is normal, so its only caller is ``GroupVerifier.quot``, which
+passes lattice members and central subgroups.  The source is read with
+``ast``, never imported, so a call on a branch no test reaches is found
+too.
 """
 
 import ast
@@ -41,4 +44,12 @@ def test_only_group_from_definition_validates():
     assert references("validate_table") == [
         ("__init__", "<module>"),  # the re-export
         ("groups", "group_from_definition"),
+    ]
+
+
+def test_only_the_verifier_takes_quotients():
+    assert references("quotient") == [
+        ("__init__", "<module>"),  # the re-export
+        ("verify", "<module>"),  # the import
+        ("verify", "quot"),
     ]

@@ -474,12 +474,13 @@ def test_encode_json_matches_json_dumps(value, depth):
     assert _encode_json(value, indent) == expected
 
 
-def test_encode_json_converts_keys_as_json_does():
-    for value in ({2: "a", 10: [True, None], -1.5: {}}, {False: 0, True: None, 2: []},
-                  {None: 1}, {float("nan"): (), 0.1: 2}):
-        assert _encode_json(value, "") == json.dumps(value, sort_keys=True, indent=2)
-    with pytest.raises(TypeError):
-        _encode_json({(1, 2): 0}, "")
+def test_encode_json_takes_str_keys_only():
+    # json.dumps would write the first five as text; report keys are all str
+    for key in (2, -1.5, False, None, float("nan"), (1, 2)):
+        with pytest.raises(TypeError):
+            _encode_json({key: 0}, "")
+        with pytest.raises(TypeError):
+            _encode_json([{"a": {key: []}}], "  ")
     with pytest.raises(TypeError):
         _encode_json([Fraction(1, 2)], "")
 
