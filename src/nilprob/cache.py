@@ -8,7 +8,8 @@ file is only ever appended to, which keeps it trivially auditable.
 A ``ResultCache`` opens one append handle at its first put and keeps it
 until ``close()`` (or the end of a ``with`` block).  Each entry is one
 line, written and flushed by itself, so caches on the same directory
-interleave whole lines, and a line torn by a crash is skipped on load.
+interleave whole lines.  A line whose kind's fields do not parse, such as
+one torn by a crash, is skipped on load, so its value is computed again.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence, TextIO
 
-from .exact import np_sup, require_shift_budget
+from .exact import fraction_text, np_sup, parse_fraction, require_shift_budget
 from .groups import GroupTable
 from .structure import SubgroupRef
 
@@ -58,9 +59,18 @@ def sup_key(table_hash: str, elements: Sequence[int], k: int) -> str:
     return _key("sup", table_hash, elements, str(k))
 
 
-def _parse_fraction(s: str) -> Fraction:
-    num, den = s.split("/")
-    return Fraction(int(num), int(den))
+def _int(x) -> int:
+    if type(x) is not int:
+        raise ValueError(f"not an integer: {x!r}")
+    return x
+
+
+#: Each kind of entry's fields, read back as the value its ``get_*`` returns;
+#: a reader raises ValueError, KeyError or TypeError on a malformed entry.
+_READERS = {
+    "np": lambda e: (parse_fraction(e["value"]), _int(e["counted"]), _int(e["total"])),
+    "sup": lambda e: (parse_fraction(e["value"]), tuple(_int(x) for x in e["witness"])),
+}
 
 
 class ResultCache:
@@ -90,48 +100,42 @@ class ResultCache:
             return
         with open(self.path, "r", encoding="utf-8") as fh:
             for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
                 try:
                     entry = json.loads(line)
-                except json.JSONDecodeError:
-                    continue  # a torn write never poisons the cache
-                if entry.get("schema") != SCHEMA_VERSION:
-                    continue
-                key = entry.get("key")
-                if isinstance(key, str):
-                    self._entries[key] = entry
+                    if entry["schema"] == SCHEMA_VERSION and isinstance(entry["key"], str):
+                        _READERS[entry["kind"]](entry)
+                        self._entries[entry["key"]] = entry
+                except (ValueError, KeyError, TypeError, RecursionError):
+                    continue  # a torn or malformed line never poisons the cache
 
-    def _append(self, entry: dict) -> None:
+    def _put(self, entry: dict) -> None:
+        """Add the schema version to ``entry`` (key, kind, fields), store it and append it.
+
+        A key already stored keeps its entry, and nothing is written.
+        """
+        key = entry["key"]
+        if key in self._entries:
+            return
+        entry = self._entries[key] = {"schema": SCHEMA_VERSION, **entry}
         if self._fh is None:
             self.directory.mkdir(parents=True, exist_ok=True)
             self._fh = open(self.path, "a", encoding="utf-8")
         self._fh.write(json.dumps(entry, sort_keys=True) + "\n")
         self._fh.flush()
 
+    def _get(self, kind: str, key: str):
+        entry = self._entries.get(key)
+        return None if entry is None or entry["kind"] != kind else _READERS[kind](entry)
+
     # -- np(H; shifts) ---------------------------------------------------
 
     def get_np(self, key: str) -> Optional[tuple[Fraction, int, int]]:
         """The entry under an :func:`np_key`, or None."""
-        entry = self._entries.get(key)
-        if entry is None:
-            return None
-        return _parse_fraction(entry["value"]), entry["counted"], entry["total"]
+        return self._get("np", key)
 
     def put_np(self, key: str, value: Fraction, counted: int, total: int) -> None:
-        if key in self._entries:
-            return
-        entry = {
-            "schema": SCHEMA_VERSION,
-            "key": key,
-            "kind": "np",
-            "value": f"{value.numerator}/{value.denominator}",
-            "counted": counted,
-            "total": total,
-        }
-        self._entries[key] = entry
-        self._append(entry)
+        self._put({"key": key, "kind": "np", "value": fraction_text(value),
+                   "counted": counted, "total": total})
 
     # -- np_sup ------------------------------------------------------------
 
@@ -153,24 +157,12 @@ class ResultCache:
 
     def get_sup(self, key: str) -> Optional[tuple[Fraction, tuple[int, ...]]]:
         """The entry under a :func:`sup_key`, or None."""
-        entry = self._entries.get(key)
-        if entry is None:
-            return None
-        return _parse_fraction(entry["value"]), tuple(entry["witness"])
+        return self._get("sup", key)
 
     def put_sup(self, key: str, value: tuple[Fraction, tuple[int, ...]]) -> None:
-        if key in self._entries:
-            return
         sup, witness = value
-        entry = {
-            "schema": SCHEMA_VERSION,
-            "key": key,
-            "kind": "sup",
-            "value": f"{sup.numerator}/{sup.denominator}",
-            "witness": list(witness),
-        }
-        self._entries[key] = entry
-        self._append(entry)
+        self._put({"key": key, "kind": "sup", "value": fraction_text(sup),
+                   "witness": list(witness)})
 
     def __len__(self) -> int:
         return len(self._entries)

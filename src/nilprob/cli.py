@@ -9,7 +9,6 @@ import dataclasses
 import json
 import os
 import sys
-from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
@@ -19,6 +18,7 @@ from .exact import (
     DEFAULT_SHIFT_BUDGET,
     DEFAULT_TUPLE_BUDGET,
     cp,
+    fraction_text,
     identity_shifts,
     np_bruteforce,
     np_fast,
@@ -55,10 +55,6 @@ from .verify import (
 )
 
 
-def _fraction_str(v: Fraction) -> str:
-    return f"{v.numerator}/{v.denominator}"
-
-
 def _resolve_group(args) -> GroupTable:
     sources = [s for s in (args.group, args.group_file, args.group_json) if s]
     if len(sources) != 1:
@@ -70,7 +66,7 @@ def _resolve_group(args) -> GroupTable:
             with open(args.group_file, "r", encoding="utf-8") as fh:
                 return group_from_definition(json.load(fh), args.max_order)
         return group_from_definition(json.loads(args.group_json), args.max_order)
-    except (NilprobError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (NilprobError, ValueError, KeyError, OSError, RecursionError) as exc:
         raise _UsageError(f"cannot resolve group: {exc}") from exc
 
 
@@ -163,9 +159,9 @@ def cmd_np(args) -> int:
         if args.cp:
             value = cp(h)
             payload = {"group": g.label, "kind": "cp", "h_order": h.order,
-                       "value": _fraction_str(value)}
+                       "value": fraction_text(value)}
             _emit(args, payload, (["group", "k", "kind", "value"],
-                                  [[g.label, 1, "cp", _fraction_str(value)]]))
+                                  [[g.label, 1, "cp", fraction_text(value)]]))
             return 0
 
         k = args.k
@@ -174,10 +170,10 @@ def cmd_np(args) -> int:
             value, witness = sup(g, h, k, args.budget_shifts)
             payload = {
                 "group": g.label, "kind": "np_sup", "k": k, "h_order": h.order,
-                "value": _fraction_str(value), "witness_shifts": list(witness),
+                "value": fraction_text(value), "witness_shifts": list(witness),
             }
             _emit(args, payload, (["group", "k", "kind", "value"],
-                                  [[g.label, k, "np_sup", _fraction_str(value)]]))
+                                  [[g.label, k, "np_sup", fraction_text(value)]]))
             return 0
 
         if args.shifts is not None:
@@ -205,12 +201,12 @@ def cmd_np(args) -> int:
 
         payload = {
             "group": g.label, "kind": "np", "k": k, "h_order": h.order,
-            "shifts": shifts, "value": _fraction_str(value),
+            "shifts": shifts, "value": fraction_text(value),
             "counted": counted, "total": total, "method": method,
         }
         _emit(args, payload, (
             ["group", "k", "kind", "value", "counted", "total", "method"],
-            [[g.label, k, "np", _fraction_str(value), counted, total, method]],
+            [[g.label, k, "np", fraction_text(value), counted, total, method]],
         ))
         return 0
 
@@ -232,7 +228,7 @@ def cmd_estimate(args) -> int:
             gens = definition_field(obj, "gens", list)
             label = definition_field(obj, "label", str, "<perm group>")
         bsgs = schreier_sims(gens)
-    except (NilprobError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (NilprobError, ValueError, KeyError, OSError, RecursionError) as exc:
         raise _UsageError(f"cannot build permutation group: {exc}") from exc
 
     try:
@@ -249,16 +245,22 @@ def cmd_estimate(args) -> int:
     return 0
 
 
+def _write_outcome_rows(fh, report) -> None:
+    """The report's outcomes as CSV rows (group,k,check,lhs,rhs,holds)."""
+    _write_csv(fh, ["group", "k", "check", "lhs", "rhs", "holds"], (
+        [d["group"], d["params"].get("k", 1), d["check"], d["lhs"], d["rhs"], d["holds"]]
+        for d in (o.to_json() for o in report.outcomes)))
+
+
 def cmd_verify(args) -> int:
     definitions = []
     if args.corpus_file:
         try:
             with open(args.corpus_file, "r", encoding="utf-8") as fh:
-                loaded = json.load(fh)
-            if not isinstance(loaded, list):
+                definitions = json.load(fh)
+            if not isinstance(definitions, list):
                 raise ValueError("corpus file must hold a JSON list of definitions")
-            definitions = loaded
-        except (OSError, ValueError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:
             raise _UsageError(f"cannot read corpus file: {exc}") from exc
 
     names = list(args.group) if args.group else []
@@ -275,9 +277,11 @@ def cmd_verify(args) -> int:
     if args.checks == []:
         raise _UsageError(f"--checks needs at least one name; known: {', '.join(ALL_CHECKS)}")
     checks = tuple(args.checks) if args.checks else ALL_CHECKS
-    for c in checks:
+    for i, c in enumerate(checks):
         if c not in ALL_CHECKS:
             raise _UsageError(f"unknown check {c!r}; known: {', '.join(ALL_CHECKS)}")
+        if c in checks[:i]:
+            raise _UsageError(f"--checks {c} is given more than once; each check runs once")
 
     ks = tuple(args.k) if args.k else (1, 2, 3)
     for i, k in enumerate(ks):
@@ -305,13 +309,13 @@ def cmd_verify(args) -> int:
             report.write_json(fh, include_timing=args.include_timing)
     if args.csv:
         with open(args.csv, "w", encoding="utf-8", newline="") as fh:
-            _write_csv(fh, ["group", "k", "check", "lhs", "rhs", "holds"], (
-                [d["group"], d["params"].get("k", 1), d["check"], d["lhs"], d["rhs"], d["holds"]]
-                for d in (o.to_json() for o in report.outcomes)))
+            _write_outcome_rows(fh, report)
 
     if args.format == "json":
         print(json.dumps(report.to_json(include_timing=args.include_timing),
                          sort_keys=True))
+    elif args.format == "csv":
+        _write_outcome_rows(sys.stdout, report)
     else:
         print(render_report_table(report))
     # each corpus entry either runs or is skipped, so this many skips ran nothing
@@ -341,7 +345,7 @@ def cmd_describe(args) -> int:
         "group": g.label,
         "order": g.order,
         "classes": classes.num_classes,
-        "cp": _fraction_str(cp(g)),
+        "cp": fraction_text(cp(g)),
         "center_order": z.order,
         "normal_subgroups": lattice[0],
         "normal_subgroup_orders": lattice[1],
@@ -357,9 +361,10 @@ def cmd_catalog(args) -> int:
     names = catalog_base_names(args.max_order_filter)
     if args.format == "json":
         print(json.dumps(names))
+    elif args.format == "csv":
+        _write_csv(sys.stdout, ["name"], ([name] for name in names))
     else:
-        for name in names:
-            print(name)
+        sys.stdout.writelines(f"{name}\n" for name in names)
     return 0
 
 

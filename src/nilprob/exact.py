@@ -53,7 +53,8 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import BudgetExceeded, EmptyInput
-from .groups import BLOCK_CELLS, GroupTable, row_blocks
+from .groups import BLOCK_CELLS, GroupTable
+from .perms import row_blocks
 from .structure import SubgroupRef, commutators, left_coset_reps, nilpotency_class, whole_group
 
 #: Iteration budget for the brute-force oracle (|H|^(k+1) tuples).
@@ -65,6 +66,23 @@ DEFAULT_SHIFT_BUDGET = 10 ** 6
 #: Cells per block of the backward pass, a quarter MB of ``int64`` counts;
 #: blocks of BLOCK_CELLS raised ``np_sup``'s peak RSS at order 144 by 2 MB.
 COUNT_BLOCK_CELLS = BLOCK_CELLS // 8
+
+
+def fraction_text(value: Fraction) -> str:
+    """``"p/q"`` in lowest terms: how every output and the cache write an exact value."""
+    return f"{value.numerator}/{value.denominator}"
+
+
+def parse_fraction(text: str) -> Fraction:
+    """The value whose :func:`fraction_text` is ``text``; ValueError for any other text."""
+    try:
+        num, den = text.split("/")
+        value = Fraction(int(num), int(den))
+    except (AttributeError, ValueError, ZeroDivisionError):
+        value = None
+    if value is None or fraction_text(value) != text:
+        raise ValueError(f"not an exact value: {text!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -146,7 +164,7 @@ def _advance_weights(g: GroupTable, weights: np.ndarray, coset: np.ndarray) -> n
     n = g.order
     nxt = np.zeros(n, dtype=weights.dtype)
     support = np.flatnonzero(weights)
-    for rows in row_blocks(len(support), len(coset)):
+    for rows in row_blocks(len(support), len(coset), BLOCK_CELLS):
         w = support[rows]
         comm = commutators(g, w, coset)
         wt = weights[w]
@@ -175,7 +193,7 @@ def _forward_count(g: GroupTable, cosets: np.ndarray) -> int:
     last = cosets[-1]
     support = np.flatnonzero(weights)
     count = 0
-    for rows in row_blocks(len(support), len(last)):
+    for rows in row_blocks(len(support), len(last), BLOCK_CELLS):
         w = support[rows]
         commuting = (m[w[:, None], last] == m[last[:, None], w].T).sum(axis=1)
         count += int(weights[w] @ commuting.astype(weights.dtype, copy=False))

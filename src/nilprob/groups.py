@@ -25,14 +25,15 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import math
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, partial, reduce
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import NotAGroup, OrderExceeded, UnknownCatalogName
-from .perms import Perm, identity_perm, perm_from_cycles, perm_order, validate_perm
+from .perms import Perm, identity_perm, perm_from_cycles, perm_order, row_blocks, validate_perm
 
 #: Largest group order for which a multiplication table may be built.
 DEFAULT_ORDER_CAP = 4096
@@ -71,12 +72,6 @@ class GroupTable:
         return f"GroupTable({self.label!r}, order={self.order})"
 
 
-def row_blocks(rows: int, width: int, cells: int = BLOCK_CELLS) -> list[slice]:
-    """Slices covering ``range(rows)``, each of about ``cells`` cells of ``width``."""
-    step = max(1, cells // width)
-    return [slice(lo, lo + step) for lo in range(0, rows, step)]
-
-
 def _as_array(n: int, mul) -> np.ndarray:
     """A C-contiguous ``int32`` copy of the table, after checking its shape and entries.
 
@@ -109,7 +104,7 @@ def _inverses(m: np.ndarray) -> np.ndarray:
         g = int(np.argmax(bad))
         raise NotAGroup("identity", (0, g) if m[0, g] != g else (g, 0))
     inv = np.empty(n, dtype=np.int32)
-    for rows in row_blocks(n, n):
+    for rows in row_blocks(n, n, BLOCK_CELLS):
         two_sided = (m[rows] == 0) & (m[:, rows].T == 0)
         missing = ~two_sided.any(axis=1)
         if missing.any():
@@ -132,7 +127,7 @@ def _check_associativity(m: np.ndarray) -> None:
     each, whatever the table.
     """
     n = len(m)
-    blocks = row_blocks(n, n)
+    blocks = row_blocks(n, n, BLOCK_CELLS)
     reached = np.zeros(n, dtype=bool)
     reached[0] = True
     size = 1
@@ -151,7 +146,7 @@ def _check_associativity(m: np.ndarray) -> None:
         members = np.flatnonzero(reached)
         while members.size > size:
             size = members.size
-            for rows in row_blocks(size, size):
+            for rows in row_blocks(size, size, BLOCK_CELLS):
                 reached[m[members[rows, None], members]] = True
             members = np.flatnonzero(reached)
 
@@ -193,7 +188,7 @@ def build_from_table(n: int, mul, label: str = "") -> GroupTable:
     _check_order(n)
     m = np.ascontiguousarray(mul, dtype=np.int32)
     inv = np.empty(n, dtype=np.int32)
-    for rows in row_blocks(n, n):
+    for rows in row_blocks(n, n, BLOCK_CELLS):
         inv[rows] = (m[rows] == 0).argmax(axis=1)
     m.flags.writeable = False
     inv.flags.writeable = False
@@ -298,11 +293,9 @@ def direct_product(a: GroupTable, b: GroupTable, max_order: int = DEFAULT_ORDER_
 #   Dic(n)   dicyclic of order 4n in its regular action on 4n points:
 #            a cycles {0..2n-1} and {2n..4n-1}; b maps i -> 2n + (2n - i),
 #            2n + i -> (n - i), indices mod 2n.
-#   S(n)     <(0 1), (0 1 .. n-1)>, n <= 8.
-#   A(n)     <(0 1 2), n-cycle (n odd) or (n-1)-cycle on 1..n-1 (n even)>,
-#            n <= 8.
-#   Heis(p)  unitriangular 3x3 matrices over F_p (p in {2, 3, 5}) acting on
-#            the p^3 column vectors.
+#   S(n)     <(0 1), (0 1 .. n-1)>.
+#   A(n)     <(0 1 2), n-cycle (n odd) or (n-1)-cycle on 1..n-1 (n even)>.
+#   Heis(p)  unitriangular 3x3 matrices over F_p acting on the p^3 vectors.
 #   SL(2,3)  determinant-1 2x2 matrices over F_3 acting on the 9 vectors.
 #
 # Product expressions combine names with "x", e.g. "S(3)xS(3)"; the table
@@ -312,8 +305,6 @@ def direct_product(a: GroupTable, b: GroupTable, max_order: int = DEFAULT_ORDER_
 def _cyclic_gens(n: int) -> tuple[int, list[Perm]]:
     if n < 1:
         raise UnknownCatalogName(f"cyclic order must be >= 1, got {n}")
-    if n == 1:
-        return 1, [identity_perm(1)]
     return n, [perm_from_cycles(n, [list(range(n))])]
 
 
@@ -325,9 +316,7 @@ def _dihedral_gens(order: int) -> tuple[int, list[Perm]]:
         return 2, [perm_from_cycles(2, [[0, 1]])]
     if n == 2:
         return 4, [perm_from_cycles(4, [[0, 1]]), perm_from_cycles(4, [[2, 3]])]
-    rot = perm_from_cycles(n, [list(range(n))])
-    ref = [(n - i) % n for i in range(n)]
-    return n, [rot, ref]
+    return n, [perm_from_cycles(n, [list(range(n))]), [(n - i) % n for i in range(n)]]
 
 
 def _dicyclic_gens(n: int) -> tuple[int, list[Perm]]:
@@ -360,12 +349,8 @@ def _alternating_gens(n: int) -> tuple[int, list[Perm]]:
         return max(n, 1), [identity_perm(max(n, 1))]
     if n == 3:
         return 3, [perm_from_cycles(3, [[0, 1, 2]])]
-    gens = [perm_from_cycles(n, [[0, 1, 2]])]
-    if n % 2 == 1:
-        gens.append(perm_from_cycles(n, [list(range(n))]))
-    else:
-        gens.append(perm_from_cycles(n, [list(range(1, n))]))
-    return n, gens
+    cycle = list(range(n)) if n % 2 else list(range(1, n))
+    return n, [perm_from_cycles(n, [[0, 1, 2]]), perm_from_cycles(n, [cycle])]
 
 
 def _heisenberg_gens(p: int) -> tuple[int, list[Perm]]:
@@ -390,12 +375,37 @@ def _matrix_perm(m: Sequence[Sequence[int]], p: int) -> Perm:
     return [number[tuple(sum(a * x for a, x in zip(row, v)) % p for row in m)] for v in vectors]
 
 
-def _parse_int_arg(name: str, prefix: str) -> int:
-    body = name[len(prefix) : -1]
-    try:
-        return int(body)
-    except ValueError:
-        raise UnknownCatalogName(f"bad argument in catalog name {name!r}") from None
+#: Catalog families: name prefix -> (generators for the parameter, the
+#: parameters ``catalog_base_names`` lists, the group order).
+_FAMILIES = {
+    "C(": (_cyclic_gens, range(1, 65), lambda n: n),
+    "D(": (_dihedral_gens, range(2, 65, 2), lambda m: m),
+    "Dic(": (_dicyclic_gens, range(1, 17), lambda n: 4 * n),
+    "S(": (_symmetric_gens, range(1, 9), math.factorial),
+    "A(": (_alternating_gens, range(1, 9), lambda n: max(1, math.factorial(n) // 2)),
+    "Heis(": (_heisenberg_gens, (2, 3, 5), lambda p: p ** 3),
+}
+
+#: Catalog names without a parameter: name -> (generators, group order).
+_NAMED = {
+    "Q8": (partial(_dicyclic_gens, 2), 8),
+    "SL(2,3)": (_sl23_gens, 24),
+}
+
+
+def _catalog_part(name: str) -> tuple[int, list[Perm], str]:
+    """Degree, generators and label of one non-product catalog name."""
+    name = name.strip()
+    if name in _NAMED:
+        return (*_NAMED[name][0](), name)
+    for prefix, (gens, _, _) in _FAMILIES.items():
+        if name.startswith(prefix) and name.endswith(")"):
+            try:
+                arg = int(name[len(prefix) : -1])
+            except ValueError:
+                raise UnknownCatalogName(f"bad argument in catalog name {name!r}") from None
+            return (*gens(arg), name)
+    raise UnknownCatalogName(f"unknown catalog name {name!r}")
 
 
 def catalog_generators(name: str) -> tuple[int, list[Perm], str]:
@@ -403,80 +413,31 @@ def catalog_generators(name: str) -> tuple[int, list[Perm], str]:
 
     Product expressions embed the factors on a disjoint union of points.
     """
-    name = name.strip()
-    if "x" in name:
-        gens_out: list[Perm] = []
-        labels = []
-        parts = name.split("x")
-        parts_data = [catalog_generators(part) for part in parts]
-        total = sum(d for d, _, _ in parts_data)
-        offset = 0
-        for d, gens, lab in parts_data:
-            for g in gens:
-                embedded = list(range(total))
-                for i, gi in enumerate(g):
-                    embedded[offset + i] = offset + gi
-                gens_out.append(embedded)
-            labels.append(lab)
-            offset += d
-        return total, gens_out, "x".join(labels)
-
-    if name.startswith("C(") and name.endswith(")"):
-        degree, gens = _cyclic_gens(_parse_int_arg(name, "C("))
-        return degree, gens, name
-    if name.startswith("D(") and name.endswith(")"):
-        degree, gens = _dihedral_gens(_parse_int_arg(name, "D("))
-        return degree, gens, name
-    if name == "Q8":
-        degree, gens = _dicyclic_gens(2)
-        return degree, gens, "Q8"
-    if name.startswith("Dic(") and name.endswith(")"):
-        degree, gens = _dicyclic_gens(_parse_int_arg(name, "Dic("))
-        return degree, gens, name
-    if name.startswith("S(") and name.endswith(")"):
-        degree, gens = _symmetric_gens(_parse_int_arg(name, "S("))
-        return degree, gens, name
-    if name.startswith("A(") and name.endswith(")"):
-        degree, gens = _alternating_gens(_parse_int_arg(name, "A("))
-        return degree, gens, name
-    if name.startswith("Heis(") and name.endswith(")"):
-        degree, gens = _heisenberg_gens(_parse_int_arg(name, "Heis("))
-        return degree, gens, name
-    if name == "SL(2,3)":
-        degree, gens = _sl23_gens()
-        return degree, gens, name
-    raise UnknownCatalogName(f"unknown catalog name {name!r}")
+    parts = [_catalog_part(part) for part in name.strip().split("x")]
+    total = sum(d for d, _, _ in parts)
+    gens_out: list[Perm] = []
+    offset = 0
+    for d, gens, _ in parts:
+        # the factor moves the points offset .. offset + d - 1 and fixes the rest
+        gens_out += [[*range(offset), *(offset + x for x in g), *range(offset + d, total)]
+                     for g in gens]
+        offset += d
+    return total, gens_out, "x".join(label for _, _, label in parts)
 
 
 def catalog_get(name: str, max_order: int = DEFAULT_ORDER_CAP) -> GroupTable:
     """Build the named catalog group (product expressions allowed)."""
-    name = name.strip()
-    if "x" in name:
-        parts = name.split("x")
-        table = catalog_get(parts[0], max_order)
-        for part in parts[1:]:
-            table = direct_product(table, catalog_get(part, max_order), max_order)
-        return table
-    _, gens, label = catalog_generators(name)
-    return build_from_perm_gens(gens, label, max_order)
+    factors = (build_from_perm_gens(gens, label, max_order)
+               for _, gens, label in map(_catalog_part, name.strip().split("x")))
+    return reduce(lambda a, b: direct_product(a, b, max_order), factors)
 
 
 def catalog_base_names(max_order: Optional[int] = None) -> list[str]:
     """All non-product catalog names, optionally capped by group order."""
-    names: list[tuple[int, str]] = []
-    names += [(n, f"C({n})") for n in range(1, 65)]
-    names += [(m, f"D({m})") for m in range(2, 65, 2)]
-    names.append((8, "Q8"))
-    names += [(4 * n, f"Dic({n})") for n in range(1, 17)]
-    facts = [1, 2, 6, 24, 120, 720, 5040, 40320]
-    names += [(facts[n - 1], f"S({n})") for n in range(1, 9)]
-    alt = [1, 1, 3, 12, 60, 360, 2520, 20160]
-    names += [(alt[n - 1], f"A({n})") for n in range(1, 9)]
-    names += [(p ** 3, f"Heis({p})") for p in (2, 3, 5)]
-    names.append((24, "SL(2,3)"))
-    if max_order is not None:
-        names = [(o, n) for o, n in names if o <= max_order]
-    return [n for _, n in sorted(names, key=lambda t: (t[0], t[1]))]
+    names = [(order(p), f"{prefix}{p})")
+             for prefix, (_, params, order) in _FAMILIES.items() for p in params]
+    names += [(order, name) for name, (_, order) in _NAMED.items()]
+    return [n for o, n in sorted(names) if max_order is None or o <= max_order]
 
 
 # -- group-definition JSON ----------------------------------------------------
@@ -508,32 +469,22 @@ def group_from_definition(obj: dict, max_order: int = DEFAULT_ORDER_CAP) -> Grou
         n = len(mul)
         if n > max_order:
             raise OrderExceeded(n, max_order)
-        return build_from_table(n, validate_table(n, mul), label)
-    if kind == "perm_gens":
-        return build_from_perm_gens(definition_field(obj, "gens", list), label, max_order)
-    if kind == "product":
+        table = build_from_table(n, validate_table(n, mul))
+    elif kind == "perm_gens":
+        table = build_from_perm_gens(definition_field(obj, "gens", list), max_order=max_order)
+    elif kind == "product":
         factors = [group_from_definition(f, max_order)
                    for f in definition_field(obj, "factors", list)]
         if not factors:
             raise ValueError("product definition needs at least one factor")
-        table = factors[0]
-        for f in factors[1:]:
-            table = direct_product(table, f, max_order)
-        if label:
-            table = replace(table, label=label)
-        return table
-    if kind == "catalog":
+        table = reduce(lambda a, b: direct_product(a, b, max_order), factors)
+    elif kind == "catalog":
         table = catalog_get(definition_field(obj, "name", str), max_order)
-        if label:
-            table = replace(table, label=label)
-        return table
-    raise ValueError(f"unknown group definition kind {kind!r}")
+    else:
+        raise ValueError(f"unknown group definition kind {kind!r}")
+    return replace(table, label=label) if label else table
 
 
 def group_to_definition(g: GroupTable) -> dict:
     """A ``mul_table`` definition that reconstructs the identical table."""
-    return {
-        "label": g.label,
-        "kind": "mul_table",
-        "mul": g.mul.tolist(),
-    }
+    return {"label": g.label, "kind": "mul_table", "mul": g.mul.tolist()}

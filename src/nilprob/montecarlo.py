@@ -21,6 +21,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
+from . import perms
 from .errors import InvalidCounts
 from .perms import (
     DEFAULT_CHUNK_CELLS,
@@ -28,7 +29,6 @@ from .perms import (
     commutator_rows,
     compose_rows,
     derive_seed,
-    row_blocks,
 )
 
 #: The default chunk is cut down to at most ``DEFAULT_CHUNK_CELLS`` cells
@@ -141,11 +141,11 @@ def _run_chunk(group: PermGroupBSGS, k: int, size: int, rng: random.Random) -> i
     w = group.random_uniform(rng, size)
     for _ in range(k - 1):
         t = group.random_uniform(rng, size)
-        for rows in row_blocks(size, group.degree):
+        for rows in perms.row_blocks(size, group.degree, perms.BLOCK_CELLS):
             w[rows] = commutator_rows(w[rows], t[rows])
     t = group.random_uniform(rng, size)
     hits = 0
-    for rows in row_blocks(size, group.degree):
+    for rows in perms.row_blocks(size, group.degree, perms.BLOCK_CELLS):
         commuting = compose_rows(w[rows], t[rows]) == compose_rows(t[rows], w[rows])
         hits += int(commuting.all(axis=1).sum())
     return hits

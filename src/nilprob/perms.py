@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -108,11 +108,13 @@ def perm_from_cycles(degree: int, cycles: Iterable[Sequence[int]]) -> Perm:
 BLOCK_CELLS = 1 << 14
 
 
-def row_blocks(rows: int, degree: int) -> Iterator[slice]:
-    """Consecutive row slices of at most ``BLOCK_CELLS`` cells, covering ``rows``."""
-    step = max(1, BLOCK_CELLS // max(1, degree))
-    for lo in range(0, rows, step):
-        yield slice(lo, min(rows, lo + step))
+def row_blocks(rows: int, width: int, cells: int) -> list[slice]:
+    """Consecutive slices covering ``range(rows)``, each of at most ``cells`` cells of ``width``.
+
+    A slice holds at least one row; each blocked pass names the cells it may use.
+    """
+    step = max(1, cells // max(1, width))
+    return [slice(lo, min(rows, lo + step)) for lo in range(0, rows, step)]
 
 
 def _row_offsets(rows: int, degree: int) -> np.ndarray:
@@ -314,7 +316,7 @@ class PermGroupBSGS:
             picks.append(idx)
         (_, deepest), *upper = self._tables
         out = np.take(deepest, picks[0], axis=0)
-        for rows in row_blocks(size, degree):
+        for rows in row_blocks(size, degree, BLOCK_CELLS):
             for (_, table), idx in zip(upper, picks[1:]):
                 out[rows] = np.take(table, out[rows] + (idx[rows] * degree)[:, None])
         return out

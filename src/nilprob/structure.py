@@ -17,7 +17,8 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .errors import LatticeTooLarge
-from .groups import GroupTable, build_from_table, row_blocks
+from .groups import BLOCK_CELLS, GroupTable, build_from_table
+from .perms import row_blocks
 
 #: Cap on the table cells the lattice search gathers and marks: |G| x
 #: (|A| + distinct class closures) for each subgroup A it finds.  C(2)^7,
@@ -103,7 +104,7 @@ def conjugacy_classes(g: GroupTable) -> ClassData:
     n = g.order
     m, inv = g.mul, g.inv
     least = np.arange(n)
-    for rows in row_blocks(n, n):
+    for rows in row_blocks(n, n, BLOCK_CELLS):
         a = np.arange(n)[rows]
         np.minimum(least, m[m[inv[a]], a[:, None]].min(axis=0), out=least)
     reps = np.flatnonzero(least == np.arange(n))
@@ -223,7 +224,7 @@ def _lcs_within(h: SubgroupRef) -> tuple[SubgroupRef, ...]:
         elems = np.array(current.elements)
         # the commutators [a, b], marked a block of rows at a time
         hit = np.zeros(g.order, dtype=bool)
-        for rows in row_blocks(current.order, len(ambient)):
+        for rows in row_blocks(current.order, len(ambient), BLOCK_CELLS):
             hit[commutators(g, elems[rows], others)] = True
         nxt = subgroup_closure(g, np.flatnonzero(hit).tolist())
         series.append(nxt)

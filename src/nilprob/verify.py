@@ -47,6 +47,7 @@ from .exact import (
     DEFAULT_SHIFT_BUDGET,
     DEFAULT_TUPLE_BUDGET,
     cp,
+    fraction_text,
     identity_shifts,
     np_fast,
     np_sup,
@@ -126,7 +127,7 @@ def _jsonify(value):
     if isinstance(value, (str, int, float)) or value is None:
         return value
     if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
+        return fraction_text(value)
     return value
 
 
@@ -382,8 +383,7 @@ class CorpusConfig:
 
     @classmethod
     def default(cls, **overrides) -> "CorpusConfig":
-        cfg = cls(group_names=default_corpus_names(), **overrides)
-        return cfg
+        return cls(group_names=default_corpus_names(), **overrides)
 
 
 @dataclass
@@ -671,7 +671,7 @@ def _resolve_groups(cfg: CorpusConfig) -> tuple[list[GroupTable], list[dict]]:
     for definition in cfg.definitions:
         try:
             tables.append(group_from_definition(definition, cfg.max_order))
-        except (NilprobError, ValueError, KeyError) as exc:
+        except (NilprobError, ValueError, KeyError, RecursionError) as exc:
             label = definition.get("label") if isinstance(definition, dict) else None
             skipped.append({"group": label if isinstance(label, str) else "<definition>",
                             "reason": str(exc)})
@@ -781,8 +781,4 @@ def render_report_table(report: VerificationReport) -> str:
 
 
 def _fmt_val(v) -> str:
-    if isinstance(v, Fraction):
-        return f"{v.numerator}/{v.denominator}"
-    if isinstance(v, float):
-        return f"{v:.4f}"
-    return str(v)
+    return f"{v:.4f}" if isinstance(v, float) else str(_jsonify(v))

@@ -51,6 +51,30 @@ def test_ignores_stale_schema_and_torn_lines(tmp_path):
         assert ResultCache(tmp_path).get_np(np_key("h", (0,), (0,))) == (Fraction(1, 2), 1, 2)
 
 
+def test_skips_lines_whose_fields_do_not_parse(tmp_path):
+    good = {"schema": 2, "key": "good", "kind": "np", "value": "1/2", "counted": 1, "total": 2}
+    bad = [
+        {**good, "key": "no-counted", "counted": None},
+        {k: v for k, v in good.items() if k != "total"},
+        {**good, "value": "abc"},
+        {**good, "value": "1/0"},
+        {**good, "counted": True},
+        {**good, "kind": "nope"},
+        {**good, "key": 5},
+        {"schema": 2, "key": "sup", "kind": "sup", "value": "1/1", "witness": ["0"]},
+        {"schema": 2, "key": "sup", "kind": "sup", "value": "1/1", "witness": 0},
+        ["not", "an", "object"],
+        "text",
+    ]
+    lines = [json.dumps(entry) for entry in bad] + ["", json.dumps(good)]
+    (tmp_path / CACHE_FILENAME).write_text("\n".join(lines) + "\n")
+    cache = ResultCache(tmp_path)
+    assert len(cache) == 1
+    assert cache.get_np("good") == (Fraction(1, 2), 1, 2)
+    assert cache.get_sup("good") is None  # an np entry is not a supremum
+    assert cache.get_sup("sup") is None
+
+
 def test_env_var_controls_default_dir(tmp_path, monkeypatch):
     monkeypatch.setenv(ENV_CACHE_DIR, str(tmp_path / "elsewhere"))
     assert default_cache_dir() == tmp_path / "elsewhere"

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from nilprob import cli, structure
-from nilprob.cache import CACHE_FILENAME
+from nilprob.cache import CACHE_FILENAME, np_key, sup_key
 from nilprob.cli import main
 from nilprob.errors import EmptyInput
 from nilprob.groups import catalog_get, group_from_definition
@@ -720,3 +720,99 @@ def test_estimate_stream_is_pinned(capsys, group, k, samples, seed, expected):
     )
     assert code == 0
     assert out == expected + "\n"
+
+
+@pytest.mark.parametrize("checks", [("gap_bound", "gap_bound"),
+                                    ("np_le_cp", "gap_bound", "np_le_cp")])
+def test_verify_repeated_checks_exits_2(capsys, tmp_path, checks):
+    report = tmp_path / "report.json"
+    code, out, err = run_cli(capsys, "verify", "--group", "S(3)", "--no-cache",
+                             "--checks", *checks, "--report", str(report))
+    assert code == 2 and out == "" and not report.exists()
+    assert err.splitlines() == [
+        f"error: --checks {checks[-1]} is given more than once; each check runs once"
+    ]
+
+
+def test_verify_format_csv_writes_the_csv_rows(capsys, tmp_path):
+    # stdout carries the same rows as --csv, so SL(2,3) is quoted there too
+    csv_path = tmp_path / "o.csv"
+    code, out, _ = run_cli(capsys, "--format", "csv", "verify", "--group", "SL(2,3)",
+                           "--group", "S(3)", "--k", "1", "--no-cache", "--csv", str(csv_path))
+    assert code == 0
+    assert out == csv_path.read_text()
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["group", "k", "check", "lhs", "rhs", "holds"]
+    assert len(rows) > 2 and all(len(row) == 6 for row in rows)
+    assert {row[0] for row in rows[1:]} == {"S(3)", "SL(2,3)"}
+    assert '"SL(2,3)"' in out
+
+
+def test_catalog_format_csv(capsys):
+    code, out, _ = run_cli(capsys, "--format", "csv", "catalog", "--max-order-filter", "24")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["name"]
+    assert [row for row in rows[1:] if len(row) != 1] == []
+    code, table, _ = run_cli(capsys, "catalog", "--max-order-filter", "24")
+    assert [name for (name,) in rows[1:]] == table.split()
+    assert '"SL(2,3)"\n' in out and "Q8\n" in out
+
+
+def _np_argv(cache_flags, sup):
+    return ["--format", "json", "np", "--group", "S(3)", "--k", "1", *cache_flags,
+            *(["--sup"] if sup else [])]
+
+
+@pytest.mark.parametrize("sup, fields", [
+    (False, {"value": "1/2", "total": 36}),  # "counted" is missing
+    (False, {"value": "abc", "counted": 18, "total": 36}),
+    (False, {"value": "1/0", "counted": 18, "total": 36}),
+    (False, {"value": "1/2", "counted": "18", "total": 36}),
+    (False, {"value": 0.5, "counted": 18, "total": 36}),
+    (True, {"value": "1/2", "witness": "00"}),
+    (True, {"value": "1/2", "witness": [0, None]}),
+    (True, {"value": "1/2"}),
+], ids=["np-no-counted", "np-abc", "np-1/0", "np-counted-str", "np-float",
+        "sup-witness-str", "sup-witness-none", "sup-no-witness"])
+def test_malformed_cache_line_is_skipped(capsys, tmp_path, sup, fields):
+    g = catalog_get("S(3)")
+    elements = tuple(range(g.order))
+    key = sup_key(g.table_hash, elements, 1) if sup else np_key(g.table_hash, elements, (0, 0))
+    path = tmp_path / CACHE_FILENAME
+    path.write_text(json.dumps({"schema": 2, "key": key, "kind": "sup" if sup else "np",
+                                **fields}) + "\n")
+    want = run_cli(capsys, *_np_argv(["--no-cache"], sup))
+    got = run_cli(capsys, *_np_argv(["--cache-dir", str(tmp_path)], sup))
+    assert got == want and want[0] == 0
+    # the value is computed again and appended after the skipped line, then read back
+    assert len(path.read_text().splitlines()) == 2
+    code, out, _ = run_cli(capsys, *_np_argv(["--cache-dir", str(tmp_path)], sup))
+    assert code == 0
+    assert {**json.loads(out), "method": None} == {**json.loads(want[1]), "method": None}
+
+
+def _nested(depth):
+    doc = '{"kind": "catalog", "name": "C(2)"}'
+    for _ in range(depth):
+        doc = '{"kind": "product", "factors": [' + doc + ']}'
+    return doc
+
+
+@pytest.mark.parametrize("flag", ["--group-json", "--group-file", "--corpus-file",
+                                  "--gens-file"])
+def test_deeply_nested_input_exits_2(capsys, tmp_path, flag):
+    # nested past the interpreter's recursion limit: bad input, not a traceback
+    doc = _nested(3000)
+    if flag == "--corpus-file":
+        doc = f"[{doc}]"
+    elif flag == "--gens-file":
+        doc = '{"kind": "perm_gens", "gens": ' + "[" * 3000 + "]" * 3000 + "}"
+    path = tmp_path / "doc.json"
+    path.write_text(doc)
+    command = {"--corpus-file": "verify", "--gens-file": "estimate"}.get(flag, "describe")
+    code, out, err = run_cli(capsys, command, "--no-cache", flag,
+                             doc if flag == "--group-json" else str(path))
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "recursion" in err

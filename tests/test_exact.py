@@ -10,12 +10,14 @@ from nilprob.errors import BudgetExceeded, EmptyInput
 from nilprob.exact import (
     commutator_distribution,
     cp,
+    fraction_text,
     identity_shifts,
     iter_shift_values,
     np_bruteforce,
     np_fast,
     np_k,
     np_sup,
+    parse_fraction,
 )
 from nilprob.groups import catalog_get, direct_product
 from nilprob.structure import (
@@ -452,3 +454,19 @@ def test_python_int_counts_match_int64(monkeypatch):
     expected = evaluate()
     monkeypatch.setattr(exact, "_count_dtype", lambda total: object)
     assert evaluate() == expected
+
+
+@pytest.mark.parametrize("value, text", [
+    (Fraction(0), "0/1"), (Fraction(1), "1/1"), (Fraction(3, 4), "3/4"),
+    (Fraction(-5, 8), "-5/8"), (Fraction(2 ** 70, 3), f"{2 ** 70}/3"),
+])
+def test_fraction_text_round_trips(value, text):
+    assert fraction_text(value) == text
+    assert parse_fraction(text) == value
+
+
+@pytest.mark.parametrize("text", ["abc", "1/0", "2/4", " 1/2", "1/2 ", "1", "0.5", "1/2/3",
+                                  "", 0.5, 1, None, ["1/2"]])
+def test_parse_fraction_takes_only_fraction_text(text):
+    with pytest.raises(ValueError):
+        parse_fraction(text)

@@ -20,6 +20,7 @@ from nilprob.groups import (
     group_to_definition,
     validate_table,
 )
+from nilprob.perms import schreier_sims
 
 
 def element_order(g, x):
@@ -386,3 +387,59 @@ def test_definition_kinds():
         group_from_definition({"kind": "nope"})
     with pytest.raises(OrderExceeded):
         group_from_definition({"kind": "mul_table", "mul": mul}, max_order=1)
+
+
+#: ``catalog_base_names()``: every non-product name, by order and then by name.
+CATALOG_NAMES = """
+    A(1) A(2) C(1) S(1) C(2) D(2) S(2) A(3) C(3) C(4) D(4) Dic(1) C(5) C(6) D(6) S(3)
+    C(7) C(8) D(8) Dic(2) Heis(2) Q8 C(9) C(10) D(10) C(11) A(4) C(12) D(12) Dic(3)
+    C(13) C(14) D(14) C(15) C(16) D(16) Dic(4) C(17) C(18) D(18) C(19) C(20) D(20)
+    Dic(5) C(21) C(22) D(22) C(23) C(24) D(24) Dic(6) S(4) SL(2,3) C(25) C(26) D(26)
+    C(27) Heis(3) C(28) D(28) Dic(7) C(29) C(30) D(30) C(31) C(32) D(32) Dic(8) C(33)
+    C(34) D(34) C(35) C(36) D(36) Dic(9) C(37) C(38) D(38) C(39) C(40) D(40) Dic(10)
+    C(41) C(42) D(42) C(43) C(44) D(44) Dic(11) C(45) C(46) D(46) C(47) C(48) D(48)
+    Dic(12) C(49) C(50) D(50) C(51) C(52) D(52) Dic(13) C(53) C(54) D(54) C(55) C(56)
+    D(56) Dic(14) C(57) C(58) D(58) C(59) A(5) C(60) D(60) Dic(15) C(61) C(62) D(62)
+    C(63) C(64) D(64) Dic(16) S(5) Heis(5) A(6) S(6) A(7) S(7) A(8) S(8)
+""".split()
+
+
+def test_catalog_base_names_are_pinned():
+    assert len(CATALOG_NAMES) == 133
+    assert catalog_base_names() == CATALOG_NAMES
+    # each name is listed at the order of the group its generators generate
+    for name in CATALOG_NAMES:
+        order = schreier_sims(catalog_generators(name)[1]).order
+        assert name in catalog_base_names(order), name
+        assert name not in catalog_base_names(order - 1), name
+
+
+@pytest.mark.parametrize("name, message", [
+    ("C(0)", "cyclic order must be >= 1, got 0"),
+    ("D(3)", "dihedral order must be even and >= 2, got 3"),
+    ("S(9)", "S(n) is provided for 1 <= n <= 8, got 9"),
+    ("Heis(7)", "Heis(p) is provided for p in {2, 3, 5}, got 7"),
+    ("C(x)", "unknown catalog name 'C('"),
+    ("Foo(3)", "unknown catalog name 'Foo(3)'"),
+    ("C()", "bad argument in catalog name 'C()'"),
+    ("S(3)xDic(three)", "bad argument in catalog name 'Dic(three)'"),
+])
+def test_catalog_name_errors_are_pinned(name, message):
+    for build in (catalog_get, catalog_generators):
+        with pytest.raises(UnknownCatalogName) as info:
+            build(name)
+        assert str(info.value) == message
+
+
+@pytest.mark.parametrize("doc, default", [
+    ({"kind": "mul_table", "mul": [[0, 1], [1, 0]]}, "order-2 group"),
+    ({"kind": "perm_gens", "gens": [[1, 0]]}, "perm group of degree 2"),
+    ({"kind": "catalog", "name": "C(2)"}, "C(2)"),
+    ({"kind": "product", "factors": [{"kind": "catalog", "name": "C(2)"}]}, "C(2)"),
+], ids=["mul_table", "perm_gens", "catalog", "product"])
+def test_definition_label_overrides_every_kind(doc, default):
+    assert group_from_definition(doc).label == default
+    assert group_from_definition({**doc, "label": ""}).label == default
+    named = group_from_definition({**doc, "label": "two"})
+    assert named.label == "two"
+    assert named.table_hash == group_from_definition(doc).table_hash

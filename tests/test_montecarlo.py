@@ -105,10 +105,10 @@ def test_row_blocks_do_not_change_hits(monkeypatch):
     degree = 4096
     bsgs = spread_s5(degree)
     assert bsgs.order == 120
-    assert len(list(row_blocks(1000, degree))) > 1
+    assert len(list(row_blocks(1000, degree, perms.BLOCK_CELLS))) > 1
     blocked = [estimate_np(bsgs, k, 3000, seed=3, chunk_size=1000) for k in (1, 2)]
     monkeypatch.setattr(perms, "BLOCK_CELLS", 1 << 40)
-    assert len(list(row_blocks(1000, degree))) == 1
+    assert len(list(row_blocks(1000, degree, perms.BLOCK_CELLS))) == 1
     whole = [estimate_np(bsgs, k, 3000, seed=3, chunk_size=1000) for k in (1, 2)]
     assert blocked == whole
     assert all(0 < r.hits < 3000 for r in blocked)

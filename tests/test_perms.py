@@ -239,7 +239,7 @@ def per_level_draw(bsgs, rng, size):
     levels = [np.array([t[x] for x in sorted(t)], dtype=dtype) for t in bsgs.transversals()]
     choices = [uniform_indices(rng, len(reps), size) for reps in levels]
     out = np.empty((size, degree), dtype=dtype)
-    for rows in row_blocks(size, degree):
+    for rows in row_blocks(size, degree, perms.BLOCK_CELLS):
         acc = np.arange(degree)
         for reps, chosen in zip(levels[::-1], choices[::-1]):
             acc = np.take(reps, acc + (chosen[rows].astype(np.intp) * degree)[:, None])

@@ -7,7 +7,8 @@ import pytest
 
 from nilprob.errors import EmptyInput, LatticeTooLarge
 from nilprob import structure
-from nilprob.groups import catalog_base_names, catalog_get, row_blocks, validate_table
+from nilprob.groups import BLOCK_CELLS, catalog_base_names, catalog_get, validate_table
+from nilprob.perms import row_blocks
 from nilprob.structure import (
     LATTICE_WORK_CAP,
     center,
@@ -45,7 +46,7 @@ def is_normal(g, h):
     elems = np.array(h.elements)
     member = np.zeros(g.order, dtype=bool)
     member[elems] = True
-    for rows in row_blocks(g.order, len(elems)):
+    for rows in row_blocks(g.order, len(elems), BLOCK_CELLS):
         a = np.arange(g.order)[rows]
         if not member[m[m[np.ix_(inv[a], elems)], a[:, None]]].all():
             return False

@@ -6,7 +6,8 @@ caller of ``validate_table`` is the ``mul_table`` branch of
 kernel is normal, so its only caller is ``GroupVerifier.quot``, which
 passes lattice members and central subgroups.  The source is read with
 ``ast``, never imported, so a call on a branch no test reaches is found
-too.
+too.  Rows are split into blocks by one function, ``perms.row_blocks``,
+whose callers name their own cell budgets.
 """
 
 import ast
@@ -53,3 +54,12 @@ def test_only_the_verifier_takes_quotients():
         ("verify", "<module>"),  # the import
         ("verify", "quot"),
     ]
+
+
+def test_row_blocks_is_defined_once():
+    defined = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef) and node.name == "row_blocks":
+                defined.append(path.stem)
+    assert defined == ["perms"]

@@ -282,6 +282,18 @@ def test_run_corpus_collects_bad_definitions():
     assert any("NotAGroupName" in s["group"] for s in report.skipped)
 
 
+def test_run_corpus_skips_a_definition_nested_too_deeply():
+    # past the interpreter's recursion limit a definition is bad input, like any other
+    deep = {"kind": "catalog", "name": "C(2)", "label": "deep"}
+    for _ in range(3000):
+        deep = {"kind": "product", "factors": [deep], "label": "deep"}
+    good = {"kind": "catalog", "name": "C(3)", "label": "three"}
+    report = run_corpus(CorpusConfig(definitions=[deep, good], ks=(1,)))
+    assert [s["group"] for s in report.skipped] == ["deep"]
+    assert "recursion" in report.skipped[0]["reason"]
+    assert {o.group for o in report.outcomes} == {"three"}
+
+
 def test_run_corpus_respects_order_cap():
     cfg = CorpusConfig(group_names=["C(100)"], ks=(1,), max_order=64)
     report = run_corpus(cfg)
