@@ -65,7 +65,7 @@ def _int(x) -> int:
     return x
 
 
-#: Each kind of entry's fields, read back as the value its ``get_*`` returns;
+#: Each kind of entry's fields, read back at load as the value its ``get_*`` returns;
 #: a reader raises ValueError, KeyError or TypeError on a malformed entry.
 _READERS = {
     "np": lambda e: (parse_fraction(e["value"]), _int(e["counted"]), _int(e["total"])),
@@ -79,7 +79,7 @@ class ResultCache:
     def __init__(self, directory: Optional[Path] = None):
         self.directory = Path(directory) if directory is not None else default_cache_dir()
         self.path = self.directory / CACHE_FILENAME
-        self._entries: dict[str, dict] = {}
+        self._entries: dict[str, tuple] = {}  # key -> (kind, value)
         self._fh: Optional[TextIO] = None
         self._load()
 
@@ -103,29 +103,29 @@ class ResultCache:
                 try:
                     entry = json.loads(line)
                     if entry["schema"] == SCHEMA_VERSION and isinstance(entry["key"], str):
-                        _READERS[entry["kind"]](entry)
-                        self._entries[entry["key"]] = entry
+                        kind = entry["kind"]
+                        self._entries[entry["key"]] = (kind, _READERS[kind](entry))
                 except (ValueError, KeyError, TypeError, RecursionError):
                     continue  # a torn or malformed line never poisons the cache
 
-    def _put(self, entry: dict) -> None:
-        """Add the schema version to ``entry`` (key, kind, fields), store it and append it.
+    def _put(self, kind: str, key: str, result, **fields) -> None:
+        """Store ``result`` under ``key`` and append its entry: schema, key, kind and ``fields``.
 
-        A key already stored keeps its entry, and nothing is written.
+        A key already stored keeps its result, and nothing is written.
         """
-        key = entry["key"]
         if key in self._entries:
             return
-        entry = self._entries[key] = {"schema": SCHEMA_VERSION, **entry}
+        self._entries[key] = (kind, result)
         if self._fh is None:
             self.directory.mkdir(parents=True, exist_ok=True)
             self._fh = open(self.path, "a", encoding="utf-8")
+        entry = {"schema": SCHEMA_VERSION, "key": key, "kind": kind, **fields}
         self._fh.write(json.dumps(entry, sort_keys=True) + "\n")
         self._fh.flush()
 
     def _get(self, kind: str, key: str):
-        entry = self._entries.get(key)
-        return None if entry is None or entry["kind"] != kind else _READERS[kind](entry)
+        found = self._entries.get(key)
+        return found[1] if found is not None and found[0] == kind else None
 
     # -- np(H; shifts) ---------------------------------------------------
 
@@ -134,8 +134,8 @@ class ResultCache:
         return self._get("np", key)
 
     def put_np(self, key: str, value: Fraction, counted: int, total: int) -> None:
-        self._put({"key": key, "kind": "np", "value": fraction_text(value),
-                   "counted": counted, "total": total})
+        self._put("np", key, (value, counted, total), value=fraction_text(value),
+                  counted=counted, total=total)
 
     # -- np_sup ------------------------------------------------------------
 
@@ -161,8 +161,8 @@ class ResultCache:
 
     def put_sup(self, key: str, value: tuple[Fraction, tuple[int, ...]]) -> None:
         sup, witness = value
-        self._put({"key": key, "kind": "sup", "value": fraction_text(sup),
-                   "witness": list(witness)})
+        self._put("sup", key, (sup, tuple(witness)), value=fraction_text(sup),
+                  witness=list(witness))
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -318,9 +318,10 @@ def cmd_verify(args) -> int:
         _write_outcome_rows(sys.stdout, report)
     else:
         print(render_report_table(report))
-    # each corpus entry either runs or is skipped, so this many skips ran nothing
-    if len(report.skipped) == len(names) + len(definitions):
-        raise _UsageError(f"nothing verified: {len(report.skipped)} skipped, no group ran")
+    # each corpus entry runs or is skipped whole, in an entry without "check"
+    groups_skipped = sum("check" not in s for s in report.skipped)
+    if groups_skipped == len(names) + len(definitions):
+        raise _UsageError(f"nothing verified: {groups_skipped} skipped, no group ran")
     return 0 if report.must_hold_ok else 1
 
 

@@ -13,6 +13,11 @@ on concrete groups.  Checks come in two strengths:
 Equality cases of must-hold inequalities (below 1) are reported as
 sharpness witnesses.
 
+``GroupVerifier.run`` runs the checks of one table, ``_CHECKS``, in one
+loop.  A call that a budget refuses becomes one ``skipped`` entry and the
+group's other calls still run; a call that gives no outcome is counted as
+not applicable.
+
 Every check takes a ``GroupVerifier`` first: the group G, its normal
 subgroups, the run's budgets and three memos, the supremum ``np_sup`` per
 (table, subgroup, k), np(H; shifts) per tuple and the quotient G/N per
@@ -143,7 +148,14 @@ def _subgroup_params(h: SubgroupRef, role: str = "h") -> dict:
 
 def _sup_outcome(check_id: str, v: GroupVerifier, h: SubgroupRef, k: int, base: dict,
                  rhs: Fraction) -> CheckOutcome:
-    """sup over shift tuples <= rhs, reported at the lex-smallest maximising tuple."""
+    """sup over shift tuples <= rhs, reported at the lex-smallest maximising tuple.
+
+    When rhs = 1 the inequality is a tautology for probabilities, and a
+    vacuous outcome stands in for the supremum.
+    """
+    if rhs == 1:
+        params = {**base, "vacuous": True}
+        return CheckOutcome(check_id, v.g.label, params, Fraction(1), rhs, True)
     value, witness = v.sup(v.g, h, k)
     params = {**base, "shifts": list(witness)}
     count = (v.g.order // h.order) ** (k + 1)
@@ -157,16 +169,9 @@ def check_npleqcp(v: GroupVerifier, h: SubgroupRef) -> CheckOutcome:
 
     The right-hand side cp(H) is the same for every shift pair, so the
     outcome is the supremum over pairs (x, y) with its lex-smallest
-    maximising pair.  When cp(H) = 1 the inequality is a tautology for
-    probabilities, and a vacuous outcome stands in for the supremum.
+    maximising pair; vacuous when cp(H) = 1.
     """
-    rhs = cp(h)
-    base = _subgroup_params(h)
-    if rhs == 1:
-        return CheckOutcome(
-            "np_le_cp", v.g.label, {**base, "vacuous": True}, Fraction(1), rhs, True
-        )
-    return _sup_outcome("np_le_cp", v, h, 1, base, rhs)
+    return _sup_outcome("np_le_cp", v, h, 1, _subgroup_params(h), cp(h))
 
 
 def check_center_recursion(v: GroupVerifier, h: SubgroupRef, k: int) -> list[CheckOutcome]:
@@ -192,16 +197,8 @@ def check_center_recursion(v: GroupVerifier, h: SubgroupRef, k: int) -> list[Che
         lhs = v.np(g, h, tup)
         image = tuple(project[x] for x in tup[:k])
         rhs = Fraction(1, 2) * (1 + v.np(qmap.target, hbar, image))
-        out.append(
-            CheckOutcome(
-                "center_recursion",
-                g.label,
-                {**base, "shifts": list(tup)},
-                lhs,
-                rhs,
-                lhs <= rhs,
-            )
-        )
+        params = {**base, "shifts": list(tup)}
+        out.append(CheckOutcome("center_recursion", g.label, params, lhs, rhs, lhs <= rhs))
     return out
 
 
@@ -209,17 +206,10 @@ def check_class_characterization(v: GroupVerifier, h: SubgroupRef, k: int) -> Ch
     """The supremum hits 1 exactly when H is nilpotent of class at most k."""
     value, witness = v.sup(v.g, h, k)
     cls = nilpotency_class(h)
-    nilpotent_le_k = cls is not None and cls <= k
-    holds = (value == 1) == nilpotent_le_k
-    return CheckOutcome(
-        "class_characterization",
-        v.g.label,
-        {**_subgroup_params(h), "k": k, "nilpotency_class": cls},
-        value,
-        Fraction(1),
-        holds,
-        witness={"max_shifts": list(witness)},
-    )
+    holds = (value == 1) == (cls is not None and cls <= k)
+    params = {**_subgroup_params(h), "k": k, "nilpotency_class": cls}
+    return CheckOutcome("class_characterization", v.g.label, params, value, Fraction(1), holds,
+                        witness={"max_shifts": list(witness)})
 
 
 def check_gap_bound(v: GroupVerifier, h: SubgroupRef, k: int) -> list[CheckOutcome]:
@@ -263,9 +253,7 @@ def check_submultiplicativity(
         "quotient_factor": quot_val,
         "kernel_factor": n_val,
     }
-    return CheckOutcome(
-        "submultiplicativity", g.label, params, lhs, rhs, lhs <= rhs
-    )
+    return CheckOutcome("submultiplicativity", g.label, params, lhs, rhs, lhs <= rhs)
 
 
 def check_shift_monotonicity(v: GroupVerifier, n: SubgroupRef, k: int) -> CheckOutcome:
@@ -273,16 +261,11 @@ def check_shift_monotonicity(v: GroupVerifier, n: SubgroupRef, k: int) -> CheckO
 
     The right-hand side, the trivial-shift value, is the same for every
     tuple, so the outcome is the supremum over tuples with its
-    lex-smallest maximising tuple; a vacuous outcome when the
-    trivial-shift value is already 1.
+    lex-smallest maximising tuple; vacuous when the trivial-shift value
+    is already 1.
     """
     rhs = v.np(v.g, n, identity_shifts(k))
-    base = {**_subgroup_params(n, "n"), "k": k}
-    if rhs == 1:
-        return CheckOutcome(
-            "shift_monotonicity", v.g.label, {**base, "vacuous": True}, Fraction(1), rhs, True
-        )
-    return _sup_outcome("shift_monotonicity", v, n, k, base, rhs)
+    return _sup_outcome("shift_monotonicity", v, n, k, {**_subgroup_params(n, "n"), "k": k}, rhs)
 
 
 def max_bad_series_length(
@@ -333,25 +316,46 @@ def check_series_bound(v: GroupVerifier, k: int) -> list[CheckOutcome]:
     npk = v.np(v.g, v.top, identity_shifts(k))
     r, chain = max_bad_series_length(v.normals, k)
     witness = {"chain_orders": [c.order for c in chain]} if chain else None
-    out = []
-    for check_id, const in (
-        ("series_bound", gap_constant(k)),
-        ("series_bound_tight", gap_constant_tight(k)),
-    ):
-        bound = math.log(float(npk)) / math.log(float(const))
-        holds = const ** r > npk
-        out.append(
-            CheckOutcome(
-                check_id,
-                v.g.label,
-                {"k": k, "r": r, "factors": r + 1, "np_k": npk},
-                r,
-                bound,
-                holds,
-                witness,
-            )
-        )
-    return out
+    params = {"k": k, "r": r, "factors": r + 1, "np_k": npk}
+    return [
+        CheckOutcome(check_id, v.g.label, params, r,
+                     math.log(float(npk)) / math.log(float(const)), const ** r > npk, witness)
+        for check_id, const in (("series_bound", gap_constant(k)),
+                                ("series_bound_tight", gap_constant_tight(k)))
+    ]
+
+
+def _each_source(v: GroupVerifier, sources: list[SubgroupRef]) -> list[dict]:
+    return [{"h": h} for h in sources]
+
+
+def _normal_pairs(v: GroupVerifier, sources: list[SubgroupRef]) -> list[dict]:
+    """N and H for each normal N: H = G first, then each proper normal H containing N."""
+    pairs = []
+    for n in v.normals:
+        n_set = set(n.elements)
+        pairs.append({"n": n, "h": v.top})
+        pairs += [{"n": n, "h": h} for h in v.normals
+                  if n_set <= set(h.elements) and h.order < v.g.order]
+    return pairs
+
+
+#: Every check, in run order: the check names its function emits, the
+#: function, each call's subgroup arguments by parameter name for a verifier
+#: and its subgroup sources, and whether it runs for each k (passed as ``k``)
+#: or once per group, at k = 1.  A refused call's entry prefixes its
+#: subgroups' params with these names (``h_order``, ``n_order``).
+_CHECKS = (
+    (("np_le_cp",), check_npleqcp, _each_source, False),
+    # H = G: a single shift tuple, so a single outcome
+    (("center_recursion",), check_center_recursion, lambda v, hs: [{"h": v.top}], True),
+    (("class_characterization",), check_class_characterization, _each_source, True),
+    (("gap_bound", "gap_bound_tight"), check_gap_bound, _each_source, True),
+    (("submultiplicativity",), check_submultiplicativity, _normal_pairs, True),
+    (("shift_monotonicity",), check_shift_monotonicity,
+     lambda v, hs: [{"n": n} for n in v.normals], True),
+    (("series_bound", "series_bound_tight"), check_series_bound, lambda v, hs: [{}], True),
+)
 
 
 # -- corpus runner --------------------------------------------------------------
@@ -391,14 +395,12 @@ class VerificationReport:
     """Aggregated outcomes of a corpus run; every outcome list is a filter of ``outcomes``."""
 
     outcomes: list[CheckOutcome] = field(default_factory=list)
+    #: groups that did not run and refused calls, each with its reason
     skipped: list[dict] = field(default_factory=list)
-    gap_checks_skipped: int = 0
+    #: check calls that ran and gave no outcome, such as gap checks on H of class <= k
+    not_applicable: int = 0
     environment: dict = field(default_factory=dict)
     timing: dict = field(default_factory=dict)
-
-    @property
-    def checks_run(self) -> int:
-        return len(self.outcomes)
 
     @property
     def findings(self) -> list[CheckOutcome]:
@@ -421,11 +423,12 @@ class VerificationReport:
     def summary(self) -> dict:
         violations, findings = len(self.violations), len(self.findings)
         return {
-            "checks": self.checks_run,
-            "passed": self.checks_run - violations - findings,
+            "checks": len(self.outcomes),
+            "passed": len(self.outcomes) - violations - findings,
             "violations": violations,
             "findings": findings,
-            "skipped": len(self.skipped) + self.gap_checks_skipped,
+            "skipped": len(self.skipped),
+            "not_applicable": self.not_applicable,
             "sharpness": len(self.sharpness),
         }
 
@@ -617,46 +620,40 @@ class GroupVerifier:
             self._quot_memo[n.elements] = quotient(self.g, n)
         return self._quot_memo[n.elements]
 
-    def ks_for_group(self):
-        for k in self.cfg.ks:
-            limit = self.cfg.k_order_limits.get(k)
-            if limit is None or self.g.order <= limit:
-                yield k
+    def run(self) -> tuple[list[CheckOutcome], list[dict], int]:
+        """Every selected check, in ``_CHECKS`` order, for each k this group's order allows.
 
-    def run(self) -> tuple[list[CheckOutcome], int]:
+        Returns the outcomes of the selected names, one ``skipped`` entry
+        per call refused by a budget (the other calls still run), and the
+        number of calls that gave no outcome.
+        """
         selected = set(self.cfg.checks)
-        raw: list[CheckOutcome] = []
-        gap_skips = 0
+        limits = self.cfg.k_order_limits
+        ks = [k for k in self.cfg.ks if self.g.order <= limits.get(k, self.g.order)]
+        plan = [(1, row) for row in _CHECKS if not row[-1]]
+        plan += [(k, row) for k in ks for row in _CHECKS if row[-1]]
         sources = self.subgroup_sources()
-
-        if "np_le_cp" in selected:
-            raw.extend(check_npleqcp(self, h) for h in sources)
-
-        for k in self.ks_for_group():
-            if "center_recursion" in selected:
-                # H = G: a single shift tuple, so a single outcome
-                raw.extend(check_center_recursion(self, self.top, k))
-            if "class_characterization" in selected:
-                raw.extend(check_class_characterization(self, h, k) for h in sources)
-            if "gap_bound" in selected or "gap_bound_tight" in selected:
-                for h in sources:
-                    pair = check_gap_bound(self, h, k)
-                    if not pair:
-                        gap_skips += 1
-                    raw.extend(o for o in pair if o.check_id in selected)
-            if "submultiplicativity" in selected:
-                for n in self.normals:
-                    n_set = set(n.elements)
-                    hs = [self.top] + [
-                        h for h in self.normals
-                        if n_set <= set(h.elements) and h.order < self.g.order
-                    ]
-                    raw.extend(check_submultiplicativity(self, n, h, k) for h in hs)
-            if "shift_monotonicity" in selected:
-                raw.extend(check_shift_monotonicity(self, n, k) for n in self.normals)
-            if "series_bound" in selected or "series_bound_tight" in selected:
-                raw.extend(o for o in check_series_bound(self, k) if o.check_id in selected)
-        return raw, gap_skips
+        outcomes: list[CheckOutcome] = []
+        refused: list[dict] = []
+        not_applicable = 0
+        for k, (names, check, arguments, per_k) in plan:
+            if selected.isdisjoint(names):
+                continue
+            for subs in arguments(self, sources):
+                try:
+                    out = check(self, **subs, k=k) if per_k else check(self, **subs)
+                except BudgetExceeded as exc:
+                    entry = {"group": self.g.label, "k": k,
+                             "check": next(c for c in names if c in selected)}
+                    for role, sub in subs.items():
+                        entry.update(_subgroup_params(sub, role))
+                    entry["reason"] = str(exc)
+                    refused.append(entry)
+                    continue
+                out = [out] if isinstance(out, CheckOutcome) else out
+                not_applicable += not out
+                outcomes += [o for o in out if o.check_id in selected]
+        return outcomes, refused, not_applicable
 
 
 def _resolve_groups(cfg: CorpusConfig) -> tuple[list[GroupTable], list[dict]]:
@@ -684,15 +681,17 @@ def _resolve_groups(cfg: CorpusConfig) -> tuple[list[GroupTable], list[dict]]:
 
 def _verify_one(
     table: GroupTable, cfg: CorpusConfig, cache=None
-) -> tuple[str, list, int, float, Optional[dict]]:
+) -> tuple[str, list, list[dict], int, float]:
+    """One group's outcomes, ``skipped`` entries, not-applicable count and seconds.
+
+    A budget refusal drops one call; any other error skips the whole group.
+    """
     start = time.perf_counter()
     try:
-        verifier = GroupVerifier(table, cfg, cache)
-        outcomes, gap_skips = verifier.run()
-        return table.label, outcomes, gap_skips, time.perf_counter() - start, None
+        outcomes, skipped, not_applicable = GroupVerifier(table, cfg, cache).run()
     except NilprobError as exc:
-        skip = {"group": table.label, "reason": str(exc)}
-        return table.label, [], 0, time.perf_counter() - start, skip
+        outcomes, skipped, not_applicable = [], [{"group": table.label, "reason": str(exc)}], 0
+    return table.label, outcomes, skipped, not_applicable, time.perf_counter() - start
 
 
 def run_corpus(cfg: CorpusConfig, cache=None) -> VerificationReport:
@@ -732,12 +731,11 @@ def run_corpus(cfg: CorpusConfig, cache=None) -> VerificationReport:
         results = [_verify_one(table, cfg, cache) for table in tables]
 
     results.sort(key=lambda r: r[0])
-    for label, outcomes, gap_skips, elapsed, skip in results:
+    for label, outcomes, skipped, not_applicable, elapsed in results:
         report.timing[label] = round(elapsed, 6)
-        report.gap_checks_skipped += gap_skips
-        if skip is not None:
-            report.skipped.append(skip)
         report.outcomes.extend(outcomes)
+        report.skipped.extend(skipped)
+        report.not_applicable += not_applicable
     return report
 
 
@@ -747,7 +745,8 @@ def render_report_table(report: VerificationReport) -> str:
     s = report.summary()
     lines.append(
         "checks={checks} passed={passed} violations={violations} "
-        "findings={findings} sharpness={sharpness} skipped={skipped}".format(**s)
+        "findings={findings} sharpness={sharpness} skipped={skipped} "
+        "not_applicable={not_applicable}".format(**s)
     )
     lines.append("")
     header = f"{'group':<18} {'check':<24} {'k':>2} {'lhs':>12} {'rhs':>12}  status"

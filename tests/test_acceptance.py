@@ -258,3 +258,32 @@ def test_corpus_walks_each_lower_central_series_once(corpus_run):
     # bound took 1250
     _, _, _, _, walks = corpus_run
     assert walks == [627, 627]
+
+
+def test_budget_refusals_drop_single_outcomes(corpus_run, tmp_path):
+    # at --budget-shifts 200 the suprema over S(3)x1 and 1xS(3) in S(3)xS(3)
+    # at k = 2 (6^3 = 216 shift tuples) are refused; each refused call is one
+    # skipped entry, and every other outcome is the default-budget run's
+    _, docs, _, _, _ = corpus_run
+    path = tmp_path / "report.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(["--budget-shifts", "200", "verify", "--no-cache", "--report", str(path)])
+    doc = json.loads(path.read_text())
+    assert code == 0 and len(doc["outcomes"]) == 9389
+    rest = iter(docs[0]["outcomes"])
+    assert all(any(o == full for full in rest) for o in doc["outcomes"])  # in order
+    distinct = {json.dumps(s, sort_keys=True) for s in doc["skipped"]}
+    assert len(doc["skipped"]) == len(distinct) == 16
+    assert all(s["group"] == "S(3)xS(3)" and s["k"] == 2 and s["reason"].endswith("budget is 200")
+               for s in doc["skipped"])
+    assert doc["summary"]["skipped"] == 16
+    assert doc["summary"]["not_applicable"] == docs[0]["summary"]["not_applicable"] == 1257
+
+
+def test_readme_library_example_runs():
+    # the first code block under "## Library" in the README, as written
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    assert "run_corpus(nb.CorpusConfig.default())" in code
+    exec(compile(code, "README.md", "exec"), {})

@@ -211,3 +211,31 @@ def test_each_lookup_hashes_its_key_once(tmp_path, monkeypatch, capsys):
         methods.append(json.loads(capsys.readouterr().out.splitlines()[-1])["method"])
     assert kinds == ["sup", "np", "sup", "np"]
     assert methods[1] == "cache" != methods[0]
+
+
+def test_a_warm_cache_parses_each_line_once(tmp_path, monkeypatch):
+    # the value read at load is the value every lookup returns; a put keeps
+    # the value it was given, so a cold run parses nothing
+    from nilprob.verify import CorpusConfig, run_corpus
+
+    parsed = []
+    real_parse = cache_module.parse_fraction
+
+    def counting_parse(text):
+        parsed.append(text)
+        return real_parse(text)
+
+    monkeypatch.setattr(cache_module, "parse_fraction", counting_parse)
+    cfg = CorpusConfig(group_names=["S(4)", "SL(2,3)"], ks=(1, 2), k_order_limits={})
+    with ResultCache(tmp_path) as cold:
+        run_corpus(cfg, cold)
+        cold.put_np(np_key("h", (0,), (0, 0)), Fraction(1, 2), 1, 2)
+    assert parsed == []
+    lines = [json.loads(line) for line in (tmp_path / CACHE_FILENAME).read_text().splitlines()]
+    assert {e["kind"] for e in lines} == {"np", "sup"}
+    warm = ResultCache(tmp_path)
+    assert sorted(parsed) == sorted(e["value"] for e in lines)
+    for e in lines:
+        value = (warm.get_np if e["kind"] == "np" else warm.get_sup)(e["key"])
+        assert value is not None and value[0] == real_parse(e["value"])
+    assert len(parsed) == len(lines)

@@ -104,9 +104,11 @@ def test_budgets_apply_whatever_the_cache_holds(capsys, tmp_path, argv, budget):
     if argv[0] == "np":
         assert cold[0] == 2 and "budget is 10" in cold[2]
     else:
+        # a refused call drops its outcome only: A(4), of order 12, at each k
         doc = json.loads(cold[1])
-        assert [s["group"] for s in doc["skipped"]] == ["S(4)"]
-        assert doc["outcomes"] == []
+        assert cold[0] == 0 and len(doc["outcomes"]) == 9
+        assert [(s["group"], s["check"], s["h_order"], s["k"]) for s in doc["skipped"]] == [
+            ("S(4)", "class_characterization", 12, k) for k in (1, 2, 3)]
 
 
 def test_np_bad_group_exits_2(capsys):
@@ -283,8 +285,9 @@ def test_verify_abelian_corpus_skips_gap_checks(capsys):
     )
     assert code == 0
     doc = json.loads(out)
-    assert doc["summary"]["checks"] == 0
-    assert doc["summary"]["skipped"] > 0
+    # 4 normal subgroups each, all abelian, at k = 1, 2, 3: no gap check applies
+    assert doc["summary"]["checks"] == doc["summary"]["skipped"] == 0
+    assert doc["summary"]["not_applicable"] == 2 * 4 * 3
 
 
 def test_verify_that_ran_no_group_exits_2(capsys, tmp_path):
@@ -293,17 +296,33 @@ def test_verify_that_ran_no_group_exits_2(capsys, tmp_path):
     code, out, err = run_cli(capsys, "verify", "--group", "NOPE", "--group", "C(9000)",
                              "--no-cache", "--report", str(report_path), "--csv", str(csv_path))
     assert code == 2
-    assert out.startswith("checks=0 passed=0 violations=0 findings=0 sharpness=0 skipped=2\n")
+    assert out.startswith(
+        "checks=0 passed=0 violations=0 findings=0 sharpness=0 skipped=2 not_applicable=0\n")
     assert err.splitlines() == ["error: nothing verified: 2 skipped, no group ran"]
     assert [s["group"] for s in json.loads(report_path.read_text())["skipped"]] == [
         "NOPE", "C(9000)"]
     assert csv_path.read_text() == "group,k,check,lhs,rhs,holds\n"
 
-    # a group that ran without giving an outcome is not skipped
+    # a group that ran without giving an outcome is not skipped: its calls,
+    # one per k, did not apply
     code, out, err = run_cli(capsys, "verify", "--group", "C(1)", "--checks", "series_bound",
                              "--no-cache")
     assert code == 0 and err == ""
-    assert out.startswith("checks=0 passed=0 violations=0 findings=0 sharpness=0 skipped=0\n")
+    assert out.startswith(
+        "checks=0 passed=0 violations=0 findings=0 sharpness=0 skipped=0 not_applicable=3\n")
+
+
+def test_verify_with_a_refused_call_is_not_nothing_verified(capsys):
+    # a refused call is one entry, not a skipped group: A(4) at k = 1 is
+    # refused, the other 3 subgroups run
+    code, out, err = run_cli(capsys, "--budget-shifts", "3", "--format", "json", "verify",
+                             "--group", "S(4)", "--k", "1", "--checks", "class_characterization",
+                             "--no-cache")
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert len(doc["outcomes"]) == 3
+    assert [(s["check"], s["k"], s["h_order"]) for s in doc["skipped"]] == [
+        ("class_characterization", 1, 12)]
 
 
 def test_closed_stdout_exits_141_without_a_traceback(capsys, monkeypatch, tmp_path):

@@ -114,6 +114,24 @@ def test_row_blocks_do_not_change_hits(monkeypatch):
     assert all(0 < r.hits < 3000 for r in blocked)
 
 
+def test_run_chunk_composes_in_row_blocks(monkeypatch):
+    # a chunk of 1000 rows of degree 4096 is 4 million cells, and _run_chunk
+    # composes it in blocks of perms.BLOCK_CELLS: at k = 2, one commutator
+    # pass and the commuting test
+    blocks = []
+
+    def recording(rows, width, cells):
+        out = row_blocks(rows, width, cells)
+        if sys._getframe(1).f_code is montecarlo._run_chunk.__code__:
+            blocks.append(len(out))
+        return out
+
+    monkeypatch.setattr(perms, "row_blocks", recording)
+    estimate_np(spread_s5(4096), 2, 1000, seed=3, chunk_size=1000)
+    assert blocks == [len(row_blocks(1000, 4096, perms.BLOCK_CELLS))] * 2
+    assert blocks[0] > 1
+
+
 def test_default_chunk_fits_the_cell_limit():
     # 2^20 cells of degree 4096 are 256 samples; degree 4 keeps 8192
     wide = estimate_np(spread_s5(4096), 1, 600, seed=5)

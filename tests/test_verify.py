@@ -365,12 +365,17 @@ def test_all_checks_partition():
 
 
 def test_threaded_run_matches_serial():
-    cfg_serial = CorpusConfig(group_names=["S(3)", "Q8", "A(4)"], ks=(1,), k_order_limits={})
-    cfg_par = CorpusConfig(group_names=["S(3)", "Q8", "A(4)"], ks=(1,), k_order_limits={},
-                           threads=2)
-    a = json.dumps(run_corpus(cfg_serial).to_json(include_timing=False), sort_keys=True)
-    b = json.dumps(run_corpus(cfg_par).to_json(include_timing=False), sort_keys=True)
-    assert a == b
+    for names, overrides, refused in [
+        (["S(3)", "Q8", "A(4)"], {"ks": (1,), "k_order_limits": {}}, 0),
+        # 16 calls over S(3)x1 and 1xS(3) at k = 2 are refused, in a worker as in series
+        (["S(3)xS(3)", "S(3)"], {"shift_budget": 200}, 16),
+    ]:
+        serial = run_corpus(CorpusConfig(group_names=names, **overrides))
+        par = run_corpus(CorpusConfig(group_names=names, threads=2, **overrides))
+        assert len(serial.skipped) == refused
+        a = json.dumps(serial.to_json(include_timing=False), sort_keys=True)
+        b = json.dumps(par.to_json(include_timing=False), sort_keys=True)
+        assert a == b
 
 
 def test_aggregate_picks_the_worst_margin_exactly():
@@ -452,8 +457,11 @@ def _hand_built_reports():
     yield VerificationReport(
         outcomes=[plain, odd],
         skipped=[{"group": "SL(2,3)", "reason": 'order 24 > "cap", or not'},
-                 {"group": "Ω", "reason": "tab\there\nnewline"}],
-        gap_checks_skipped=3,
+                 {"group": "Ω", "reason": "tab\there\nnewline"},
+                 {"group": "S(4)", "check": "class_characterization", "k": 2, "h_order": 12,
+                  "h_elements": [0, 3, 4, 7, 8, 11, 12, 15, 16, 19, 20, 23],
+                  "reason": "shift tuple enumeration needs 8 iterations, budget is 3"}],
+        not_applicable=3,
         environment={"seed": None, "ks": (1, 2), "budgets": {}, "inf": float("inf")},
         timing={"C(2)": 0.001, "SL(2,3)": 1e-7},
     )
