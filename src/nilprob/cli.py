@@ -32,7 +32,7 @@ from .groups import (
     catalog_get,
     definition_field,
     group_from_definition,
-    group_to_definition,
+    write_definition,
 )
 from .montecarlo import DEFAULT_Z, estimate_np
 from .perms import schreier_sims
@@ -328,7 +328,7 @@ def cmd_verify(args) -> int:
 def cmd_describe(args) -> int:
     g = _resolve_group(args)
     if args.emit_definition:
-        print(json.dumps(group_to_definition(g), sort_keys=True))
+        write_definition(sys.stdout, g)
         return 0
     classes = conjugacy_classes(g)
     z = center(g)

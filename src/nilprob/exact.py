@@ -55,7 +55,8 @@ import numpy as np
 from .errors import BudgetExceeded, EmptyInput
 from .groups import BLOCK_CELLS, GroupTable
 from .perms import row_blocks
-from .structure import SubgroupRef, commutators, left_coset_reps, nilpotency_class, whole_group
+from .structure import (SubgroupRef, commutators, commuting_counts, left_coset_reps,
+                        nilpotency_class, whole_group)
 
 #: Iteration budget for the brute-force oracle (|H|^(k+1) tuples).
 DEFAULT_TUPLE_BUDGET = 10 ** 9
@@ -109,12 +110,8 @@ def identity_shifts(k: int) -> tuple[int, ...]:
     return (0,) * (k + 1)
 
 
-def np_bruteforce(
-    g: GroupTable,
-    h: SubgroupRef,
-    shifts: Sequence[int],
-    budget: int = DEFAULT_TUPLE_BUDGET,
-) -> NpResult:
+def np_bruteforce(g: GroupTable, h: SubgroupRef, shifts: Sequence[int],
+                  budget: int = DEFAULT_TUPLE_BUDGET) -> NpResult:
     """Exhaustive count of commutator-trivial shifted tuples.
 
     ``shifts`` has k+1 entries for the k-step probability; a single entry
@@ -127,20 +124,16 @@ def np_bruteforce(
         raise BudgetExceeded("brute-force tuple enumeration", total, budget)
     mul, inv = g.mul.tolist(), g.inv.tolist()
     elems = h.elements
-    first = shifts[0]
+    first, *rest = shifts
     count = 0
-    if m == 1:
-        count = sum(1 for y in elems if mul[first][y] == 0)
-    else:
-        rest = shifts[1:]
-        for ys in itertools.product(elems, repeat=m):
-            w = mul[first][ys[0]]
-            for x, y in zip(rest, ys[1:]):
-                t = mul[x][y]
-                # w = [w, t]
-                w = mul[mul[mul[inv[w]][inv[t]]][w]][t]
-            if w == 0:
-                count += 1
+    for ys in itertools.product(elems, repeat=m):
+        w = mul[first][ys[0]]
+        for x, y in zip(rest, ys[1:]):
+            t = mul[x][y]
+            # w = [w, t]
+            w = mul[mul[mul[inv[w]][inv[t]]][w]][t]
+        if w == 0:
+            count += 1
     return NpResult(Fraction(count, total), "brute_force", count, total)
 
 
@@ -189,15 +182,9 @@ def _forward_count(g: GroupTable, cosets: np.ndarray) -> int:
     if len(cosets) == 1:
         return int((cosets[0] == 0).sum())
     weights = _weights(g, cosets[:-1], _count_dtype(cosets.shape[1] ** len(cosets)))
-    m = g.mul
-    last = cosets[-1]
     support = np.flatnonzero(weights)
-    count = 0
-    for rows in row_blocks(len(support), len(last), BLOCK_CELLS):
-        w = support[rows]
-        commuting = (m[w[:, None], last] == m[last[:, None], w].T).sum(axis=1)
-        count += int(weights[w] @ commuting.astype(weights.dtype, copy=False))
-    return count
+    commuting = commuting_counts(g, support, cosets[-1])
+    return int(weights[support] @ commuting.astype(weights.dtype, copy=False))
 
 
 def require_dp_budget(g: GroupTable, h: SubgroupRef, m: int, budget: int,
@@ -208,12 +195,8 @@ def require_dp_budget(g: GroupTable, h: SubgroupRef, m: int, budget: int,
         raise BudgetExceeded(what, work, budget)
 
 
-def np_fast(
-    g: GroupTable,
-    h: SubgroupRef,
-    shifts: Sequence[int],
-    budget: int = DEFAULT_TUPLE_BUDGET,
-) -> NpResult:
+def np_fast(g: GroupTable, h: SubgroupRef, shifts: Sequence[int],
+            budget: int = DEFAULT_TUPLE_BUDGET) -> NpResult:
     """Same value as ``np_bruteforce`` via the forward commutator-distribution pass."""
     shifts = _check_shifts(g, shifts)
     m = len(shifts)
@@ -223,13 +206,8 @@ def np_fast(
     return NpResult(Fraction(count, total), "dp", count, total)
 
 
-def commutator_distribution(
-    g: GroupTable,
-    h: SubgroupRef,
-    shifts: Sequence[int],
-    m: int,
-    budget: int = DEFAULT_TUPLE_BUDGET,
-) -> dict[int, int]:
+def commutator_distribution(g: GroupTable, h: SubgroupRef, shifts: Sequence[int], m: int,
+                            budget: int = DEFAULT_TUPLE_BUDGET) -> dict[int, int]:
     """Counts W_m(c) of shifted m-tuples with left-normed commutator c.
 
     Only commutators with a nonzero count are keys; the counts always sum
@@ -254,15 +232,12 @@ def np_k(g: GroupTable, k: int, budget: int = DEFAULT_TUPLE_BUDGET) -> NpResult:
 def cp(g: GroupTable | SubgroupRef) -> Fraction:
     """Commuting probability: the share of commuting pairs, k(G)/|G|.
 
-    A subgroup is measured as a group in its own right, by counting over
-    its block of the parent's table.
+    A subgroup is measured as a group in its own right: its commuting
+    pairs are counted in the parent's table.
     """
-    if isinstance(g, SubgroupRef):
-        block = g.parent.mul[np.ix_(g.elements, g.elements)]
-    else:
-        block = g.mul
-    n = len(block)
-    return Fraction(int((block == block.T).sum()), n * n)
+    h = g if isinstance(g, SubgroupRef) else whole_group(g)
+    elems = np.array(h.elements)
+    return Fraction(int(commuting_counts(h.parent, elems, elems).sum()), h.order ** 2)
 
 
 def _backward_counts(g: GroupTable, cosets: np.ndarray, k: int) -> Iterator[int]:
@@ -274,7 +249,6 @@ def _backward_counts(g: GroupTable, cosets: np.ndarray, k: int) -> Iterator[int]
     are handed out before the next, so neither v of the second coordinate
     nor all counts are ever stored.
     """
-    m = g.mul
     n = g.order
     reps, size = cosets.shape
     dtype = _count_dtype(size ** (k + 1))
@@ -284,11 +258,7 @@ def _backward_counts(g: GroupTable, cosets: np.ndarray, k: int) -> Iterator[int]
         """v'[w, x, s], the sum of v[[w, t], s] over t in the coset x, for the rows w."""
         return v[commutators(g, w, flat)].reshape(len(w), reps, size, v.shape[1]).sum(axis=2)
 
-    tail = cosets[0]
-    v = np.empty((n, 1), dtype)
-    for rows in row_blocks(n, size, COUNT_BLOCK_CELLS):
-        w = np.arange(n)[rows]
-        v[rows, 0] = (m[w[:, None], tail] == m[tail[:, None], w].T).sum(axis=1)
+    v = commuting_counts(g, np.arange(n), cosets[0], COUNT_BLOCK_CELLS).astype(dtype)[:, None]
     for _ in range(k - 2):
         nxt = np.empty((n, reps * v.shape[1]), dtype)
         for rows in row_blocks(n, n * v.shape[1], COUNT_BLOCK_CELLS):
@@ -317,10 +287,7 @@ def require_shift_budget(g: GroupTable, h: SubgroupRef, k: int, budget: int) -> 
 
 
 def iter_shift_values(
-    g: GroupTable,
-    h: SubgroupRef,
-    k: int,
-    budget: int = DEFAULT_SHIFT_BUDGET,
+    g: GroupTable, h: SubgroupRef, k: int, budget: int = DEFAULT_SHIFT_BUDGET,
 ) -> Iterator[tuple[tuple[int, ...], Fraction]]:
     """Yield (shift tuple, exact value) over the canonical tuples ending in the coset H.
 
@@ -350,12 +317,8 @@ def iter_shift_values(
         yield prefix + (0,), value
 
 
-def np_sup(
-    g: GroupTable,
-    h: SubgroupRef,
-    k: int,
-    budget: int = DEFAULT_SHIFT_BUDGET,
-) -> tuple[Fraction, tuple[int, ...]]:
+def np_sup(g: GroupTable, h: SubgroupRef, k: int,
+           budget: int = DEFAULT_SHIFT_BUDGET) -> tuple[Fraction, tuple[int, ...]]:
     """Supremum of the shifted probability over all [G:H]^(k+1) shift tuples.
 
     The witness is the lexicographically smallest maximizing tuple of coset

@@ -25,10 +25,11 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import json
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property, partial, reduce
-from typing import Optional, Sequence
+from typing import Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -488,3 +489,16 @@ def group_from_definition(obj: dict, max_order: int = DEFAULT_ORDER_CAP) -> Grou
 def group_to_definition(g: GroupTable) -> dict:
     """A ``mul_table`` definition that reconstructs the identical table."""
     return {"label": g.label, "kind": "mul_table", "mul": g.mul.tolist()}
+
+
+def write_definition(fh: TextIO, g: GroupTable) -> None:
+    """``json.dumps(group_to_definition(g), sort_keys=True)`` and a newline, a row at a time.
+
+    The table is never held as Python ints, only one row of them.
+    """
+    fh.write(f'{{"kind": "mul_table", "label": {json.dumps(g.label)}, "mul": [')
+    sep = ""
+    for row in g.mul:
+        fh.write(sep + json.dumps(row.tolist()))
+        sep = ", "
+    fh.write("]}\n")

@@ -4,8 +4,10 @@ Commutators, centralizers, conjugacy classes, subgroup closure, normal
 subgroups, quotients, the lower central series and nilpotency class.  All
 functions are pure; subgroups are sorted element-index tuples referencing
 their parent table.  Everything reads the ``int32`` arrays: whole-table
-passes as gathers, and the one search that visits single entries,
-``subgroup_closure``, with ``mul.item``.
+passes in row blocks of a named cell budget (``perms.row_blocks``), and
+the one search that visits single entries, ``subgroup_closure``, with
+``mul.item``.  Commuting pairs are counted by ``commuting_counts`` alone,
+and cosets of a normal subgroup are labelled by ``coset_labels`` alone.
 """
 
 from __future__ import annotations
@@ -84,14 +86,26 @@ def commutators(g: GroupTable, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     return m[m[m[inv[xs][:, None], inv[ys]], xs[:, None]], ys]
 
 
+def commuting_counts(g: GroupTable, xs: np.ndarray, ys: np.ndarray,
+                     cells: int = BLOCK_CELLS) -> np.ndarray:
+    """#{y in ``ys`` : xy = yx} for each x in ``xs``, a block of ``cells`` cells at a time."""
+    m = g.mul
+    counts = np.empty(len(xs), dtype=np.int64)
+    for rows in row_blocks(len(xs), len(ys), cells):
+        x = xs[rows]
+        counts[rows] = (m[x[:, None], ys] == m[ys[:, None], x].T).sum(axis=1)
+    return counts
+
+
 def centralizer(g: GroupTable, x: int) -> SubgroupRef:
     m = g.mul
     return SubgroupRef(g, tuple(np.flatnonzero(m[:, x] == m[x]).tolist()))
 
 
 def center(g: GroupTable) -> SubgroupRef:
-    m = g.mul
-    return SubgroupRef(g, tuple(np.flatnonzero((m == m.T).all(axis=1)).tolist()))
+    every = np.arange(g.order)
+    central = commuting_counts(g, every, every) == g.order
+    return SubgroupRef(g, tuple(np.flatnonzero(central).tolist()))
 
 
 def conjugacy_classes(g: GroupTable) -> ClassData:
@@ -137,14 +151,13 @@ def normal_subgroups(g: GroupTable) -> list[SubgroupRef]:
     Group Theory*, 2005), so the lattice is reached from the trivial
     subgroup by joining each subgroup A found with every distinct N(x),
     skipping x in A.  The join A N(x) is the union of the cosets of A that
-    meet N(x): one gather of the rows of A labels each element x by the
-    least member of Ax = xA, and then all the joins of A are rows of one
-    coset mask, keyed by their packed bits.  So each subgroup A found
-    costs |G| x |A| gathered cells and |G| x R mask cells, R the number
-    of distinct N(x); the search counts these cells, starting from the
-    trivial subgroup's, and raises ``LatticeTooLarge`` once they pass
-    ``LATTICE_WORK_CAP``.  This is its only bound: the order alone
-    refuses nothing.
+    meet N(x): ``coset_labels`` labels each element x by the least member
+    of Ax = xA, and then all the joins of A are rows of one coset mask,
+    keyed by their packed bits.  So each subgroup A found costs |G| x |A|
+    read cells and |G| x R mask cells, R the number of distinct N(x); the
+    search counts these cells, starting from the trivial subgroup's, and
+    raises ``LatticeTooLarge`` once they pass ``LATTICE_WORK_CAP``.  This
+    is its only bound: the order alone refuses nothing.
     """
     classes = conjugacy_classes(g)
     class_of = np.array(classes.class_of)
@@ -157,7 +170,7 @@ def normal_subgroups(g: GroupTable) -> list[SubgroupRef]:
     found = {np.packbits(np.arange(g.order) == 0).tobytes(): worklist[0]}
     work = g.order * (1 + len(reps))
     while worklist:
-        least = g.mul[list(worklist.pop().elements)].min(axis=0)
+        least = coset_labels(g, worklist.pop())
         mark = np.zeros((len(reps), g.order), dtype=bool)
         mark[owner, least[members]] = True
         joins = mark[least[reps] != 0][:, least]
@@ -174,17 +187,26 @@ def normal_subgroups(g: GroupTable) -> list[SubgroupRef]:
     return sorted(found.values(), key=lambda s: (s.order, s.elements))
 
 
+def coset_labels(g: GroupTable, n: SubgroupRef) -> np.ndarray:
+    """The least member of each coset Nx = xN of a normal ``n``, a block of N's rows at a time."""
+    m = g.mul
+    elems = np.array(n.elements)
+    least = m[0].copy()  # the identity's row: Nx contains x
+    for rows in row_blocks(len(elems), g.order, BLOCK_CELLS):
+        np.minimum(least, m[elems[rows]].min(axis=0), out=least)
+    return least
+
+
 def quotient(g: GroupTable, n: SubgroupRef) -> QuotientMap:
     """Coset group of ``n``, cosets ordered by least member, read from N's rows.
 
     ``n`` must be normal, and this is not checked: it is a lattice member
     or central, normal by construction.
     """
-    m = g.mul
-    least = m[list(n.elements)].min(axis=0)
+    least = coset_labels(g, n)
     reps = np.flatnonzero(least == np.arange(g.order))
     coset_of = np.searchsorted(reps, least).astype(np.int32)
-    qmul = coset_of[m[np.ix_(reps, reps)]]
+    qmul = coset_of[g.mul[np.ix_(reps, reps)]]
     target = build_from_table(len(reps), qmul, f"{g.label}/{n.order}")
     return QuotientMap(g, n, target, tuple(coset_of.tolist()))
 
@@ -251,8 +273,11 @@ def lcs_term(g: GroupTable, ambient: tuple[int, ...], k: int) -> tuple[int, ...]
 
 
 def left_coset_reps(g: GroupTable, h: SubgroupRef) -> list[int]:
-    """Least-element representatives of the left cosets xH, ascending."""
-    least = g.mul[:, list(h.elements)].min(axis=1)
+    """Least-element representatives of the left cosets xH, ascending, read from G's rows."""
+    cols = np.array(h.elements)
+    least = np.empty(g.order, dtype=g.mul.dtype)
+    for rows in row_blocks(g.order, len(cols), BLOCK_CELLS):
+        least[rows] = g.mul[rows, cols].min(axis=1)
     return np.flatnonzero(least == np.arange(g.order)).tolist()
 
 

@@ -479,14 +479,6 @@ class VerificationReport:
 
 _OUTCOME_LISTS = ("outcomes", "findings", "sharpness", "violations")
 
-#: The C encoder, for the scalars that are neither str nor int: floats
-#: (``NaN`` and ``Infinity`` included), bools and None.  Anything else
-#: raises ``TypeError``, as in ``json.dumps``.
-_c_encoder = json.encoder.c_make_encoder(
-    None, json.JSONEncoder().default, encode_basestring_ascii, None, ": ", ", ",
-    True, False, True,
-)
-
 
 def _encode_json(value, indent: str) -> str:
     """``json.dumps(value, sort_keys=True, indent=2)``, nested at ``indent``.
@@ -503,8 +495,11 @@ def _encode_into(value, indent: str, out: list[str]) -> None:
     """Append the text of ``value`` to ``out``, type by type as ``json`` does.
 
     str and exact int (not bool) become text here, lists and tuples
-    arrays, dicts objects with sorted keys; the C encoder takes the rest.
-    A dict's plain str and int values are written in its loop, saving a call.
+    arrays, dicts objects with sorted keys, True, False and None literals
+    (tested by identity: ``1.0 == True``), and floats, ``NaN`` and
+    ``Infinity`` included, go to ``json.dumps``.  Anything else raises
+    ``TypeError``.  A dict's plain str and int values are written in its
+    loop, saving a call.
     """
     if isinstance(value, str):
         out.append(encode_basestring_ascii(value))
@@ -544,8 +539,16 @@ def _encode_into(value, indent: str, out: list[str]) -> None:
                 _encode_into(item, inner, out)
             sep = ",\n" + inner
         out.append(f"\n{indent}}}")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif value is None:
+        out.append("null")
+    elif isinstance(value, float):
+        out.append(json.dumps(value))
     else:
-        out.append("".join(_c_encoder(value, 0)))
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _is_sharp(o: CheckOutcome) -> bool:

@@ -17,7 +17,7 @@ from nilprob import cli, structure
 from nilprob.cache import CACHE_FILENAME, np_key, sup_key
 from nilprob.cli import main
 from nilprob.errors import EmptyInput
-from nilprob.groups import catalog_get, group_from_definition
+from nilprob.groups import catalog_get, group_from_definition, group_to_definition
 
 
 def run_cli(capsys, *argv):
@@ -453,6 +453,19 @@ def test_describe_emit_definition_roundtrip(capsys):
     assert code == 0
     rebuilt = group_from_definition(json.loads(out))
     assert np.array_equal(rebuilt.mul, catalog_get("Dic(3)").mul)
+
+
+@pytest.mark.parametrize("source", [
+    ("--group", "C(1)"), ("--group", "S(3)"), ("--group", "SL(2,3)"),
+    ("--group", "D(16)xD(16)"),
+    ("--group-json", json.dumps({"kind": "catalog", "name": "Q8", "label": 'Ω "q"\t'})),
+])
+def test_describe_emit_definition_is_json_dumps_of_the_definition(capsys, source):
+    # the CLI writes the definition a row at a time; the bytes are the dict's
+    code, out, _ = run_cli(capsys, "describe", *source, "--emit-definition")
+    assert code == 0
+    g = cli._resolve_group(cli.build_parser().parse_args(["describe", *source]))
+    assert out == json.dumps(group_to_definition(g), sort_keys=True) + "\n"
 
 
 def test_catalog_listing(capsys):

@@ -1,12 +1,15 @@
 """Commutators, classes, normal subgroups, quotients, central series."""
 
 import itertools
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from nilprob.errors import EmptyInput, LatticeTooLarge
-from nilprob import structure
+from nilprob import exact, structure
+from nilprob.exact import cp, np_fast, np_sup
 from nilprob.groups import BLOCK_CELLS, catalog_base_names, catalog_get, validate_table
 from nilprob.perms import row_blocks
 from nilprob.structure import (
@@ -439,3 +442,56 @@ def test_left_coset_reps():
     for r in reps:
         seen |= {s3.mul[r][y] for y in a3.elements}
     assert seen == set(range(6))
+
+
+# -- the row-block rule ------------------------------------------------------------
+
+
+def _blocked_results(g):
+    """Every result that a blocked whole-table pass feeds, for one group."""
+    normals = normal_subgroups(g)
+    # a cyclic subgroup that is not normal, so left_coset_reps reads xH, not Hx
+    cyclic = next(h for h in (subgroup_closure(g, [x]) for x in g.elements())
+                  if h.elements not in {n.elements for n in normals})
+    pool = normals + [cyclic]
+    quotients = [quotient(g, n) for n in normals]
+    return {
+        "classes": conjugacy_classes(g),
+        "lattice": [n.elements for n in normals],
+        "quotients": [(q.project, q.target.mul.tolist()) for q in quotients],
+        "cosets": [left_coset_reps(g, h) for h in pool],
+        "center": center(g).elements,
+        "cp": [cp(g)] + [cp(h) for h in pool],
+        "np_fast": [np_fast(g, h, left_coset_reps(g, h)[-1:] * 3).counted_tuples for h in pool],
+        "np_sup": [np_sup(g, h, k) for h in pool for k in (1, 2)],
+    }
+
+
+@pytest.mark.parametrize("name", ["S(4)", "SL(2,3)", "D(8)xC(2)", "S(3)xS(3)"])
+def test_one_row_blocks_change_no_result(monkeypatch, name):
+    g = catalog_get(name)
+    expected = _blocked_results(g)
+    callers = set()
+
+    def one_row(rows, width, cells):
+        callers.add(sys._getframe(1).f_code.co_name)
+        return row_blocks(rows, width, 1)
+
+    monkeypatch.setattr(structure, "row_blocks", one_row)
+    monkeypatch.setattr(exact, "row_blocks", one_row)
+    assert _blocked_results(g) == expected
+    assert {"commuting_counts", "coset_labels", "left_coset_reps", "conjugacy_classes",
+            "_advance_weights", "_backward_counts"} <= callers
+
+
+def test_lattice_and_coset_reps_allocate_less_than_the_table():
+    g = catalog_get("D(32)xD(32)")
+    assert g.mul.nbytes == 4 * 2 ** 20
+    for run in (lambda: normal_subgroups(g), lambda: left_coset_reps(g, whole_group(g))):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < g.mul.nbytes

@@ -450,7 +450,9 @@ def _hand_built_reports():
     yield VerificationReport()
     odd = CheckOutcome(
         "series_bound", 'SL(2,3) "quoted", ünïcode',
-        {"k": 1, "r": -1, "np_k": Fraction(1, 3), "shifts": (0, 5), "nested": [(1, 2), []]},
+        {"k": 1, "r": -1, "np_k": Fraction(1, 3), "shifts": (0, 5), "nested": [(1, 2), []],
+         "nan": float("nan"), "inf": float("inf"), "-inf": float("-inf"),
+         "true": True, "false": False, "none": None},
         -1, float("nan"), False, {"chain_orders": [], "note": None, "ratio": -0.25},
     )
     plain = CheckOutcome("np_le_cp", "C(2)", {}, Fraction(1), Fraction(1), True)
