@@ -43,6 +43,11 @@ DEFAULT_ORDER_CAP = 4096
 #: temporaries to a few MB whatever the order.
 BLOCK_CELLS = 1 << 18
 
+#: Cells per block of the passes that hold ``int64`` counts or codes per
+#: cell (the backward pass, the class transfer), a quarter MB of them;
+#: blocks of BLOCK_CELLS raised ``np_sup``'s peak RSS at order 144 by 2 MB.
+COUNT_BLOCK_CELLS = BLOCK_CELLS // 8
+
 
 @dataclass(frozen=True, eq=False)
 class GroupTable:

@@ -5,21 +5,26 @@ subgroups, quotients, the lower central series and nilpotency class.  All
 functions are pure; subgroups are sorted element-index tuples referencing
 their parent table.  Everything reads the ``int32`` arrays: whole-table
 passes in row blocks of a named cell budget (``perms.row_blocks``), and
-the one search that visits single entries, ``subgroup_closure``, with
-``mul.item``.  Commuting pairs are counted by ``commuting_counts`` alone,
-and cosets of a normal subgroup are labelled by ``coset_labels`` alone.
+the searches that visit single entries, ``subgroup_closure`` and
+``generators``, with ``mul.item``.  Commuting pairs are counted by
+``commuting_counts`` alone, and cosets of a normal subgroup are labelled
+by ``coset_labels`` alone.  Conjugacy classes, of G or of a subgroup,
+are orbits under conjugation by a few ``generators``, found by
+``class_labels`` in |H| cells per generator and round, not by a whole
+table pass.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from .errors import LatticeTooLarge
-from .groups import BLOCK_CELLS, GroupTable, build_from_table
+from .groups import BLOCK_CELLS, COUNT_BLOCK_CELLS, GroupTable, build_from_table
 from .perms import row_blocks
 
 #: Cap on the table cells the lattice search gathers and marks: |G| x
@@ -44,6 +49,11 @@ class SubgroupRef:
     def _lower_central(self) -> tuple["SubgroupRef", ...]:
         """The lower central series, walked once per object; read by ``lower_central_series``."""
         return _lcs_within(self)
+
+    @functools.cached_property
+    def _class_transfer(self) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+        """H's class count and class transfer, built once per object; read by ``exact``."""
+        return _transfer_within(self)
 
     def __repr__(self) -> str:
         return f"SubgroupRef(order={self.order} in {self.parent.label!r})"
@@ -108,23 +118,128 @@ def center(g: GroupTable) -> SubgroupRef:
     return SubgroupRef(g, tuple(np.flatnonzero(central).tolist()))
 
 
+def generators(g: GroupTable, elems: np.ndarray) -> list[int]:
+    """Generators of the subgroup ``elems``: each is its least member outside the ones before.
+
+    Each new generator x closes the subgroup S reached so far by Dimino's
+    coset steps (Holt, Eick & O'Brien, *Handbook of Computational Group
+    Theory*, 2005): the reached set grows one coset yS = ``mul[y][S]`` at
+    a time, for y = sr over the coset representatives r and the
+    generators s, until every sr is reached.  So it at least doubles with
+    each generator, and there are at most log2 |H| of them.
+    """
+    m = g.mul
+    reached = np.zeros(g.order, dtype=bool)
+    reached[0] = True
+    sub = np.zeros(1, dtype=np.intp)
+    gens: list[int] = []
+    while True:
+        outside = elems[~reached[elems]]
+        if not len(outside):
+            return gens
+        gens.append(int(outside[0]))
+        reps = [0]
+        for r in reps:  # grows as cosets are found
+            for s in gens:
+                y = m.item(s, r)
+                if not reached[y]:
+                    reached[m[y][sub] if len(sub) > 1 else y] = True
+                    reps.append(y)
+        sub = np.flatnonzero(reached)
+
+
+def class_labels(g: GroupTable, elems: np.ndarray, gens: Sequence[int]) -> np.ndarray:
+    """The least conjugate of each member of ``elems`` under the subgroup that ``gens`` generate.
+
+    ``elems`` is sorted and closed under conjugation by ``gens``.  Labels
+    are positions in ``elems``.  Each conjugation s^-1 x s permutes the
+    positions; every position takes the smaller of its label and its
+    image's across each permutation, then labels jump to their label's
+    label, until nothing changes.  Labels only fall and stay inside their
+    orbit, and at the fixed point no label exceeds its image's, so labels
+    are constant along every cycle: each is its orbit's least member.
+    """
+    m, inv = g.mul, g.inv
+    pos = np.empty(g.order, dtype=np.intp)
+    pos[elems] = np.arange(len(elems))
+    perms = [pos[m[:, s][m[inv[s]][elems]]] for s in gens]
+    label = np.arange(len(elems))
+    while True:
+        before = label
+        for p in perms:
+            label = np.minimum(label, label[p])
+        while True:
+            jumped = label[label]
+            if (jumped == label).all():
+                break
+            label = jumped
+        if (label == before).all():
+            return elems[label]
+
+
 def conjugacy_classes(g: GroupTable) -> ClassData:
     """Orbit partition under conjugation; class 0 is the identity's.
 
-    Classes are numbered by their least element, which is the least
-    a^-1 y a over all a, taken a block of conjugators at a time; y is a
-    representative when it is its own least conjugate.
+    Classes are numbered by their least element, the ``class_labels`` of
+    G under its ``generators``; y is a representative when it is its own
+    least conjugate.
     """
-    n = g.order
-    m, inv = g.mul, g.inv
-    least = np.arange(n)
-    for rows in row_blocks(n, n, BLOCK_CELLS):
-        a = np.arange(n)[rows]
-        np.minimum(least, m[m[inv[a]], a[:, None]].min(axis=0), out=least)
-    reps = np.flatnonzero(least == np.arange(n))
+    every = np.arange(g.order)
+    least = class_labels(g, every, generators(g, every))
+    reps = np.flatnonzero(least == every)
     class_of = np.searchsorted(reps, least)
     sizes = np.bincount(class_of).tolist()
     return ClassData(tuple(class_of.tolist()), tuple(reps.tolist()), tuple(sizes))
+
+
+def _transfer_within(h: SubgroupRef) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """The number r of H-classes and the nonzero entries (K, L, M[K, L]) of H's class transfer.
+
+    M[K, L] = |C_H(K)| #{(w, u) in K x K : w^-1 u in L} / |L|, the number
+    of pairs (w, t) in K x H with [w, t] = w^-1 w^t equal to one fixed
+    element of L: as t runs over H, w^t runs over K, |C_H(K)| times each.
+    The pair count is |L| times the count for one element of L, since
+    conjugation permutes the pairs, so the division is exact.  Classes are
+    numbered by their least member.  The pairs w^-1 u are gathered for a
+    block of rows w at a time, all rows of a block from classes of one
+    size, and each block's (K, L) codes are counted before the next.
+    """
+    g, elems = h.parent, np.array(h.elements)
+    m, inv = g.mul, g.inv
+    least = class_labels(g, elems, generators(g, elems))
+    class_of = np.searchsorted(elems[least == elems], least)
+    sizes = np.bincount(class_of)
+    r = len(sizes)
+    cls = np.empty(g.order, dtype=np.int64)
+    cls[elems] = class_of
+    by_class = np.argsort(class_of, kind="stable")
+    members, row_class = elems[by_class], class_of[by_class]
+    first = np.cumsum(sizes) - sizes
+    codes, counts = [], []
+    for size in sorted(set(sizes.tolist())):
+        rows = np.flatnonzero(sizes[row_class] == size)
+        for block in row_blocks(len(rows), size, COUNT_BLOCK_CELLS):
+            k = row_class[rows[block]]
+            u = members[first[k][:, None] + np.arange(size)]
+            code = cls[m[inv[members[rows[block]]][:, None], u]].ravel()
+            code += np.repeat(k * r, size)
+            code.sort()
+            starts = _run_starts(code)
+            codes.append(code[starts])
+            counts.append(np.diff(starts, append=len(code)))
+    # a class whose rows span two blocks has its codes in both
+    code = np.concatenate(codes)
+    order = np.argsort(code, kind="stable")
+    code = code[order]
+    starts = _run_starts(code)
+    count = np.add.reduceat(np.concatenate(counts)[order], starts)
+    k, l = np.divmod(code[starts], r)
+    return r, k, l, count // sizes[l] * (h.order // sizes[k])
+
+
+def _run_starts(code: np.ndarray) -> np.ndarray:
+    """The index of the first entry of each run of equal values in the sorted ``code``."""
+    return np.flatnonzero(np.concatenate(([True], code[1:] != code[:-1])))
 
 
 def subgroup_closure(g: GroupTable, seeds: Iterable[int]) -> SubgroupRef:
@@ -150,10 +265,12 @@ def normal_subgroups(g: GroupTable) -> list[SubgroupRef]:
     conjugacy classes (Holt, Eick & O'Brien, *Handbook of Computational
     Group Theory*, 2005), so the lattice is reached from the trivial
     subgroup by joining each subgroup A found with every distinct N(x),
-    skipping x in A.  The join A N(x) is the union of the cosets of A that
-    meet N(x): ``coset_labels`` labels each element x by the least member
-    of Ax = xA, and then all the joins of A are rows of one coset mask,
-    keyed by their packed bits.  So each subgroup A found costs |G| x |A|
+    skipping x in A.  N(x) is closed once per rational class: x^j with j
+    prime to |x| generates <x>, so its class has the same closure.  The
+    join A N(x) is the union of the cosets of A that meet N(x):
+    ``coset_labels`` labels each element x by the least member of Ax = xA,
+    and then all the joins of A are rows of one coset mask, keyed by their
+    packed bits.  So each subgroup A found costs |G| x |A|
     read cells and |G| x R mask cells, R the number of distinct N(x); the
     search counts these cells, starting from the trivial subgroup's, and
     raises ``LatticeTooLarge`` once they pass ``LATTICE_WORK_CAP``.  This
@@ -162,8 +279,17 @@ def normal_subgroups(g: GroupTable) -> list[SubgroupRef]:
     classes = conjugacy_classes(g)
     class_of = np.array(classes.class_of)
     seeds: dict[tuple[int, ...], int] = {}  # each distinct N(x) -> one such x
+    closed = np.zeros(classes.num_classes, dtype=bool)
     for cid, x in enumerate(classes.reps):
+        if closed[cid]:
+            continue
         seeds.setdefault(subgroup_closure(g, np.flatnonzero(class_of == cid).tolist()).elements, x)
+        # <x^j> = <x> for j prime to |x|, so the classes of those powers have the same N(x)
+        powers = [x]
+        while powers[-1] != 0:
+            powers.append(g.mul.item(powers[-1], x))
+        n = len(powers)
+        closed[class_of[[y for j, y in enumerate(powers, 1) if math.gcd(j, n) == 1]]] = True
     reps = np.array(list(seeds.values()))
     owner, members = np.array([(i, y) for i, c in enumerate(seeds) for y in c]).T
     worklist = [SubgroupRef(g, (0,))]

@@ -456,6 +456,67 @@ def test_python_int_counts_match_int64(monkeypatch):
     assert evaluate() == expected
 
 
+# -- the class route for untwisted tuples -----------------------------------------
+
+UNTWISTED_GROUPS = ["S(4)", "SL(2,3)", "D(8)xC(2)", "S(3)xS(3)", "Q8xC(2)"]
+
+#: Largest |H|^(k+1) that the untwisted oracle enumerates by brute force.
+UNTWISTED_BRUTE_CAP = 400_000
+
+
+def untwisted_results(g, cases):
+    """np_fast at trivial shifts and at shifts inside H, cp, and np_sup with its first item."""
+    out = []
+    for h, k in cases:
+        inside = (h.elements[-1],) * (k + 1)
+        out.append((np_fast(g, h, identity_shifts(k)).counted_tuples,
+                    np_fast(g, h, inside).counted_tuples,
+                    cp(h), next(iter_shift_values(g, h, k)), np_sup(g, h, k)))
+    return out
+
+
+@pytest.mark.parametrize("name", UNTWISTED_GROUPS)
+def test_untwisted_routes_match_bruteforce(monkeypatch, name):
+    # every normal and cyclic subgroup, with the route forced each way: a
+    # block budget of 0 cells sends every |H| to the class route, one
+    # above every |H|^2 sends every |H| to the forward pass
+    g = catalog_get(name)
+    cases = [(h, k) for h in subgroup_pool(g) for k in (1, 2, 3)
+             if h.order ** (k + 1) <= UNTWISTED_BRUTE_CAP]
+    brute = [np_bruteforce(g, h, identity_shifts(k)) for h, k in cases]
+    for cells in (0, g.order ** 2):
+        monkeypatch.setattr(exact, "COUNT_BLOCK_CELLS", cells)
+        # fresh subgroup objects, so no class transfer is cached from the other route
+        fresh = [(subgroup(g, h.elements), k) for h, k in cases]
+        results = untwisted_results(g, fresh)
+        for (h, k), want, (ones, inside, cp_h, first, sup) in zip(cases, brute, results):
+            assert ones == inside == want.counted_tuples, (name, h.elements, k, cells)
+            assert first == (identity_shifts(k), want.value)
+            if k == 1:
+                assert cp_h == want.value
+            if g.order ** (k + 1) <= 20_000:
+                reps = left_coset_reps(g, h)
+                best = max(np_bruteforce(g, h, t).value
+                           for t in itertools.product(reps, repeat=k + 1))
+                assert sup[0] == best
+        if cells == 0:
+            by_class = results
+    assert by_class == results
+
+
+def test_class_route_counts_in_python_ints():
+    # |G|^7 = 2^77: the counts are object arrays on both routes
+    g = catalog_get("D(64)xD(32)")
+    h = whole_group(g)
+    assert exact._count_dtype(h.order ** 7) is object
+    assert h.order ** 2 > exact.COUNT_BLOCK_CELLS  # np_fast takes the class route
+    forward = exact._forward_count(g, exact._cosets(g, h, identity_shifts(6)))
+    assert np_fast(g, h, identity_shifts(6)).counted_tuples == forward
+    # np_k is multiplicative over direct products
+    factors = [np_k(catalog_get(name), 6).value for name in ("D(64)", "D(32)")]
+    assert np_k(g, 6).value == factors[0] * factors[1]
+
+
 @pytest.mark.parametrize("value, text", [
     (Fraction(0), "0/1"), (Fraction(1), "1/1"), (Fraction(3, 4), "3/4"),
     (Fraction(-5, 8), "-5/8"), (Fraction(2 ** 70, 3), f"{2 ** 70}/3"),

@@ -1,6 +1,7 @@
 """Commutators, classes, normal subgroups, quotients, central series."""
 
 import itertools
+import math
 import sys
 import tracemalloc
 
@@ -12,11 +13,13 @@ from nilprob import exact, structure
 from nilprob.exact import cp, np_fast, np_sup
 from nilprob.groups import BLOCK_CELLS, catalog_base_names, catalog_get, validate_table
 from nilprob.perms import row_blocks
+from nilprob.verify import default_corpus_names
 from nilprob.structure import (
     LATTICE_WORK_CAP,
     center,
     centralizer,
     conjugacy_classes,
+    generators,
     image_subgroup,
     left_coset_reps,
     lower_central_series,
@@ -140,6 +143,43 @@ def test_conjugacy_classes():
     assert data.class_of[0] == 0 and data.sizes[0] == 1
 
     assert conjugacy_classes(catalog_get("S(4)")).num_classes == 5
+
+
+def scanned_classes(g):
+    """Oracle: each element's least conjugate a^-1 y a over all a, a block of a at a time."""
+    n = g.order
+    m, inv = g.mul, g.inv
+    least = np.arange(n)
+    for rows in row_blocks(n, n, BLOCK_CELLS):
+        a = np.arange(n)[rows]
+        np.minimum(least, m[m[inv[a]], a[:, None]].min(axis=0), out=least)
+    reps = np.flatnonzero(least == np.arange(n))
+    return tuple(np.searchsorted(reps, least).tolist()), tuple(reps.tolist())
+
+
+@pytest.mark.parametrize("name", default_corpus_names()
+                         + ["C(4096)", "D(64)xD(64)", "A(5)xA(5)", "S(6)"])
+def test_conjugacy_classes_match_the_scan(name):
+    g = catalog_get(name)
+    data = conjugacy_classes(g)
+    assert (data.class_of, data.reps) == scanned_classes(g)
+    assert data.sizes == tuple(np.bincount(data.class_of).tolist())
+
+
+@pytest.mark.parametrize("name", ["S(4)", "SL(2,3)", "D(8)xC(2)", "Q8xC(2)", "C(2)xC(2)xC(2)",
+                                  "A(5)", "C(64)"])
+def test_generators_close_to_the_subgroup(name):
+    g = catalog_get(name)
+    pool = {h.elements for h in normal_subgroups(g)}
+    pool |= {subgroup_closure(g, [x]).elements for x in g.elements()}
+    for elems in sorted(pool):
+        gens = generators(g, np.array(elems))
+        assert subgroup_closure(g, gens).elements == elems
+        for i, x in enumerate(gens):
+            before = subgroup_closure(g, gens[:i]).elements
+            assert x not in before
+            assert x == min(set(elems) - set(before))
+        assert len(gens) <= math.log2(len(elems)) + 1
 
 
 def test_class_data_invariants():
@@ -480,7 +520,7 @@ def test_one_row_blocks_change_no_result(monkeypatch, name):
     monkeypatch.setattr(structure, "row_blocks", one_row)
     monkeypatch.setattr(exact, "row_blocks", one_row)
     assert _blocked_results(g) == expected
-    assert {"commuting_counts", "coset_labels", "left_coset_reps", "conjugacy_classes",
+    assert {"commuting_counts", "coset_labels", "left_coset_reps",
             "_advance_weights", "_backward_counts"} <= callers
 
 

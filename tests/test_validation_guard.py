@@ -78,7 +78,6 @@ def test_commuting_pairs_are_counted_in_one_place():
         ("exact", "<module>"),  # the import
         ("exact", "_backward_counts"),
         ("exact", "_forward_count"),
-        ("exact", "cp"),
         ("structure", "center"),
     ]
 
