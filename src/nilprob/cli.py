@@ -104,9 +104,17 @@ def _parse_indices(text: str, order: int) -> list[int]:
     return out
 
 
+#: Largest --k: |H|^(k+1) at order 4096 then has 3,616 digits, under
+#: Python's 4,300-digit int <-> str limit, so values print and read back.
+MAX_K = 1000
+K_HELP = f"from 1 to {MAX_K}"
+
+
 def _check_k(k: int) -> None:
     if k < 1:
         raise _UsageError(f"--k must be at least 1, got {k}")
+    if k > MAX_K:
+        raise _UsageError(f"--k must be at most {MAX_K}, got {k}")
 
 
 def _open_cache(args):
@@ -414,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_np = sub.add_parser("np", help="exact probabilities: np_k, cp, np(H; shifts)")
     _add_global_args(p_np, suppress=True)
     _add_group_args(p_np)
-    p_np.add_argument("--k", type=int, default=1)
+    p_np.add_argument("--k", type=int, default=1, help=K_HELP)
     p_np.add_argument("--cp", action="store_true", help="commuting probability instead of np")
     p_np.add_argument("--sup", action="store_true",
                       help="supremum over shift tuples, with a witness")
@@ -431,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_global_args(p_est, suppress=True)
     p_est.add_argument("--group", help="catalog name, e.g. S(5)")
     p_est.add_argument("--gens-file", help="perm_gens definition JSON file")
-    p_est.add_argument("--k", type=int, default=1)
+    p_est.add_argument("--k", type=int, default=1, help=K_HELP)
     p_est.add_argument("--samples", type=int, default=100000)
     p_est.add_argument("--seed", type=int, default=0)
     p_est.add_argument("--z", type=float, default=DEFAULT_Z)
@@ -445,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--corpus-max-order", type=int, default=64,
                        help="order cap for the default corpus")
     p_ver.add_argument("--k", type=int, action="append",
-                       help="k values to check (repeatable); default 1 2 3")
+                       help=f"k values to check (repeatable), each {K_HELP}; default 1 2 3")
     p_ver.add_argument("--k3-order-limit", type=int, default=24,
                        help="only check k=3 on groups up to this order")
     p_ver.add_argument("--checks", nargs="*", help=f"subset of: {', '.join(ALL_CHECKS)}")

@@ -23,10 +23,10 @@ representatives.  There are four evaluations:
   Each W_m is then constant on the conjugacy classes of H, so above one
   backward block of first-stage cells (|H|^2 > ``COUNT_BLOCK_CELLS``) a
   stage maps class weights through H's class transfer, built once per
-  subgroup from the pairs inside each class (sum of |K|^2 cells, not
-  |H|^2); at or below it they take the forward pass.  np_2(D(64)xD(32))
-  reads 90,692 pair cells this way, against 4.2 million commutators for
-  the forward pass's first stage.
+  subgroup from one row per class (|H| cells, not |H|^2); at or below it
+  they take the forward pass.  np_2(D(64)xD(32)) reads 2,048 cells this
+  way, against 4.2 million commutators for the forward pass's first
+  stage.
 * ``iter_shift_values`` evaluates the [G:H]^k tuples whose last
   coordinate is the coset H itself by a backward pass: v(w) = |C_G(w) ∩
   H| for the last coordinate, each middle one sets v'(w, (x, s)) = sum

@@ -43,9 +43,10 @@ DEFAULT_ORDER_CAP = 4096
 #: temporaries to a few MB whatever the order.
 BLOCK_CELLS = 1 << 18
 
-#: Cells per block of the passes that hold ``int64`` counts or codes per
-#: cell (the backward pass, the class transfer), a quarter MB of them;
-#: blocks of BLOCK_CELLS raised ``np_sup``'s peak RSS at order 144 by 2 MB.
+#: Cells per block of the backward pass, which holds ``int64`` counts per
+#: cell, a quarter MB of them; blocks of BLOCK_CELLS raised ``np_sup``'s
+#: peak RSS at order 144 by 2 MB.  An untwisted count takes the class
+#: route above one such block of first-stage cells.
 COUNT_BLOCK_CELLS = BLOCK_CELLS // 8
 
 

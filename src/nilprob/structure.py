@@ -11,7 +11,8 @@ the searches that visit single entries, ``subgroup_closure`` and
 by ``coset_labels`` alone.  Conjugacy classes, of G or of a subgroup,
 are orbits under conjugation by a few ``generators``, found by
 ``class_labels`` in |H| cells per generator and round, not by a whole
-table pass.
+table pass; a subgroup's class transfer is then one gather of |H| cells,
+and the center is the elements that commute with G's generators.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import LatticeTooLarge
-from .groups import BLOCK_CELLS, COUNT_BLOCK_CELLS, GroupTable, build_from_table
+from .groups import BLOCK_CELLS, GroupTable, build_from_table
 from .perms import row_blocks
 
 #: Cap on the table cells the lattice search gathers and marks: |G| x
@@ -113,8 +114,10 @@ def centralizer(g: GroupTable, x: int) -> SubgroupRef:
 
 
 def center(g: GroupTable) -> SubgroupRef:
+    """Z(G): the elements that commute with each of G's ``generators``, |G| x log2 |G| cells."""
     every = np.arange(g.order)
-    central = commuting_counts(g, every, every) == g.order
+    gens = np.array(generators(g, every), dtype=np.intp)
+    central = commuting_counts(g, every, gens) == len(gens)
     return SubgroupRef(g, tuple(np.flatnonzero(central).tolist()))
 
 
@@ -177,69 +180,39 @@ def class_labels(g: GroupTable, elems: np.ndarray, gens: Sequence[int]) -> np.nd
             return elems[label]
 
 
-def conjugacy_classes(g: GroupTable) -> ClassData:
-    """Orbit partition under conjugation; class 0 is the identity's.
-
-    Classes are numbered by their least element, the ``class_labels`` of
-    G under its ``generators``; y is a representative when it is its own
-    least conjugate.
-    """
-    every = np.arange(g.order)
-    least = class_labels(g, every, generators(g, every))
-    reps = np.flatnonzero(least == every)
+def _classes(g: GroupTable, elems: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The classes of the sorted subgroup ``elems`` by least member: least members, class ids, sizes."""
+    least = class_labels(g, elems, generators(g, elems))
+    reps = elems[least == elems]
     class_of = np.searchsorted(reps, least)
-    sizes = np.bincount(class_of).tolist()
-    return ClassData(tuple(class_of.tolist()), tuple(reps.tolist()), tuple(sizes))
+    return reps, class_of, np.bincount(class_of)
+
+
+def conjugacy_classes(g: GroupTable) -> ClassData:
+    """Orbit partition under conjugation, classes numbered by least member; class 0 is the identity's."""
+    reps, class_of, sizes = _classes(g, np.arange(g.order))
+    return ClassData(tuple(class_of.tolist()), tuple(reps.tolist()), tuple(sizes.tolist()))
 
 
 def _transfer_within(h: SubgroupRef) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
     """The number r of H-classes and the nonzero entries (K, L, M[K, L]) of H's class transfer.
 
-    M[K, L] = |C_H(K)| #{(w, u) in K x K : w^-1 u in L} / |L|, the number
-    of pairs (w, t) in K x H with [w, t] = w^-1 w^t equal to one fixed
-    element of L: as t runs over H, w^t runs over K, |C_H(K)| times each.
-    The pair count is |L| times the count for one element of L, since
-    conjugation permutes the pairs, so the division is exact.  Classes are
-    numbered by their least member.  The pairs w^-1 u are gathered for a
-    block of rows w at a time, all rows of a block from classes of one
-    size, and each block's (K, L) codes are counted before the next.
+    M[K, L], the number of pairs (w, t) in K x H with [w, t] = w^-1 w^t
+    equal to one fixed element of L, is |H| #{u in K : k^-1 u in L} / |L|
+    for k the least member of K: w^t runs over K, |H|/|K| times each;
+    conjugating w to k keeps the class of w^-1 u; and conjugation spreads
+    the pairs evenly over L.  So one gather of |H| cells, k^-1 u for every
+    member u, gives every (K, L) code.
     """
     g, elems = h.parent, np.array(h.elements)
-    m, inv = g.mul, g.inv
-    least = class_labels(g, elems, generators(g, elems))
-    class_of = np.searchsorted(elems[least == elems], least)
-    sizes = np.bincount(class_of)
-    r = len(sizes)
-    cls = np.empty(g.order, dtype=np.int64)
+    reps, class_of, sizes = _classes(g, elems)
+    r = len(reps)
+    cls = np.empty(g.order, dtype=np.intp)
     cls[elems] = class_of
-    by_class = np.argsort(class_of, kind="stable")
-    members, row_class = elems[by_class], class_of[by_class]
-    first = np.cumsum(sizes) - sizes
-    codes, counts = [], []
-    for size in sorted(set(sizes.tolist())):
-        rows = np.flatnonzero(sizes[row_class] == size)
-        for block in row_blocks(len(rows), size, COUNT_BLOCK_CELLS):
-            k = row_class[rows[block]]
-            u = members[first[k][:, None] + np.arange(size)]
-            code = cls[m[inv[members[rows[block]]][:, None], u]].ravel()
-            code += np.repeat(k * r, size)
-            code.sort()
-            starts = _run_starts(code)
-            codes.append(code[starts])
-            counts.append(np.diff(starts, append=len(code)))
-    # a class whose rows span two blocks has its codes in both
-    code = np.concatenate(codes)
-    order = np.argsort(code, kind="stable")
-    code = code[order]
-    starts = _run_starts(code)
-    count = np.add.reduceat(np.concatenate(counts)[order], starts)
-    k, l = np.divmod(code[starts], r)
-    return r, k, l, count // sizes[l] * (h.order // sizes[k])
-
-
-def _run_starts(code: np.ndarray) -> np.ndarray:
-    """The index of the first entry of each run of equal values in the sorted ``code``."""
-    return np.flatnonzero(np.concatenate(([True], code[1:] != code[:-1])))
+    code, count = np.unique(class_of * r + cls[g.mul[g.inv[reps[class_of]], elems]],
+                            return_counts=True)
+    k, l = np.divmod(code, r)
+    return r, k, l, count * h.order // sizes[l]
 
 
 def subgroup_closure(g: GroupTable, seeds: Iterable[int]) -> SubgroupRef:

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 import os
 import resource
 import subprocess
@@ -486,6 +487,44 @@ def test_k_below_one_exits_2(capsys, argv, k):
     code, out, err = run_cli(capsys, "--no-cache", *argv)
     assert code == 2 and out == ""
     assert err.splitlines() == [f"error: --k must be at least 1, got {k}"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("np", "--group", "S(3)", "--k", "1001"),
+    ("estimate", "--group", "S(3)", "--k", "1001", "--samples", "10"),
+    ("verify", "--group", "S(3)", "--k", "1", "--k", "1001"),
+])
+def test_k_above_the_cap_exits_2(capsys, argv):
+    # past it a value's digits pass Python's int <-> str limit
+    code, out, err = run_cli(capsys, "--no-cache", *argv)
+    assert code == 2 and out == ""
+    assert err.splitlines() == [f"error: --k must be at most {cli.MAX_K}, got 1001"]
+
+
+def test_k_at_the_cap_prints_and_reads_back_from_the_cache(capsys, tmp_path):
+    argv = ("--format", "json", "np", "--group", "S(3)", "--k", str(cli.MAX_K),
+            "--cache-dir", str(tmp_path))
+    docs = []
+    for _ in range(2):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and err == ""
+        docs.append(json.loads(out))
+    assert [doc["method"] for doc in docs] == ["dp", "cache"]
+    assert docs[0]["value"] == docs[1]["value"]
+    assert docs[0]["total"] == 6 ** (cli.MAX_K + 1)
+
+
+@pytest.mark.parametrize("k", [54, cli.MAX_K])
+def test_series_bound_ratio_is_finite_where_the_constant_rounds_to_one(capsys, tmp_path, k):
+    # float(1 - 3/2^(k+2)) is 1.0 from k = 54 on, so ln of it is taken by log1p
+    report = tmp_path / "report.json"
+    code, _, err = run_cli(capsys, "verify", "--group", "S(3)", "--k", str(k), "--no-cache",
+                           "--checks", "series_bound", "series_bound_tight",
+                           "--report", str(report))
+    assert code == 0 and err == ""
+    outcomes = json.loads(report.read_text())["outcomes"]
+    assert [o["check"] for o in outcomes] == ["series_bound", "series_bound_tight"]
+    assert all(math.isfinite(o["rhs"]) for o in outcomes)
 
 
 @pytest.mark.parametrize("inside", [False, True])

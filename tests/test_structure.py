@@ -132,6 +132,21 @@ def test_center():
     assert center(catalog_get("Heis(3)")).order == 3
 
 
+def commuting_center(g):
+    """Oracle: the x whose row equals its column, the n^2 pass, a block of rows at a time."""
+    m = g.mul
+    central = np.empty(g.order, dtype=bool)
+    for rows in row_blocks(g.order, g.order, BLOCK_CELLS):
+        central[rows] = (m[rows] == m[:, rows].T).all(axis=1)
+    return tuple(np.flatnonzero(central).tolist())
+
+
+@pytest.mark.parametrize("name", default_corpus_names() + ["C(1)", "C(4096)", "D(64)xD(64)"])
+def test_center_matches_the_commuting_pass(name):
+    g = catalog_get(name)
+    assert center(g).elements == commuting_center(g)
+
+
 def test_conjugacy_classes():
     c4 = catalog_get("C(4)")
     assert conjugacy_classes(c4).num_classes == 4
@@ -180,6 +195,46 @@ def test_generators_close_to_the_subgroup(name):
             assert x not in before
             assert x == min(set(elems) - set(before))
         assert len(gens) <= math.log2(len(elems)) + 1
+
+
+def brute_transfer(g, h):
+    """Oracle: H's classes by the conjugation scan, and {(K, L): #{(w, t) in K x H : [w, t] = l}}.
+
+    l is the least member of L, and classes are numbered by least member.
+    """
+    m, inv = g.mul, g.inv
+    elems = np.array(h.elements)
+    least = m[m[inv[elems]][:, elems], elems[:, None]].min(axis=0)  # min over t of t^-1 y t
+    reps = np.unique(least)
+    cls = np.full(g.order, -1)
+    cls[elems] = np.searchsorted(reps, least)
+    counts = np.zeros((len(reps), len(reps)), dtype=np.int64)
+    for rows in row_blocks(len(elems), len(elems), BLOCK_CELLS):
+        w = elems[rows]
+        comm = m[m[inv[w]][:, inv[elems]], m[w][:, elems]]  # [w, t] = w^-1 t^-1 w t
+        hit = comm == reps[cls[comm]]
+        np.add.at(counts, (np.broadcast_to(cls[w][:, None], comm.shape)[hit], cls[comm[hit]]), 1)
+    return len(reps), {(k, l): int(counts[k, l]) for k, l in zip(*np.nonzero(counts))}
+
+
+@pytest.mark.parametrize("name", ["Q8", "S(4)", "SL(2,3)", "D(8)xC(2)", "C(12)"])
+def test_class_transfer_counts_commutator_pairs(name):
+    g = catalog_get(name)
+    pool = {h.elements for h in normal_subgroups(g)}
+    pool |= {subgroup_closure(g, [x]).elements for x in g.elements()}
+    for elems in sorted(pool):
+        r, k, l, transfer = subgroup(g, elems)._class_transfer
+        assert (r, dict(zip(zip(k.tolist(), l.tolist()), transfer.tolist()))) == \
+            brute_transfer(g, subgroup(g, elems)), elems
+        if name == "C(12)":  # abelian: each element is a class, and [w, t] = 1
+            assert r == len(elems) and transfer.tolist() == [len(elems)] * r
+
+
+def test_class_transfer_of_a_large_group():
+    g = catalog_get("D(64)xD(32)")
+    r, k, l, transfer = whole_group(g)._class_transfer
+    assert (r, dict(zip(zip(k.tolist(), l.tolist()), transfer.tolist()))) == \
+        brute_transfer(g, whole_group(g))
 
 
 def test_class_data_invariants():
