@@ -3,16 +3,16 @@
 Commutators, centralizers, conjugacy classes, subgroup closure, normal
 subgroups, quotients, the lower central series and nilpotency class.  All
 functions are pure; subgroups are sorted element-index tuples referencing
-their parent table.  Everything reads the ``int32`` arrays: whole-table
-passes in row blocks of a named cell budget (``perms.row_blocks``), and
-the searches that visit single entries, ``subgroup_closure`` and
-``generators``, with ``mul.item``.  Commuting pairs are counted by
-``commuting_counts`` alone, and cosets of a normal subgroup are labelled
-by ``coset_labels`` alone.  Conjugacy classes, of G or of a subgroup,
-are orbits under conjugation by a few ``generators``, found by
-``class_labels`` in |H| cells per generator and round, not by a whole
-table pass; a subgroup's class transfer is then one gather of |H| cells,
-and the center is the elements that commute with G's generators.
+their parent table.  Whole-table passes read the ``int32`` arrays in row
+blocks of a named cell budget (``perms.row_blocks``): commuting pairs are
+counted by ``commuting_counts`` alone, and cosets of a normal subgroup are
+labelled by ``coset_labels`` alone.  Every subgroup grown from seeds,
+from a lattice seed N(x) to a term of the lower central series, is closed
+by ``_closure`` alone, with ``mul.item``, from at most log2 |H|
+generators.  Conjugacy classes are orbits under conjugation by a few
+``generators``, found by ``class_labels`` in |H| cells per generator and
+round; a subgroup's class transfer is then one gather of |H| cells, and
+the center is the elements that commute with G's generators.
 """
 
 from __future__ import annotations
@@ -121,26 +121,26 @@ def center(g: GroupTable) -> SubgroupRef:
     return SubgroupRef(g, tuple(np.flatnonzero(central).tolist()))
 
 
-def generators(g: GroupTable, elems: np.ndarray) -> list[int]:
-    """Generators of the subgroup ``elems``: each is its least member outside the ones before.
+def _closure(g: GroupTable, seeds: Iterable[int],
+             conj: Sequence[int] = ()) -> tuple[np.ndarray, list[int]]:
+    """The subgroup that ``seeds`` generate, normalized by ``conj``: its mask and generators.
 
-    Each new generator x closes the subgroup S reached so far by Dimino's
-    coset steps (Holt, Eick & O'Brien, *Handbook of Computational Group
-    Theory*, 2005): the reached set grows one coset yS = ``mul[y][S]`` at
-    a time, for y = sr over the coset representatives r and the
-    generators s, until every sr is reached.  So it at least doubles with
-    each generator, and there are at most log2 |H| of them.
+    Each seed outside the subgroup S reached so far becomes a generator x,
+    queues its conjugates s^-1 x s by ``conj`` as seeds, and closes S by
+    Dimino's coset steps (Holt, Eick & O'Brien, 2005): yS = ``mul[y][S]``
+    is added for each y = sr not yet reached, r over the coset
+    representatives and s over the generators, so S at least doubles.
     """
-    m = g.mul
+    m, inv = g.mul, g.inv
     reached = np.zeros(g.order, dtype=bool)
     reached[0] = True
     sub = np.zeros(1, dtype=np.intp)
     gens: list[int] = []
-    while True:
-        outside = elems[~reached[elems]]
-        if not len(outside):
-            return gens
-        gens.append(int(outside[0]))
+    queue = list(seeds)
+    for x in queue:  # grows as conjugates are queued
+        if reached[x]:
+            continue
+        gens.append(x)
         reps = [0]
         for r in reps:  # grows as cosets are found
             for s in gens:
@@ -149,6 +149,13 @@ def generators(g: GroupTable, elems: np.ndarray) -> list[int]:
                     reached[m[y][sub] if len(sub) > 1 else y] = True
                     reps.append(y)
         sub = np.flatnonzero(reached)
+        queue.extend(m.item(m.item(inv.item(s), x), s) for s in conj)
+    return reached, gens
+
+
+def generators(g: GroupTable, elems: np.ndarray) -> list[int]:
+    """Generators of the subgroup ``elems``: each is its least member outside the ones before."""
+    return _closure(g, elems.tolist())[1]
 
 
 def class_labels(g: GroupTable, elems: np.ndarray, gens: Sequence[int]) -> np.ndarray:
@@ -180,9 +187,10 @@ def class_labels(g: GroupTable, elems: np.ndarray, gens: Sequence[int]) -> np.nd
             return elems[label]
 
 
-def _classes(g: GroupTable, elems: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The classes of the sorted subgroup ``elems`` by least member: least members, class ids, sizes."""
-    least = class_labels(g, elems, generators(g, elems))
+def _classes(g: GroupTable, elems: np.ndarray,
+             gens: Sequence[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The classes of the sorted subgroup ``elems`` = <``gens``>: least members, ids, sizes."""
+    least = class_labels(g, elems, gens)
     reps = elems[least == elems]
     class_of = np.searchsorted(reps, least)
     return reps, class_of, np.bincount(class_of)
@@ -190,7 +198,8 @@ def _classes(g: GroupTable, elems: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
 
 def conjugacy_classes(g: GroupTable) -> ClassData:
     """Orbit partition under conjugation, classes numbered by least member; class 0 is the identity's."""
-    reps, class_of, sizes = _classes(g, np.arange(g.order))
+    every = np.arange(g.order)
+    reps, class_of, sizes = _classes(g, every, generators(g, every))
     return ClassData(tuple(class_of.tolist()), tuple(reps.tolist()), tuple(sizes.tolist()))
 
 
@@ -205,7 +214,7 @@ def _transfer_within(h: SubgroupRef) -> tuple[int, np.ndarray, np.ndarray, np.nd
     member u, gives every (K, L) code.
     """
     g, elems = h.parent, np.array(h.elements)
-    reps, class_of, sizes = _classes(g, elems)
+    reps, class_of, sizes = _classes(g, elems, generators(g, elems))
     r = len(reps)
     cls = np.empty(g.order, dtype=np.intp)
     cls[elems] = class_of
@@ -217,30 +226,22 @@ def _transfer_within(h: SubgroupRef) -> tuple[int, np.ndarray, np.ndarray, np.nd
 
 def subgroup_closure(g: GroupTable, seeds: Iterable[int]) -> SubgroupRef:
     """Smallest subgroup containing ``seeds`` (the trivial one for none)."""
-    m = g.mul
-    gens = sorted(set(seeds) - {0})
-    members = {0}
-    frontier = [0]
-    while frontier:
-        x = frontier.pop()
-        for s in gens:
-            y = m.item(x, s)
-            if y not in members:
-                members.add(y)
-                frontier.append(y)
-    return SubgroupRef(g, tuple(sorted(members)))
+    seeds = [int(x) for x in seeds]
+    for x in seeds:
+        if not 0 <= x < g.order:
+            raise ValueError(f"seed {x} out of range for order {g.order}")
+    return SubgroupRef(g, tuple(np.flatnonzero(_closure(g, seeds)[0]).tolist()))
 
 
 def normal_subgroups(g: GroupTable) -> list[SubgroupRef]:
     """All normal subgroups, sorted by order then by element tuple.
 
     Every normal subgroup is a join of normal closures N(x) of single
-    conjugacy classes (Holt, Eick & O'Brien, *Handbook of Computational
-    Group Theory*, 2005), so the lattice is reached from the trivial
-    subgroup by joining each subgroup A found with every distinct N(x),
-    skipping x in A.  N(x) is closed once per rational class: x^j with j
-    prime to |x| generates <x>, so its class has the same closure.  The
-    join A N(x) is the union of the cosets of A that meet N(x):
+    elements (Holt, Eick & O'Brien, *Handbook of Computational Group
+    Theory*, 2005), so the lattice is reached from the trivial subgroup by
+    joining each subgroup A found with every distinct N(x), skipping x in
+    A.  N(x) is closed once per rational class: <x^j> = <x> for j prime to
+    |x|.  The join A N(x) is the union of the cosets of A that meet N(x):
     ``coset_labels`` labels each element x by the least member of Ax = xA,
     and then all the joins of A are rows of one coset mask, keyed by their
     packed bits.  So each subgroup A found costs |G| x |A|
@@ -249,22 +250,22 @@ def normal_subgroups(g: GroupTable) -> list[SubgroupRef]:
     raises ``LatticeTooLarge`` once they pass ``LATTICE_WORK_CAP``.  This
     is its only bound: the order alone refuses nothing.
     """
-    classes = conjugacy_classes(g)
-    class_of = np.array(classes.class_of)
-    seeds: dict[tuple[int, ...], int] = {}  # each distinct N(x) -> one such x
-    closed = np.zeros(classes.num_classes, dtype=bool)
-    for cid, x in enumerate(classes.reps):
+    every = np.arange(g.order)
+    gens = generators(g, every)
+    reps, class_of, _ = _classes(g, every, gens)
+    seeds: dict[bytes, int] = {}  # each distinct N(x), its mask's bytes -> one such x
+    closed = np.zeros(len(reps), dtype=bool)
+    for cid, x in enumerate(reps.tolist()):
         if closed[cid]:
             continue
-        seeds.setdefault(subgroup_closure(g, np.flatnonzero(class_of == cid).tolist()).elements, x)
-        # <x^j> = <x> for j prime to |x|, so the classes of those powers have the same N(x)
+        seeds.setdefault(_closure(g, [x], gens)[0].tobytes(), x)
         powers = [x]
         while powers[-1] != 0:
             powers.append(g.mul.item(powers[-1], x))
         n = len(powers)
         closed[class_of[[y for j, y in enumerate(powers, 1) if math.gcd(j, n) == 1]]] = True
     reps = np.array(list(seeds.values()))
-    owner, members = np.array([(i, y) for i, c in enumerate(seeds) for y in c]).T
+    owner, members = np.nonzero(np.frombuffer(b"".join(seeds), dtype=bool).reshape(len(reps), -1))
     worklist = [SubgroupRef(g, (0,))]
     found = {np.packbits(np.arange(g.order) == 0).tobytes(): worklist[0]}
     work = g.order * (1 + len(reps))
@@ -335,22 +336,21 @@ def lower_central_series(g: GroupTable | SubgroupRef) -> tuple[SubgroupRef, ...]
 
 
 def _lcs_within(h: SubgroupRef) -> tuple[SubgroupRef, ...]:
-    g, ambient = h.parent, h.elements
-    series = [SubgroupRef(g, ambient)]  # not h itself: h caches this tuple
-    others = np.array(ambient)
-    while True:
-        current = series[-1]
-        if current.order == 1:
-            return tuple(series)
-        elems = np.array(current.elements)
-        # the commutators [a, b], marked a block of rows at a time
-        hit = np.zeros(g.order, dtype=bool)
-        for rows in row_blocks(current.order, len(ambient), BLOCK_CELLS):
-            hit[commutators(g, elems[rows], others)] = True
-        nxt = subgroup_closure(g, np.flatnonzero(hit).tolist())
-        series.append(nxt)
-        if nxt.elements == current.elements:
-            return tuple(series)
+    """H's lower central series: gamma_{i+1} is the normal closure of the [a, s], a in A_i, s in S.
+
+    H = <S>, A_1 = S, A_{i+1} generates gamma_{i+1}, and [a, s] = (sa)^-1 as (Holt et al., 2005).
+    """
+    g = h.parent
+    m, inv = g.mul, g.inv
+    series = [SubgroupRef(g, h.elements)]  # not h itself: h caches this tuple
+    gens = normal = generators(g, np.array(h.elements))
+    while series[-1].order > 1:
+        seeds = [m.item(inv.item(m.item(s, a)), m.item(a, s)) for a in normal for s in gens]
+        reached, normal = _closure(g, seeds, gens)
+        series.append(SubgroupRef(g, tuple(np.flatnonzero(reached).tolist())))
+        if series[-1].elements == series[-2].elements:
+            break
+    return tuple(series)
 
 
 def nilpotency_class(g: GroupTable | SubgroupRef) -> Optional[int]:

@@ -302,11 +302,11 @@ def max_bad_series_length(
 
 
 def _log(x: Fraction) -> float:
-    """ln x for 0 < x <= 1; log1p only where float(x) rounds to 1, as 1 - 3/2^e does from e = 56.
+    """ln x for 0 < x <= 1; log1p where 1 - x < 2^-40, as float(x) keeps few bits of 1 - x there.
 
-    Elsewhere log1p can move the last bit (at e = 4), and report bytes with it.
+    Elsewhere log1p can move the last bit (at 1 - x = 3/16), and report bytes with it.
     """
-    return math.log(float(x)) or math.log1p(float(x - 1))
+    return math.log1p(float(x - 1)) if 1 - x < Fraction(1, 2 ** 40) else math.log(float(x))
 
 
 def check_series_bound(v: GroupVerifier, k: int) -> list[CheckOutcome]:

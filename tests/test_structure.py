@@ -31,6 +31,7 @@ from nilprob.structure import (
     subgroup_table,
     whole_group,
 )
+from seeded import stream_rng
 
 
 def element_order(g, x):
@@ -57,6 +58,39 @@ def is_normal(g, h):
         if not member[m[m[np.ix_(inv[a], elems)], a[:, None]]].all():
             return False
     return True
+
+
+def bfs_closure(g, seeds):
+    """Oracle: the smallest subgroup containing ``seeds``, by a breadth-first search of products."""
+    m = g.mul
+    gens = sorted(set(seeds) - {0})
+    members = {0}
+    frontier = [0]
+    while frontier:
+        x = frontier.pop()
+        for s in gens:
+            y = m.item(x, s)
+            if y not in members:
+                members.add(y)
+                frontier.append(y)
+    return tuple(sorted(members))
+
+
+def gathered_series(g, h):
+    """Oracle: each term the ``bfs_closure`` of every [a, b], a in the last term and b in H."""
+    m, inv = g.mul, g.inv
+    ambient = np.array(h.elements)
+    series = [h.elements]
+    while len(series[-1]) > 1:
+        elems = np.array(series[-1])
+        hit = np.zeros(g.order, dtype=bool)
+        for rows in row_blocks(len(elems), len(ambient), BLOCK_CELLS):
+            a = elems[rows]
+            hit[m[m[m[inv[a][:, None], inv[ambient]], a[:, None]], ambient]] = True
+        series.append(bfs_closure(g, np.flatnonzero(hit).tolist()))
+        if series[-1] == series[-2]:
+            break
+    return series
 
 
 def first_of_order(g, n):
@@ -186,12 +220,12 @@ def test_conjugacy_classes_match_the_scan(name):
 def test_generators_close_to_the_subgroup(name):
     g = catalog_get(name)
     pool = {h.elements for h in normal_subgroups(g)}
-    pool |= {subgroup_closure(g, [x]).elements for x in g.elements()}
+    pool |= {bfs_closure(g, [x]) for x in g.elements()}
     for elems in sorted(pool):
         gens = generators(g, np.array(elems))
-        assert subgroup_closure(g, gens).elements == elems
+        assert bfs_closure(g, gens) == elems
         for i, x in enumerate(gens):
-            before = subgroup_closure(g, gens[:i]).elements
+            before = bfs_closure(g, gens[:i])
             assert x not in before
             assert x == min(set(elems) - set(before))
         assert len(gens) <= math.log2(len(elems)) + 1
@@ -257,6 +291,12 @@ def test_subgroup_closure():
     assert subgroup_closure(s3, [t1, t2]).order == 6
 
 
+@pytest.mark.parametrize("seed", [-1, 6])
+def test_subgroup_closure_rejects_seeds_outside_the_group(seed):
+    with pytest.raises(ValueError, match=f"seed {seed} out of range for order 6"):
+        subgroup_closure(catalog_get("S(3)"), [0, seed])
+
+
 def test_subgroup_closure_is_group():
     s4 = catalog_get("S(4)")
     for seed in range(s4.order):
@@ -273,9 +313,9 @@ def _all_subgroups_two_generated(g):
     """
     subs = {(0,)}
     for a in g.elements():
-        subs.add(subgroup_closure(g, [a]).elements)
+        subs.add(bfs_closure(g, [a]))
         for b in g.elements():
-            subs.add(subgroup_closure(g, [a, b]).elements)
+            subs.add(bfs_closure(g, [a, b]))
     return subs
 
 
@@ -303,9 +343,8 @@ def class_closures(g):
     classes = conjugacy_classes(g)
     found = {}
     for cid in range(classes.num_classes):
-        seeds = [x for x in g.elements() if classes.class_of[x] == cid]
-        sub = subgroup_closure(g, seeds)
-        found.setdefault(sub.elements, sub)
+        elems = bfs_closure(g, [x for x in g.elements() if classes.class_of[x] == cid])
+        found.setdefault(elems, subgroup(g, elems))
     return found
 
 
@@ -316,7 +355,7 @@ def normal_subgroups_by_closure(g):
     while worklist:
         sub = worklist.pop()
         for other in list(found.values()):
-            joined = subgroup_closure(g, sub.elements + other.elements)
+            joined = subgroup(g, bfs_closure(g, sub.elements + other.elements))
             if joined.elements not in found:
                 found[joined.elements] = joined
                 worklist.append(joined)
@@ -462,6 +501,29 @@ def test_lower_central_series():
     assert [s.order for s in lower_central_series(d8)] == [8, 2, 1]
     s3 = catalog_get("S(3)")
     assert [s.order for s in lower_central_series(s3)] == [6, 3, 3]
+
+
+@pytest.mark.parametrize("name", default_corpus_names() + ["A(5)", "S(5)", "SL(2,3)xS(4)"])
+def test_closures_and_series_match_the_oracles(name):
+    # normal, cyclic and 40 seeded two-seed subgroups, and each N(x) against
+    # the closure of x's whole class
+    g = catalog_get(name)
+    gens = generators(g, np.arange(g.order))
+    classes = conjugacy_classes(g)
+    for cid, x in enumerate(classes.reps):
+        normal_closure = structure._closure(g, [x], gens)[0]
+        assert tuple(np.flatnonzero(normal_closure).tolist()) == \
+            bfs_closure(g, np.flatnonzero(np.array(classes.class_of) == cid).tolist())
+    rng = stream_rng(7919, g.order)
+    seed_sets = [[x] for x in g.elements()] + [
+        [rng.randrange(g.order), rng.randrange(g.order)] for _ in range(40)]
+    pool = {n.elements: n for n in normal_subgroups(g)}
+    for seeds in seed_sets:
+        h = subgroup_closure(g, seeds)
+        assert h.elements == bfs_closure(g, seeds)
+        pool.setdefault(h.elements, h)
+    for h in pool.values():
+        assert [t.elements for t in lower_central_series(h)] == gathered_series(g, h)
 
 
 def test_lower_central_series_terms_normal_and_descending():

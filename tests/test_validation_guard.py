@@ -10,6 +10,8 @@ too.  Rows are split into blocks by one function, ``perms.row_blocks``,
 whose callers name their own cell budgets.  In the same way commuting
 pairs are counted only by ``structure.commuting_counts``, and the cosets
 of a normal subgroup are labelled only by ``structure.coset_labels``.
+Commutator arrays, ``structure.commutators``, are gathered only by the DP
+in ``exact``: the structure layer grows every subgroup from generators.
 """
 
 import ast
@@ -87,6 +89,10 @@ def test_cosets_of_a_normal_subgroup_are_labelled_in_one_place():
         ("structure", "normal_subgroups"),
         ("structure", "quotient"),
     ]
+
+
+def test_only_the_dp_gathers_commutators():
+    assert {module for module, _ in references("commutators")} == {"exact"}
 
 
 def test_no_table_is_compared_with_its_transpose_elsewhere():

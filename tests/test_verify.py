@@ -269,6 +269,20 @@ def test_series_bound_examples():
     assert check_series_bound(verifier("C(1)"), 1) == []
 
 
+def test_series_bound_ratio_near_one_keeps_its_bits():
+    # np_k(S(3)) and both constants are 1 - c/2^e; where 1 - x < 2^-40, float(x)
+    # keeps few bits of 1 - x, so ln is taken by log1p there and only there
+    v = verifier("S(3)")
+    assert [[o.rhs for o in check_series_bound(v, k)] for k in (1, 2, 3)] == [
+        [1.4747698473569486, 0.5],
+        [1.3854890798718285, 0.6120847894588701],
+        [1.3564739318899195, 0.6430928584622285],
+    ]
+    loose, _ = check_series_bound(v, 52)
+    _, tight = check_series_bound(v, 54)
+    assert abs(loose.rhs - 4 / 3) < 1e-12 and abs(tight.rhs - 2 / 3) < 1e-12
+
+
 def test_run_corpus_empty():
     report = run_corpus(CorpusConfig(group_names=[]))
     assert report.must_hold_ok
