@@ -10,9 +10,11 @@ operation of multiplication tables built from permutations.
 
 The stabilizer chain is the classical deterministic construction: base
 points are always the smallest point moved by the residue that forced a
-new level, orbits are explored in sorted order, and every Schreier
+new level, orbits are explored breadth first, and every Schreier
 generator is sifted.  Given the same generator list the chain (and hence
-the uniform sampling stream for a fixed seed) is bit-reproducible.
+the uniform sampling stream for a fixed seed) is bit-reproducible.  It is
+held in arrays: a level's transversal is one (orbit, degree) array, and
+Schreier generators are composed and sifted as batches of rows.
 
 Sampling works on batches: :meth:`PermGroupBSGS.random_uniform` returns a
 (size, degree) array, one element per row, and :func:`compose_rows` and
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 import numpy as np
@@ -165,32 +167,38 @@ _WORD = 1 << 32
 
 
 def _words(rng: random.Random, n: int) -> np.ndarray:
-    return np.frombuffer(rng.randbytes(4 * n), dtype="<u4").astype(np.intp)
+    return np.frombuffer(rng.randbytes(4 * n), dtype="<u4")
 
 
 def uniform_indices(rng: random.Random, bound: int, size: int) -> np.ndarray:
-    """``size`` independent integers, exactly uniform on [0, bound), bound <= 2^32.
+    """``size`` independent integers, exactly uniform on [0, bound), 1 <= bound <= 2^32.
 
     They come in the smallest unsigned type that holds ``bound - 1``.
 
     Reads little-endian 32-bit words from ``rng.randbytes``.  A word below
     the largest multiple of ``bound`` up to 2^32 gives its residue mod
     ``bound``; every other word is replaced by a fresh one, in order of
-    position, until all are accepted.
+    position, until all are accepted (a bound dividing 2^32 rejects none).
     """
-    limit = _WORD - _WORD % bound
+    if not 1 <= bound <= _WORD:
+        raise ValueError(f"bound must be in 1..2^32, got {bound}")
     words = _words(rng, size)
-    redo = np.flatnonzero(words >= limit)
-    while redo.size:
-        words[redo] = _words(rng, redo.size)
-        redo = redo[words[redo] >= limit]
-    return (words % bound).astype(np.min_scalar_type(bound - 1))
+    limit = _WORD - _WORD % bound
+    if limit < _WORD and size and words.max() >= limit:
+        words = words.copy()
+        redo = np.flatnonzero(words >= limit)
+        while redo.size:
+            words[redo] = _words(rng, redo.size)
+            redo = redo[words[redo] >= limit]
+    # numpy divides by a scalar several times faster than it takes % of one
+    residues = words - words // bound * bound if bound & (bound - 1) else words & (bound - 1)
+    return residues.astype(np.min_scalar_type(bound - 1), copy=False)
 
 
 # -- stabilizer chain ---------------------------------------------------------
 
-#: Cap on the cells (rows x degree) of a merged sampling table, and of a
-#: Monte Carlo chunk per tuple position.
+#: Cap on the cells (rows x degree) of a merged sampling table, of a batch
+#: of sifted Schreier generators, and of a Monte Carlo chunk per tuple position.
 DEFAULT_CHUNK_CELLS = 1 << 20
 
 #: Cap on the cells (orbit points x degree) of a chain's transversals:
@@ -200,42 +208,65 @@ TRANSVERSAL_CELLS = 1 << 24
 
 @dataclass
 class _ChainLevel:
+    """A stabilizer-chain level, in the point dtype: ``gens`` fix the earlier
+    base points, row r of ``transversal`` maps ``point`` to the r-th point of
+    its sorted orbit, and ``position[x]`` is the row of x, or -1 off the orbit.
+    """
+
     point: int
-    gens: list[Perm] = field(default_factory=list)
-    transversal: dict[int, Perm] = field(default_factory=dict)
-    orbit: list[int] = field(default_factory=list)
-
-    def rebuild(self, room: int) -> None:
-        """BFS orbit of ``point`` under ``gens``, in deterministic discovery order.
-
-        An orbit of more than ``room`` points is refused before any
-        representative is stored.
-        """
-        found = {self.point: None}
-        queue = [self.point]
-        for a in queue:
-            for g in self.gens:
-                if g[a] not in found:
-                    found[g[a]] = (a, g)
-                    queue.append(g[a])
-        degree = len(self.gens[0])
-        if len(queue) > room:
-            raise ChainTooLarge(f"stabilizer chain transversals (orbit points x degree "
-                                f"{degree}) would exceed {TRANSVERSAL_CELLS} cells")
-        self.transversal = {self.point: identity_perm(degree)}
-        for b in queue[1:]:
-            a, g = found[b]
-            self.transversal[b] = compose(self.transversal[a], g)
-        self.orbit = sorted(self.transversal)
+    gens: np.ndarray
+    position: np.ndarray
+    transversal: np.ndarray
 
 
-def _sift(levels: Sequence[_ChainLevel], residue: Perm) -> Perm:
-    """Strip ``residue`` through ``levels``; the identity iff it lies in their group."""
+def _chain_level(point: int, gens: list[Perm], rows: np.ndarray, room: int) -> _ChainLevel:
+    """The level of ``point`` under ``gens``, given also as ``rows``.
+
+    The orbit is explored breadth first, generators in order; the
+    representative of a point found from a by g is g[t_a], one gather.  An
+    orbit of more than ``room`` points is refused before any row is stored.
+    """
+    found, queue = {point: None}, [point]
+    for a in queue:
+        for i, g in enumerate(gens):
+            if g[a] not in found:
+                found[g[a]] = (a, i)
+                queue.append(g[a])
+    degree = rows.shape[1]
+    if len(queue) > room:
+        raise ChainTooLarge(f"stabilizer chain transversals (orbit points x degree "
+                            f"{degree}) would exceed {TRANSVERSAL_CELLS} cells")
+    position = np.full(degree, -1, dtype=np.intp)
+    position[sorted(queue)] = np.arange(len(queue))
+    transversal = np.empty((len(queue), degree), dtype=rows.dtype)
+    transversal[position[point]] = np.arange(degree)
+    for b in queue[1:]:
+        a, i = found[b]
+        np.take(rows[i], transversal[position[a]], out=transversal[position[b]], mode="clip")
+    return _ChainLevel(point, rows, position, transversal)
+
+
+def _sift_rows(levels: Sequence[_ChainLevel], residue: np.ndarray) -> np.ndarray:
+    """Strip every row of ``residue`` through ``levels``, in place.
+
+    A row stops at the first level whose orbit misses its image of the base
+    point; a row ends as the identity iff it lies in the levels' group.  A
+    row equal to its representative strips to the identity; any other is
+    composed with the representative's inverse, its argsort.
+    """
+    live = np.arange(len(residue))
     for level in levels:
-        rep = level.transversal.get(residue[level.point])
-        if rep is None:
-            return residue
-        residue = compose(residue, inverse(rep))
+        rows = residue[live]
+        pos = level.position[rows[:, level.point]]
+        # a row off the orbit (pos -1) differs from the last representative
+        reps = level.transversal[pos]
+        same = (rows == reps).all(axis=1)
+        residue[live[same]] = np.arange(residue.shape[1])
+        strip = ~same & (pos >= 0)
+        live, rows, reps = live[strip], rows[strip], reps[strip]
+        if not live.size:
+            break
+        residue[live] = compose_rows(rows, np.argsort(reps, axis=1, kind="stable"))
     return residue
 
 
@@ -250,24 +281,23 @@ class PermGroupBSGS:
         self.degree = degree
         self.generators = generators
         self._levels = levels
-        self._sizes = [len(level.orbit) for level in levels]
+        self._sizes = [len(level.transversal) for level in levels]
         self.order = math.prod(self._sizes)
         # the smallest unsigned type that holds a point keeps sampled
         # batches compact
         self._dtype = np.min_scalar_type(max(degree - 1, 0))
-        # sampling tables, deepest first: consecutive levels merge while the
-        # table fits DEFAULT_CHUNK_CELLS; the row of the levels' choices, as
-        # one mixed-radix index (upper level most significant), is the
-        # product of the chosen representatives, deepest level first
+        # sampling tables, deepest first: a level alone is its transversal, and
+        # consecutive levels merge while the table fits DEFAULT_CHUNK_CELLS; a
+        # row is the product of the levels' chosen representatives, deepest
+        # first, at their mixed-radix index (upper level most significant)
         self._tables: list[tuple[slice, np.ndarray]] = []
         for i in reversed(range(len(levels))):
-            reps = np.array([levels[i].transversal[x] for x in levels[i].orbit], dtype=self._dtype)
-            stop = i + 1
+            reps, stop = levels[i].transversal, i + 1
             if self._tables and len(reps) * self._tables[-1][1].size <= DEFAULT_CHUNK_CELLS:
                 merged, acc = self._tables.pop()
                 table = np.empty((len(reps), *acc.shape), dtype=self._dtype)
-                for c, rep in enumerate(reps):
-                    table[c] = rep[acc]
+                for rows in row_blocks(len(acc), len(reps) * degree, BLOCK_CELLS):
+                    table[:, rows] = np.take(reps, acc[rows], axis=1)
                 stop, reps = merged.stop, table.reshape(-1, degree)
             self._tables.append((slice(i, stop), reps))
 
@@ -277,20 +307,18 @@ class PermGroupBSGS:
 
     @property
     def strong_gens(self) -> list[Perm]:
-        seen: dict[tuple[int, ...], None] = {}
-        for level in self._levels:
-            for g in level.gens:
-                seen.setdefault(tuple(g), None)
-        return [list(g) for g in seen]
+        # the top level's generators are the whole pool: they fix no base point
+        return self._levels[0].gens.tolist() if self._levels else []
 
     def transversals(self) -> list[dict[int, Perm]]:
-        return [dict(level.transversal) for level in self._levels]
+        return [dict(zip(np.flatnonzero(lv.position >= 0).tolist(), lv.transversal.tolist()))
+                for lv in self._levels]
 
     def sift(self, p: Sequence[int]) -> Perm:
         """Reduce ``p`` through the chain; identity iff ``p`` is a member."""
         if len(p) != self.degree:
             raise DegreeMismatch(len(p), self.degree)
-        return _sift(self._levels, list(p))
+        return _sift_rows(self._levels, np.array([validate_perm(p)], self._dtype))[0].tolist()
 
     def random_uniform(self, rng: random.Random, size: int) -> np.ndarray:
         """``size`` exactly uniform, independent elements, as a (size, degree) array.
@@ -309,8 +337,8 @@ class PermGroupBSGS:
             return np.tile(np.arange(degree, dtype=self._dtype), (size, 1))
         picks = []
         for levels, _ in self._tables:
-            idx = np.zeros(size, dtype=np.intp)
-            for n, chosen in zip(sizes[levels], choices[levels]):
+            idx = choices[levels.start].astype(np.intp)
+            for n, chosen in zip(sizes[levels][1:], choices[levels][1:]):
                 idx *= n
                 idx += chosen
             picks.append(idx)
@@ -329,8 +357,10 @@ def schreier_sims(generators: Sequence[Sequence[int]]) -> PermGroupBSGS:
     generator pool and scanned for a Schreier generator whose sift residue
     is not the identity; the residue joins the pool and the scan restarts.
     The final scan passes with no additions, which re-verifies the whole
-    strong generating property.  Simple over fast, but exhaustively
-    self-checking; fine for the small degrees this package targets.
+    strong generating property.  A level's Schreier generators t_a s are
+    composed and sifted as row batches of at most ``DEFAULT_CHUNK_CELLS``
+    cells, a in orbit order, then s in generator order, and the first row
+    that does not sift to the identity is the residue.
     """
     gens = [validate_perm(g) for g in generators]
     if not gens:
@@ -360,24 +390,23 @@ def schreier_sims(generators: Sequence[Sequence[int]]) -> PermGroupBSGS:
     def build_levels() -> list[_ChainLevel]:
         levels = []
         room = TRANSVERSAL_CELLS // max(degree, 1)
+        pool = np.array(strong, np.min_scalar_type(max(degree - 1, 0)))
         for i, point in enumerate(base):
-            prefix = base[:i]
-            level = _ChainLevel(point)
-            level.gens = [s for s in strong if all(s[b] == b for b in prefix)]
-            level.rebuild(room)
-            room -= len(level.orbit)
-            levels.append(level)
+            keep = np.flatnonzero((pool[:, base[:i]] == base[:i]).all(axis=1))
+            levels.append(_chain_level(point, [strong[j] for j in keep], pool[keep], room))
+            room -= len(levels[-1].transversal)
         return levels
 
     def failing_residue(levels: list[_ChainLevel]) -> Optional[Perm]:
         for i, level in enumerate(levels):
-            for a in level.orbit:
-                t_a = level.transversal[a]
-                for s in level.gens:
-                    # t_a s maps the base point into the orbit, so level i strips it
-                    residue = _sift(levels[i:], compose(t_a, s))
-                    if not is_identity(residue):
-                        return residue
+            count = len(level.gens)
+            for rows in row_blocks(len(level.transversal) * count, degree, DEFAULT_CHUNK_CELLS):
+                a, s = np.divmod(np.arange(rows.start, rows.stop), count)
+                # t_a s maps the base point into the orbit, so level i strips it
+                batch = _sift_rows(levels[i:], compose_rows(level.transversal[a], level.gens[s]))
+                moved = np.flatnonzero((batch != np.arange(degree)).any(axis=1))
+                if moved.size:
+                    return batch[moved[0]].tolist()
         return None
 
     levels = build_levels()

@@ -780,6 +780,16 @@ PINNED_ESTIMATES = [
      '{"chunk_size": 8192, "ci_high": 0.00743288695772418, '
      '"ci_low": 0.006002912742913221, "group": "A(7)", "hits": 334, "k": 2, '
      '"order": "2520", "point": 0.00668, "samples": 50000, "seed": 3, "z": 1.96}'),
+    # wide chains: Dic(1000)'s orbit of 4000 points rejects words; D(4096)
+    # samples from two tables, one level each
+    ("Dic(1000)", 2, 2000, 4,
+     '{"chunk_size": 262, "ci_high": 0.6434916885438128, '
+     '"ci_low": 0.6010386176440616, "group": "Dic(1000)", "hits": 1245, "k": 2, '
+     '"order": "4000", "point": 0.6225, "samples": 2000, "seed": 4, "z": 1.96}'),
+    ("D(4096)", 2, 2000, 4,
+     '{"chunk_size": 512, "ci_high": 0.6499054175987882, '
+     '"ci_low": 0.6075999660602796, "group": "D(4096)", "hits": 1258, "k": 2, '
+     '"order": "4096", "point": 0.629, "samples": 2000, "seed": 4, "z": 1.96}'),
 ]
 
 

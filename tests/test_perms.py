@@ -2,7 +2,10 @@
 
 import itertools
 import math
+import random
+import tracemalloc
 from collections import Counter
+from operator import itemgetter
 
 import numpy as np
 import pytest
@@ -29,6 +32,7 @@ from nilprob.perms import (
     uniform_indices,
     validate_perm,
 )
+from nilprob.verify import default_corpus_names
 
 from seeded import spread_s5, stream_rng
 
@@ -139,8 +143,6 @@ def test_contains_agrees_with_naive_closure(name):
     closure = _naive_closure(gens)
     assert bsgs.order == len(closure)
     degree = len(gens[0])
-    import random
-
     rng = random.Random(5)
     for _ in range(200):
         p = list(range(degree))
@@ -154,6 +156,146 @@ def test_contains_odd_permutation_not_in_alternating():
     assert not contains(g, [1, 0, 2, 3, 4])
     for gen in gens:
         assert contains(g, gen)
+
+
+def list_chain(generators):
+    """Oracle: the list-based Schreier-Sims the array chain replaced.
+
+    Returns the base, the sorted orbits, the transversals (dicts of image
+    lists, in breadth-first discovery order) and the strong generators.
+    Every Schreier generator t_a s, a in sorted orbit order, then s in
+    generator order, is sifted alone; the first non-identity residue joins
+    the pool and the chain is rebuilt from scratch.  Lists are composed,
+    inverted and compared by C-level list operations, so the oracle keeps
+    up with orbits of 4096 points.
+    """
+    degree = len(generators[0])
+    identity = identity_perm(degree)
+
+    def compose(p, q):
+        return [q[x] for x in p] if degree < 2 else list(itemgetter(*p)(q))
+
+    def inverse(p):
+        return sorted(range(degree), key=p.__getitem__)
+
+    strong, base = [], []
+    for p in map(list, generators):
+        if not is_identity(p) and p not in strong:
+            strong.append(p)
+            if all(p[b] == b for b in base):
+                base.append(min(x for x in range(degree) if p[x] != x))
+
+    def build():
+        levels = []
+        for i, point in enumerate(base):
+            gens = [s for s in strong if all(s[b] == b for b in base[:i])]
+            transversal, queue = {point: identity_perm(degree)}, [point]
+            for a in queue:
+                for g in gens:
+                    if g[a] not in transversal:
+                        transversal[g[a]] = compose(transversal[a], g)
+                        queue.append(g[a])
+            levels.append((point, gens, transversal))
+        return levels
+
+    def sift(levels, residue):
+        for point, _, transversal in levels:
+            rep = transversal.get(residue[point])
+            if rep is None:
+                return residue
+            residue = compose(residue, inverse(rep))
+        return residue
+
+    def failing_residue(levels):
+        for i, (_, gens, transversal) in enumerate(levels):
+            for a in sorted(transversal):
+                for s in gens:
+                    residue = sift(levels[i:], compose(transversal[a], s))
+                    if residue != identity:
+                        return residue
+        return None
+
+    levels = build()
+    while (residue := failing_residue(levels)) is not None:
+        assert residue not in strong
+        strong.append(residue)
+        if all(residue[b] == b for b in base):
+            base.append(min(x for x in range(degree) if residue[x] != x))
+        levels = build()
+    return base, [sorted(t) for _, _, t in levels], [t for _, _, t in levels], strong
+
+
+def assert_chain_matches_oracle(bsgs, generators):
+    base, orbits, transversals, strong = list_chain(generators)
+    assert bsgs.base == base
+    assert [sorted(t) for t in bsgs.transversals()] == orbits
+    assert [np.flatnonzero(level.position >= 0).tolist() for level in bsgs._levels] == orbits
+    assert bsgs.transversals() == transversals
+    assert bsgs.strong_gens == strong
+    assert bsgs.order == math.prod(map(len, orbits))
+
+
+@pytest.mark.parametrize("name", default_corpus_names())
+def test_chain_matches_list_oracle_on_the_default_corpus(name):
+    _, gens, _ = catalog_generators(name)
+    assert_chain_matches_oracle(schreier_sims(gens), gens)
+
+
+@pytest.mark.parametrize("name", ["S(8)", "A(7)", "C(4096)", "D(4096)", "Dic(1000)", "spread"])
+def test_chain_matches_list_oracle_on_wide_groups(name):
+    # orbits of up to 4096 points fill several sift batches of 2^20 cells;
+    # the spread S(5) has small orbits at degree 4096
+    if name == "spread":
+        bsgs = spread_s5(4096)
+        gens = bsgs.generators
+    else:
+        gens = catalog_generators(name)[1]
+        bsgs = schreier_sims(gens)
+    assert_chain_matches_oracle(bsgs, gens)
+
+
+@pytest.mark.parametrize("cells", [1, 8 * 5, 8 * 64])
+def test_chain_matches_list_oracle_under_smaller_sift_batches(monkeypatch, cells):
+    # one Schreier generator per batch, a few, and every level in one batch:
+    # the first failing residue is the same
+    monkeypatch.setattr(perms, "DEFAULT_CHUNK_CELLS", cells)
+    gens = catalog_generators("S(8)")[1]
+    assert_chain_matches_oracle(schreier_sims(gens), gens)
+
+
+def test_chain_build_memory_stays_near_the_transversal():
+    # C(4096)'s one level holds 4096 rows of 4096 uint16 points, 32 MB; the
+    # sift batches stay within a few 2^20-cell blocks on top of it
+    gens = catalog_generators("C(4096)")[1]
+    tracemalloc.start()
+    try:
+        bsgs = schreier_sims(gens)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert bsgs.order == 4096
+    assert peak < 80 * 2 ** 20
+
+
+@pytest.mark.parametrize("name", ["S(5)", "A(6)", "D(16)"])
+def test_sift_strips_members_to_the_identity_and_keeps_others(name):
+    # members sift to the identity; a non-member's residue is what the
+    # list oracle's sift leaves
+    gens = catalog_generators(name)[1]
+    bsgs = schreier_sims(gens)
+    degree = bsgs.degree
+    members = _naive_closure(gens)
+    rng = random.Random(8)
+    for _ in range(100):
+        p = rng.sample(range(degree), degree)
+        residue = bsgs.sift(p)
+        assert is_identity(residue) == (tuple(p) in members)
+        for point, transversal in zip(bsgs.base, bsgs.transversals()):
+            rep = transversal.get(p[point])
+            if rep is None:
+                break
+            p = compose(p, inverse(rep))
+        assert residue == p
 
 
 def test_random_uniform_trivial_group():
@@ -322,6 +464,48 @@ def test_uniform_indices_rejects_the_remainder():
     # the words below the limit are used as they come, in order
     assert uniform_indices(ScriptedWords([5, 0, 6, 2]), 7, 4).tolist() == [5, 0, 6, 2]
     assert uniform_indices(ScriptedWords([7 * 613566756, 3, 1]), 7, 2).tolist() == [1, 3]
+
+
+def indices_oracle(rng, bound, size):
+    """Oracle: ``word % bound`` over ``randbytes`` words, rejected words
+    redrawn in order of position, in pure Python."""
+    def words(n):
+        data = rng.randbytes(4 * n)
+        return [int.from_bytes(data[4 * i:4 * i + 4], "little") for i in range(n)]
+
+    limit = 2 ** 32 - 2 ** 32 % bound
+    out = words(size)
+    redo = [i for i, w in enumerate(out) if w >= limit]
+    while redo:
+        for i, w in zip(redo, words(len(redo))):
+            out[i] = w
+        redo = [i for i in redo if out[i] >= limit]
+    return [w % bound for w in out]
+
+
+@pytest.mark.parametrize("bound", [1, 2, 3, 7, 8, 2 ** 31 + 1, 2 ** 32 - 1, 2 ** 32])
+@pytest.mark.parametrize("size", [0, 1, 8192])
+def test_uniform_indices_match_the_pure_python_map(bound, size):
+    # 2^31 + 1 rejects almost half of all words, so redraws chain
+    for seed in (0, 1, 2):
+        got_rng, want_rng = stream_rng(seed, bound), stream_rng(seed, bound)
+        got = uniform_indices(got_rng, bound, size)
+        assert got.dtype == np.min_scalar_type(bound - 1) and got.shape == (size,)
+        assert got.tolist() == indices_oracle(want_rng, bound, size)
+        assert got_rng.random() == want_rng.random()  # the same words were read
+
+
+@pytest.mark.parametrize("bound", [0, -1, 2 ** 32 + 1])
+def test_uniform_indices_refuse_bounds_outside_1_to_2_32(bound):
+    with pytest.raises(ValueError, match="bound"):
+        uniform_indices(random.Random(1), bound, 3)
+
+
+def test_uniform_indices_at_2_32_are_the_raw_words():
+    words = [0, 1, 2 ** 31, 2 ** 32 - 1]
+    got = uniform_indices(ScriptedWords(words), 2 ** 32, 4)
+    assert got.dtype == np.uint32 and got.tolist() == words
+    got[0] = 5  # a fresh array, not the read-only word buffer
 
 
 @pytest.mark.parametrize("degree", [5, 300])
