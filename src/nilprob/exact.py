@@ -1,55 +1,35 @@
 """Exact nilpotence probabilities.
 
-Everything here is integer counting over the ``int32`` multiplication
-table, reduced to a ``fractions.Fraction`` at the end; no floating point
-enters any probability.  Counts are ``int64`` arrays while |H|^(k+1) <
-2^63 and object arrays of Python ints above that.
+All counting is in integers over the ``int32`` table, reduced to a
+``Fraction`` at the end: ``int64`` arrays while |H|^(k+1) < 2^63, object
+arrays of Python ints above.  A shift tuple (x_1, .., x_m), m = k+1,
+counts the (t_1, .., t_m) with t_i in x_i H and left-normed commutator 1;
+it depends on each x_i only through x_i H, so shifts are least coset
+members.  ``np_bruteforce`` enumerates all |H|^m tuples: the oracle, on
+a list copy of the table.
 
-A shift tuple (x_1, .., x_{k+1}) counts the tuples (y_1, .., y_{k+1}) in
-H^(k+1) whose shifted left-normed commutator [x_1 y_1, .., x_{k+1} y_{k+1}]
-is the identity.  The value depends on each x_i only through its left
-coset x_i H, so shifts are taken as canonical (least-index) coset
-representatives.  There are four evaluations:
+Every other count is one product e(x_1) T_{x_2} .. T_{x_m} d: d marks 1,
+T_x[w, w'] = #{t in xH : [w, t] = w'}, and e(x_1) sums over x_1 H.
+Conjugation by K = core_G(H) fixes every coset of H, so each vector is
+constant on the K-orbits of G (``structure.Orbits``): one row per orbit.
+For o the least member of O, [o, xh] = o^-1 (o^x)^h, and (o^x)^h runs
+over the H-orbit P of o^x, |H|/|P| times each.  So T_x[O, O'] = |H|/|P|
+#{u in P : o^-1 u in O'}: a row is |P| cells, no commutator is gathered,
+and a coset of normal H is |G| cells.  ``np_fast``, ``cp`` (1, 1) and
+the identity tuple of ``iter_shift_values`` are one product each;
+``commutator_distribution`` scatters A(O) |H|/|P| per cell forward, and
+c counts A(O(c))/|O(c)|.  ``iter_shift_values`` takes the [G:H]^k tuples
+ending in the coset H in one backward pass: v = T_H d, k-1 stages over
+every coset at once, a row per suffix, and e(x_1) v for every coset x_1
+H, in lexicographic order.
 
-* ``np_bruteforce`` enumerates all |H|^(k+1) tuples and is the oracle;
-  it reads its own list copy of the table and shares no code with the
-  array passes.
-* ``np_fast`` evaluates one tuple by a forward pass: W_1 marks x_1 H,
-  W_{m+1}(c) sums W_m(w) over t in x_{m+1} H with [w, t] = c, and the
-  count sums W_k(w) |C_G(w) ∩ x_{k+1} H|.  A stage reads only the rows w
-  in the support of W_m.
-* ``_untwisted_count`` counts the tuples whose shifts all lie in H, for
-  ``np_fast``, ``cp`` and the identity tuple of ``iter_shift_values``.
-  Each W_m is then constant on the conjugacy classes of H, so above one
-  backward block of first-stage cells (|H|^2 > ``COUNT_BLOCK_CELLS``) a
-  stage maps class weights through H's class transfer, built once per
-  subgroup from one row per class (|H| cells, not |H|^2); at or below it
-  they take the forward pass.  np_2(D(64)xD(32)) reads 2,048 cells this
-  way, against 4.2 million commutators for the forward pass's first
-  stage.
-* ``iter_shift_values`` evaluates the [G:H]^k tuples whose last
-  coordinate is the coset H itself by a backward pass: v(w) = |C_G(w) ∩
-  H| for the last coordinate, each middle one sets v'(w, (x, s)) = sum
-  over t in xH of v([w, t], s) for all suffixes s at once, and the first
-  sums v over its coset.  The C-order flattening of the result is the
-  lexicographic order of the tuples.
-
-One tuple goes forward because a backward stage fills every row of G,
-while W_m is often supported on a small subgroup: W_2 of
-np_2(D(64)xD(32)) lives on the 128 elements of the derived subgroup.
-
-Those [G:H]^k tuples are all that ``np_sup``, the supremum over all
-[G:H]^(k+1) tuples, has to read.  The count of a tuple is the sum over w
-of W_k(w) times |C_G(w) ∩ rH| for its last coordinate r.  That
-intersection is empty or a left coset x(C_G(w) ∩ H) for any x in it, so
-each term is at most |C_G(w) ∩ H|: the coset H attains every prefix's
-maximum over the last coordinate, and the lexicographically smallest
-maximizer ends in representative 0.  The shift budget still counts all
-[G:H]^(k+1) tuples.  The identity tuple comes first, from
-``_untwisted_count``, so a value of 1 returns before the backward pass
-runs; that is why a supremum over H of class at most k, where the value
-is 1, is exempt from the shift budget.  The tests check ``np_sup`` against the
-enumeration of all [G:H]^(k+1) tuples, one ``np_fast`` each.
+``np_sup``, the supremum over all [G:H]^(k+1) tuples, reads only those:
+given the first k coordinates, the count sums over their commutator w
+|C_G(w) ∩ rH| for the last one r, empty or a coset of C_G(w) ∩ H, so the
+coset H attains each prefix's maximum.  The shift budget counts all
+[G:H]^(k+1) tuples, but the identity tuple comes first and a value of 1
+returns before the backward pass, so H of class at most k is exempt.
+The tests check ``np_sup`` against ``np_fast`` on all [G:H]^(k+1) tuples.
 """
 
 from __future__ import annotations
@@ -64,8 +44,7 @@ import numpy as np
 from .errors import BudgetExceeded, EmptyInput
 from .groups import BLOCK_CELLS, COUNT_BLOCK_CELLS, GroupTable
 from .perms import row_blocks
-from .structure import (SubgroupRef, commutators, commuting_counts, left_coset_reps,
-                        nilpotency_class, whole_group)
+from .structure import SubgroupRef, left_coset_reps, nilpotency_class, whole_group
 
 #: Iteration budget for the brute-force oracle (|H|^(k+1) tuples).
 DEFAULT_TUPLE_BUDGET = 10 ** 9
@@ -147,71 +126,88 @@ def _count_dtype(total: int):
     return np.int64 if total < 2 ** 63 else object
 
 
-def _cosets(g: GroupTable, h: SubgroupRef, xs: Sequence[int]) -> np.ndarray:
-    """The left cosets xH for x in ``xs``, one row each."""
-    return g.mul[np.array(xs)[:, None], h.elements]
+def _cells(g: GroupTable, h: SubgroupRef, x: int, width: int, keep: bool = True):
+    """T_x's cells a block of orbit rows at a time: (rows, bounds, orbits, scales).
 
-
-def _advance_weights(g: GroupTable, weights: np.ndarray, coset: np.ndarray) -> np.ndarray:
-    """One forward stage: W_{m+1}(c) sums W_m(w) over t in the coset with [w, t] = c.
-
-    For a block of commutators w of equal weight v, the new commutators
-    [w, t] over t in the coset are gathered as one array and v times
-    their histogram is added; weights stay integers throughout.
+    Row O has a cell per member u of the H-orbit P of o^x, the orbit of
+    o^-1 u, from its bound to the next, and the scale |H|/|P|.  A block is
+    the coset if it fits ``COUNT_BLOCK_CELLS`` cells times ``width``, else
+    rows of |H| cells.  A coset is computed at once when r |H| is within
+    ``BLOCK_CELLS``, and kept if ``keep`` and the kept total stays within it.
     """
-    n = g.order
-    nxt = np.zeros(n, dtype=weights.dtype)
-    support = np.flatnonzero(weights)
-    for rows in row_blocks(len(support), len(coset), BLOCK_CELLS):
-        w = support[rows]
-        comm = commutators(g, w, coset)
-        wt = weights[w]
-        for v in set(wt.tolist()):
-            # cast first: a Python int of 2^63 or more times an int64 array overflows
-            hist = np.bincount(comm[wt == v].ravel(), minlength=n)
-            nxt += v * hist.astype(nxt.dtype, copy=False)
-    return nxt
+    o = h._orbits
+    key = o.orbit.item(x)
+    x, r = o.reps.item(key), len(o.reps)
+
+    def compute(rows):
+        reps = o.reps[rows]
+        p = o.h_orbit[g.mul[g.inv[x], g.mul[reps, x]]]
+        first = o.h_bounds[p].astype(np.intp)  # the kept cells are native ints, read fastest
+        sizes = o.h_bounds[p + 1] - first
+        bounds = np.append(0, np.cumsum(sizes))
+        at = np.repeat(first - bounds[:-1], sizes) + np.arange(bounds[-1])
+        orbits = o.orbit[g.mul[np.repeat(g.inv[reps], sizes), o.h_members[at]]]
+        return bounds, orbits.astype(np.intp), h.order // sizes
+
+    cells = o.cells.get(key)
+    if cells is None and r * h.order <= BLOCK_CELLS:
+        cells = compute(slice(0, r))
+        if keep and sum(len(c[1]) for c in o.cells.values()) + len(cells[1]) <= BLOCK_CELLS:
+            o.cells[key] = cells
+    if cells is not None and len(cells[1]) * width <= COUNT_BLOCK_CELLS:
+        yield (slice(0, r), *cells)
+    else:
+        for rows in row_blocks(r, h.order * width, COUNT_BLOCK_CELLS):
+            yield (rows, *compute(rows))
 
 
-def _weights(g: GroupTable, cosets: np.ndarray, dtype) -> np.ndarray:
-    """W_m for the m cosets (rows), one element chosen from each."""
-    weights = np.zeros(g.order, dtype=dtype)
-    weights[cosets[0]] = 1
-    for coset in cosets[1:]:
-        weights = _advance_weights(g, weights, coset)
-    return weights
+def _stage(g: GroupTable, h: SubgroupRef, v: np.ndarray, xs: Sequence[int],
+           keep: bool) -> np.ndarray:
+    """T_x v for each x in ``xs``, stacked: row (x, s) is T_x of row s of v.
 
-
-def _forward_count(g: GroupTable, cosets: np.ndarray) -> int:
-    """Number of commutator-trivial selections, one element per coset (row)."""
-    if len(cosets) == 1:
-        return int((cosets[0] == 0).sum())
-    weights = _weights(g, cosets[:-1], _count_dtype(cosets.shape[1] ** len(cosets)))
-    support = np.flatnonzero(weights)
-    commuting = commuting_counts(g, support, cosets[-1])
-    return int(weights[support] @ commuting.astype(weights.dtype, copy=False))
-
-
-def _untwisted_count(h: SubgroupRef, m: int) -> int:
-    """Number of m-tuples of H whose left-normed commutator is 1: the shifts all lie in H.
-
-    Above one backward block of first-stage cells this counts on H's
-    classes: every W_j is constant on H-classes, a stage is W'(L) = sum
-    over K of W(K) M[K, L] for H's class transfer M, and the count sums
-    W_{m-1}(w) |C_H(w)| over w, which is |H| times the sum of W_{m-1}
-    over the classes.  Otherwise it is the forward pass.
+    One x maps a vector to a vector, from its kept cells if they fit a block.
     """
-    g = h.parent
-    if m == 1 or h.order ** 2 <= COUNT_BLOCK_CELLS:
-        return _forward_count(g, _cosets(g, h, identity_shifts(m - 1)))
-    r, rows, cols, transfer = h._class_transfer
-    dtype = _count_dtype(h.order ** m)
-    weights = np.ones(r, dtype=dtype)
-    for _ in range(m - 2):
-        nxt = np.zeros(r, dtype=dtype)
-        np.add.at(nxt, cols, weights[rows] * transfer.astype(dtype, copy=False))
-        weights = nxt
-    return h.order * int(weights.sum())
+    width, o = v.size // v.shape[-1], h._orbits
+    cells = o.cells.get(o.orbit.item(xs[0])) if len(xs) == 1 else None
+    if cells is not None and len(cells[1]) * width <= COUNT_BLOCK_CELLS:
+        return np.add.reduceat(v.take(cells[1], axis=-1), cells[0][:-1], axis=-1) * cells[2]
+    out = np.empty((len(xs),) + v.shape, dtype=v.dtype)
+    for j, x in enumerate(xs):
+        for rows, bounds, orbits, scales in _cells(g, h, x, width, keep):
+            part = np.add.reduceat(v.take(orbits, axis=-1), bounds[:-1], axis=-1)
+            out[j, ..., rows] = part * scales
+    return out[0] if len(xs) == 1 else out.reshape(-1, v.shape[-1])
+
+
+def _scatter(g: GroupTable, h: SubgroupRef, weights: np.ndarray, x: int) -> np.ndarray:
+    """The forward stage: each cell of row O adds A(O) |H|/|P| to its orbit's weight A."""
+    out = np.zeros_like(weights)
+    for rows, bounds, orbits, scales in _cells(g, h, x, 1):
+        np.add.at(out, orbits, np.repeat(weights[rows] * scales, np.diff(bounds)))
+    return out
+
+
+def _backward(g: GroupTable, h: SubgroupRef, stages: Sequence[Sequence[int]],
+              total: int) -> np.ndarray:
+    """T_{X_1} .. T_{X_j} d for the coset lists ``stages``, in counts of at most ``total``.
+
+    A stage over several cosets keeps their cells only if a second such
+    stage reads them; otherwise each is read once, and kept cells would
+    outlive it.
+    """
+    v = np.zeros(len(h._orbits.reps), dtype=_count_dtype(total))
+    v[0] = 1  # the identity's orbit
+    for xs in reversed(stages):
+        v = _stage(g, h, v, xs, len(xs) == 1 or len(stages) > 2)
+    return v
+
+
+def _count(g: GroupTable, h: SubgroupRef, shifts: Sequence[int]) -> int:
+    """e(x_1) T_{x_2} .. T_{x_m} d: the count of the shift tuple ``shifts``."""
+    o = h._orbits
+    v = _backward(g, h, [(x,) for x in shifts[1:]], h.order ** len(shifts))
+    # Python's sum: numpy's costs more than the gathers on a small coset
+    return sum(v.take(o.orbit.take(g.mul[shifts[0]].take(o.elements))).tolist())
 
 
 def require_dp_budget(g: GroupTable, h: SubgroupRef, m: int, budget: int,
@@ -224,15 +220,11 @@ def require_dp_budget(g: GroupTable, h: SubgroupRef, m: int, budget: int,
 
 def np_fast(g: GroupTable, h: SubgroupRef, shifts: Sequence[int],
             budget: int = DEFAULT_TUPLE_BUDGET) -> NpResult:
-    """Same value as ``np_bruteforce``: forward pass, or ``_untwisted_count`` for shifts in H."""
+    """Same value as ``np_bruteforce``, from one product of orbit transfers."""
     shifts = _check_shifts(g, shifts)
-    m = len(shifts)
-    total = h.order ** m
-    require_dp_budget(g, h, m, budget)
-    if all(x in h.elements for x in shifts):
-        count = _untwisted_count(h, m)
-    else:
-        count = _forward_count(g, _cosets(g, h, shifts))
+    total = h.order ** len(shifts)
+    require_dp_budget(g, h, len(shifts), budget)
+    count = _count(g, h, shifts)
     return NpResult(Fraction(count, total), "dp", count, total)
 
 
@@ -247,9 +239,14 @@ def commutator_distribution(g: GroupTable, h: SubgroupRef, shifts: Sequence[int]
     if not 1 <= m <= len(shifts):
         raise ValueError(f"stage {m} needs at least {m} shifts")
     require_dp_budget(g, h, m, budget, "commutator distribution")
-    weights = _weights(g, _cosets(g, h, shifts[:m]), _count_dtype(h.order ** m))
-    support = np.flatnonzero(weights)
-    return dict(zip(support.tolist(), weights[support].tolist()))
+    o = h._orbits
+    first = o.orbit[g.mul[shifts[0], o.elements]]
+    weights = np.bincount(first, minlength=len(o.reps)).astype(_count_dtype(h.order ** m))
+    for x in shifts[1:m]:
+        weights = _scatter(g, h, weights, x)
+    counts = weights[o.orbit] // np.bincount(o.orbit)[o.orbit]
+    support = np.flatnonzero(counts)
+    return dict(zip(support.tolist(), counts[support].tolist()))
 
 
 def np_k(g: GroupTable, k: int, budget: int = DEFAULT_TUPLE_BUDGET) -> NpResult:
@@ -260,53 +257,29 @@ def np_k(g: GroupTable, k: int, budget: int = DEFAULT_TUPLE_BUDGET) -> NpResult:
 
 
 def cp(g: GroupTable | SubgroupRef) -> Fraction:
-    """Commuting probability: the share of commuting pairs, k(G)/|G|.
-
-    A subgroup is measured as a group in its own right: its commuting
-    pairs are the untwisted pairs of H, np_1 at trivial shifts.
-    """
+    """Commuting probability k(G)/|G|, the share of commuting pairs; H counts as a group."""
     h = g if isinstance(g, SubgroupRef) else whole_group(g)
-    return Fraction(_untwisted_count(h, 2), h.order ** 2)
+    return Fraction(_count(h.parent, h, (0, 0)), h.order ** 2)
 
 
-def _backward_counts(g: GroupTable, cosets: np.ndarray, k: int) -> Iterator[int]:
-    """Counts of the shift tuples whose last coordinate is H, in lexicographic order.
+def _backward_counts(g: GroupTable, h: SubgroupRef, k: int, reps: np.ndarray) -> Iterator[int]:
+    """Counts of the tuples of coset representatives ``reps`` ending in H, lexicographic.
 
-    ``cosets`` holds the left cosets of H as rows, in representative
-    order, so the first row is H itself.  The second coordinate is summed
-    into the first a block of cosets at a time, and each block's counts
-    are handed out before the next, so neither v of the second coordinate
-    nor all counts are ever stored.
+    The first coordinate sums v over each coset a block of cosets at a
+    time, so not all counts are stored.
     """
-    n = g.order
-    reps, size = cosets.shape
-    dtype = _count_dtype(size ** (k + 1))
-    flat = cosets.ravel()
-
-    def stage(v, w):
-        """v'[w, x, s], the sum of v[[w, t], s] over t in the coset x, for the rows w."""
-        return v[commutators(g, w, flat)].reshape(len(w), reps, size, v.shape[1]).sum(axis=2)
-
-    v = commuting_counts(g, np.arange(n), cosets[0], COUNT_BLOCK_CELLS).astype(dtype)[:, None]
-    for _ in range(k - 2):
-        nxt = np.empty((n, reps * v.shape[1]), dtype)
-        for rows in row_blocks(n, n * v.shape[1], COUNT_BLOCK_CELLS):
-            w = np.arange(n)[rows]
-            nxt[rows] = stage(v, w).reshape(len(w), -1)
-        v = nxt
-    gathered = size * v.shape[1] * (n if k > 1 else 1)
-    for block in row_blocks(reps, gathered, COUNT_BLOCK_CELLS):
-        w = cosets[block]
-        part = v[w] if k == 1 else stage(v, w.ravel()).reshape(len(w), size, -1)
-        yield from part.sum(axis=1).ravel().tolist()
+    o = h._orbits
+    v = _backward(g, h, [reps] * (k - 1) + [[0]], h.order ** (k + 1))
+    for block in row_blocks(len(reps), h.order * (v.size // len(o.reps)), COUNT_BLOCK_CELLS):
+        cosets = o.orbit[g.mul[reps[block, None], o.elements]]
+        yield from v.take(cosets, axis=-1).sum(axis=-1).T.ravel().tolist()
 
 
 def require_shift_budget(g: GroupTable, h: SubgroupRef, k: int, budget: int) -> None:
     """Refuse a supremum over [G:H]^(k+1) shift tuples above ``budget``, also before a lookup.
 
-    H of class at most k is exempt: np_k(H) = 1, and the identity tuple,
-    drawn first by the forward pass, returns it.  The class is read only
-    once the count is over budget.
+    H of class at most k is exempt: np_k(H) = 1, which the identity tuple,
+    evaluated first, returns.  The class is read only over budget.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -320,23 +293,21 @@ def iter_shift_values(
 ) -> Iterator[tuple[tuple[int, ...], Fraction]]:
     """Yield (shift tuple, exact value) over the canonical tuples ending in the coset H.
 
-    Coordinates are the least indices of the left cosets of H, and the
-    last one is always 0, the representative of H itself; these [G:H]^k
+    Coordinates are least coset members, the last always 0; these [G:H]^k
     tuples hold every prefix's maximum (see the module docstring).  They
-    come in lexicographic order.  The identity tuple comes first and is
-    evaluated alone by the forward pass; the others come from one
-    backward pass.  The budget is ``require_shift_budget``'s.
+    come in lexicographic order, the identity tuple first and alone, the
+    others from one backward pass.  The budget is ``require_shift_budget``'s.
     """
     require_shift_budget(g, h, k, budget)
     total = h.order ** (k + 1)
     ones = identity_shifts(k)
-    first = _untwisted_count(h, k + 1)
+    first = _count(g, h, ones)
     # one Fraction per distinct count, so equal values are the same object
     values = {first: Fraction(first, total)}
     yield ones, values[first]
 
     reps = left_coset_reps(g, h)
-    counts = _backward_counts(g, _cosets(g, h, reps), k)
+    counts = _backward_counts(g, h, k, np.array(reps))
     prefixes = itertools.product(reps, repeat=k)
     next(counts), next(prefixes)  # the identity tuple, yielded above
     for c, prefix in zip(counts, prefixes):

@@ -43,10 +43,9 @@ DEFAULT_ORDER_CAP = 4096
 #: temporaries to a few MB whatever the order.
 BLOCK_CELLS = 1 << 18
 
-#: Cells per block of the backward pass, which holds ``int64`` counts per
-#: cell, a quarter MB of them; blocks of BLOCK_CELLS raised ``np_sup``'s
-#: peak RSS at order 144 by 2 MB.  An untwisted count takes the class
-#: route above one such block of first-stage cells.
+#: Cells times count columns per block of a transfer stage in ``exact``, a
+#: quarter MB of ``int64`` counts; blocks of BLOCK_CELLS raised ``np_sup``'s
+#: peak RSS at order 144 by 2 MB.
 COUNT_BLOCK_CELLS = BLOCK_CELLS // 8
 
 
@@ -71,6 +70,12 @@ class GroupTable:
         Computed on first use, so tables that are never keyed are never hashed.
         """
         return hashlib.sha256(self.mul.astype("<i4", copy=False)).hexdigest()
+
+    @cached_property
+    def generators(self) -> tuple[int, ...]:
+        """``structure.generators`` of the whole group, computed once per table."""
+        from .structure import generators  # structure builds on this module
+        return tuple(generators(self, np.arange(self.order)))
 
     def elements(self) -> range:
         return range(self.order)

@@ -1,6 +1,6 @@
 """Structural computations on group tables.
 
-Commutators, centralizers, conjugacy classes, subgroup closure, normal
+Centralizers, conjugacy classes and orbits, subgroup closure, normal
 subgroups, quotients, the lower central series and nilpotency class.  All
 functions are pure; subgroups are sorted element-index tuples referencing
 their parent table.  Whole-table passes read the ``int32`` arrays in row
@@ -11,8 +11,8 @@ from a lattice seed N(x) to a term of the lower central series, is closed
 by ``_closure`` alone, with ``mul.item``, from at most log2 |H|
 generators.  Conjugacy classes are orbits under conjugation by a few
 ``generators``, found by ``class_labels`` in |H| cells per generator and
-round; a subgroup's class transfer is then one gather of |H| cells, and
-the center is the elements that commute with G's generators.
+round, as are the ``Orbits`` that ``exact`` counts on, and the center is
+the elements that commute with G's generators.
 """
 
 from __future__ import annotations
@@ -52,12 +52,31 @@ class SubgroupRef:
         return _lcs_within(self)
 
     @functools.cached_property
-    def _class_transfer(self) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
-        """H's class count and class transfer, built once per object; read by ``exact``."""
-        return _transfer_within(self)
+    def _orbits(self) -> "Orbits":
+        """The conjugation orbits on G that ``exact`` counts on, built once per object."""
+        return _orbits_within(self)
 
     def __repr__(self) -> str:
         return f"SubgroupRef(order={self.order} in {self.parent.label!r})"
+
+
+@dataclass(eq=False, slots=True)
+class Orbits:
+    """The orbits of H and of K = core_G(H) on G under conjugation, by least member.
+
+    H-orbit i is ``h_members[h_bounds[i]:h_bounds[i + 1]]``; ``h_orbit`` and
+    ``orbit`` number each element's H- and K-orbit (one array for normal H),
+    and ``reps`` are the K-orbits' least members.  A K-orbit lies in one
+    coset of H; ``cells`` maps it to the coset's transfer cells (``exact``).
+    """
+
+    elements: np.ndarray
+    h_orbit: np.ndarray
+    h_members: np.ndarray
+    h_bounds: np.ndarray
+    orbit: np.ndarray
+    reps: np.ndarray
+    cells: dict
 
 
 @dataclass(frozen=True)
@@ -91,12 +110,6 @@ def whole_group(g: GroupTable) -> SubgroupRef:
     return SubgroupRef(g, tuple(range(g.order)))
 
 
-def commutators(g: GroupTable, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """The array of [x, y] = x^-1 y^-1 x y over x in ``xs`` (rows), y in ``ys``."""
-    m, inv = g.mul, g.inv
-    return m[m[m[inv[xs][:, None], inv[ys]], xs[:, None]], ys]
-
-
 def commuting_counts(g: GroupTable, xs: np.ndarray, ys: np.ndarray,
                      cells: int = BLOCK_CELLS) -> np.ndarray:
     """#{y in ``ys`` : xy = yx} for each x in ``xs``, a block of ``cells`` cells at a time."""
@@ -115,9 +128,8 @@ def centralizer(g: GroupTable, x: int) -> SubgroupRef:
 
 def center(g: GroupTable) -> SubgroupRef:
     """Z(G): the elements that commute with each of G's ``generators``, |G| x log2 |G| cells."""
-    every = np.arange(g.order)
-    gens = np.array(generators(g, every), dtype=np.intp)
-    central = commuting_counts(g, every, gens) == len(gens)
+    gens = np.array(g.generators, dtype=np.intp)
+    central = commuting_counts(g, np.arange(g.order), gens) == len(gens)
     return SubgroupRef(g, tuple(np.flatnonzero(central).tolist()))
 
 
@@ -198,30 +210,35 @@ def _classes(g: GroupTable, elems: np.ndarray,
 
 def conjugacy_classes(g: GroupTable) -> ClassData:
     """Orbit partition under conjugation, classes numbered by least member; class 0 is the identity's."""
-    every = np.arange(g.order)
-    reps, class_of, sizes = _classes(g, every, generators(g, every))
+    reps, class_of, sizes = _classes(g, np.arange(g.order), g.generators)
     return ClassData(tuple(class_of.tolist()), tuple(reps.tolist()), tuple(sizes.tolist()))
 
 
-def _transfer_within(h: SubgroupRef) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
-    """The number r of H-classes and the nonzero entries (K, L, M[K, L]) of H's class transfer.
+def _orbits_within(h: SubgroupRef) -> Orbits:
+    """H's and K's conjugation orbits on G, and T_H's cells when H is normal.
 
-    M[K, L], the number of pairs (w, t) in K x H with [w, t] = w^-1 w^t
-    equal to one fixed element of L, is |H| #{u in K : k^-1 u in L} / |L|
-    for k the least member of K: w^t runs over K, |H|/|K| times each;
-    conjugating w to k keeps the class of w^-1 u; and conjugation spreads
-    the pairs evenly over L.  So one gather of |H| cells, k^-1 u for every
-    member u, gives every (K, L) code.
+    K = core_G(H) is H less every member with a conjugate outside it under
+    G's generators, until nothing changes.  T_H's cells are G in orbit
+    order, u with the orbit of o^-1 u for o its orbit's least member (see
+    ``exact``).  The arrays stay cached, so are ``int16`` below order 2^15.
     """
-    g, elems = h.parent, np.array(h.elements)
-    reps, class_of, sizes = _classes(g, elems, generators(g, elems))
-    r = len(reps)
-    cls = np.empty(g.order, dtype=np.intp)
-    cls[elems] = class_of
-    code, count = np.unique(class_of * r + cls[g.mul[g.inv[reps[class_of]], elems]],
-                            return_counts=True)
-    k, l = np.divmod(code, r)
-    return r, k, l, count * h.order // sizes[l]
+    g, m, inv = h.parent, h.parent.mul, h.parent.inv
+    dtype = np.int16 if g.order < 2 ** 15 else m.dtype
+    elems, every = np.array(h.elements, dtype=dtype), np.arange(g.order, dtype=dtype)
+    reps, h_orbit, h_size = (a.astype(dtype) for a in _classes(g, every, generators(g, elems)))
+    h_members = np.argsort(h_orbit, kind="stable").astype(dtype)
+    h_bounds = np.append(0, np.cumsum(h_size)).astype(dtype)
+    core = np.bincount(elems, minlength=g.order) > 0
+    conjugates = [m[m[inv.item(s)], s] for s in g.generators]
+    while (kept := core & np.logical_and.reduce([core[c] for c in conjugates])).sum() < core.sum():
+        core = kept
+    if core.sum() < h.order:
+        gens = generators(g, np.flatnonzero(core))
+        reps, orbit, _ = (a.astype(dtype) for a in _classes(g, every, gens))
+        return Orbits(elems, h_orbit, h_members, h_bounds, orbit, reps, {})
+    targets = h_orbit[m[inv[reps][h_orbit[h_members]], h_members]]
+    return Orbits(elems, h_orbit, h_members, h_bounds, h_orbit, reps,
+                  {0: (h_bounds, targets, h.order // h_size)})
 
 
 def subgroup_closure(g: GroupTable, seeds: Iterable[int]) -> SubgroupRef:
@@ -250,9 +267,8 @@ def normal_subgroups(g: GroupTable) -> list[SubgroupRef]:
     raises ``LatticeTooLarge`` once they pass ``LATTICE_WORK_CAP``.  This
     is its only bound: the order alone refuses nothing.
     """
-    every = np.arange(g.order)
-    gens = generators(g, every)
-    reps, class_of, _ = _classes(g, every, gens)
+    gens = g.generators
+    reps, class_of, _ = _classes(g, np.arange(g.order), gens)
     seeds: dict[bytes, int] = {}  # each distinct N(x), its mask's bytes -> one such x
     closed = np.zeros(len(reps), dtype=bool)
     for cid, x in enumerate(reps.tolist()):

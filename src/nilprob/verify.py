@@ -19,14 +19,15 @@ group's other calls still run; a call that gives no outcome is counted as
 not applicable.
 
 Every check takes a ``GroupVerifier`` first: the group G, its normal
-subgroups, the run's budgets and three memos, the supremum ``np_sup`` per
-(table, subgroup, k), np(H; shifts) per tuple and the quotient G/N per
-normal N.  So a corpus run computes each per-group intermediate once.  A
-supremum whose witness is the identity tuple also fills np at that
-tuple.  The lower central series is cached on each ``SubgroupRef``, so a
-class is a cheap read.  The right-hand side of ``np_le_cp`` and
-``shift_monotonicity`` is the same for every tuple, so their worst tuple
-is the supremum's lexicographically smallest maximiser.
+subgroups, the run's budgets and four memos, the supremum ``np_sup`` per
+(table, subgroup, k), np(H; shifts) per tuple, G/N per normal N and the
+image of H in it per (N, H).  So a corpus run computes each per-group
+intermediate once.  A supremum whose witness is the identity tuple also
+fills np at that tuple.  The lower central series and the orbits that
+``exact`` counts on are cached on each ``SubgroupRef``.  The right-hand
+side of ``np_le_cp`` and ``shift_monotonicity`` is the same for every
+tuple, so their worst tuple is the supremum's lexicographically smallest
+maximiser.
 
 ``VerificationReport`` stores the outcomes; its findings, violations and
 sharpness witnesses are filters of them.  ``write_json`` streams the
@@ -184,8 +185,7 @@ def check_center_recursion(v: GroupVerifier, h: SubgroupRef, k: int) -> list[Che
         raise ValueError("k must be at least 1")
     g = v.g
     kern = subgroup(g, set(center(g).elements) & set(h.elements))
-    qmap = v.quot(kern)
-    hbar = image_subgroup(qmap, h)
+    qmap, hbar = v.image(kern, h)
     project = qmap.project
     base = {**_subgroup_params(h), "k": k, "kernel_order": kern.order}
     out = []
@@ -240,8 +240,7 @@ def check_submultiplicativity(
     if not set(n.elements) <= set(h.elements):
         raise ValueError("N must be contained in H")
     g = v.g
-    qmap = v.quot(n)
-    hbar = image_subgroup(qmap, h)
+    qmap, hbar = v.image(n, h)
     lhs, _ = v.sup(g, h, k)
     quot_val, _ = v.sup(qmap.target, hbar, k)
     n_val, _ = v.sup(g, n, k)
@@ -592,6 +591,7 @@ class GroupVerifier:
         self._sup_memo: dict = {}
         self._np_memo: dict = {}
         self._quot_memo: dict = {}
+        self._image_memo: dict = {}
 
     def subgroup_sources(self) -> list[SubgroupRef]:
         subs = {h.elements: h for h in self.normals}
@@ -630,6 +630,13 @@ class GroupVerifier:
         if n.elements not in self._quot_memo:
             self._quot_memo[n.elements] = quotient(self.g, n)
         return self._quot_memo[n.elements]
+
+    def image(self, n: SubgroupRef, h: SubgroupRef) -> tuple[QuotientMap, SubgroupRef]:
+        """G/N and the image of H in it, one subgroup object per (N, H) for every k."""
+        key = (n.elements, h.elements)
+        if key not in self._image_memo:
+            self._image_memo[key] = self.quot(n), image_subgroup(self.quot(n), h)
+        return self._image_memo[key]
 
     def run(self) -> tuple[list[CheckOutcome], list[dict], int]:
         """Every selected check, in ``_CHECKS`` order, for each k this group's order allows.

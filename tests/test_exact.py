@@ -456,7 +456,7 @@ def test_python_int_counts_match_int64(monkeypatch):
     assert evaluate() == expected
 
 
-# -- the class route for untwisted tuples -----------------------------------------
+# -- untwisted tuples and the transfer cells ---------------------------------------
 
 UNTWISTED_GROUPS = ["S(4)", "SL(2,3)", "D(8)xC(2)", "S(3)xS(3)", "Q8xC(2)"]
 
@@ -476,45 +476,62 @@ def untwisted_results(g, cases):
 
 
 @pytest.mark.parametrize("name", UNTWISTED_GROUPS)
-def test_untwisted_routes_match_bruteforce(monkeypatch, name):
-    # every normal and cyclic subgroup, with the route forced each way: a
-    # block budget of 0 cells sends every |H| to the class route, one
-    # above every |H|^2 sends every |H| to the forward pass
+def test_untwisted_routes_match_bruteforce(name):
+    # every normal and cyclic subgroup: shifts in H count like trivial ones, and
+    # cp, the identity tuple of the sup and the sup itself agree with brute force
     g = catalog_get(name)
     cases = [(h, k) for h in subgroup_pool(g) for k in (1, 2, 3)
              if h.order ** (k + 1) <= UNTWISTED_BRUTE_CAP]
     brute = [np_bruteforce(g, h, identity_shifts(k)) for h, k in cases]
-    for cells in (0, g.order ** 2):
-        monkeypatch.setattr(exact, "COUNT_BLOCK_CELLS", cells)
-        # fresh subgroup objects, so no class transfer is cached from the other route
-        fresh = [(subgroup(g, h.elements), k) for h, k in cases]
-        results = untwisted_results(g, fresh)
-        for (h, k), want, (ones, inside, cp_h, first, sup) in zip(cases, brute, results):
-            assert ones == inside == want.counted_tuples, (name, h.elements, k, cells)
-            assert first == (identity_shifts(k), want.value)
-            if k == 1:
-                assert cp_h == want.value
-            if g.order ** (k + 1) <= 20_000:
-                reps = left_coset_reps(g, h)
-                best = max(np_bruteforce(g, h, t).value
-                           for t in itertools.product(reps, repeat=k + 1))
-                assert sup[0] == best
-        if cells == 0:
-            by_class = results
-    assert by_class == results
+    for (h, k), want, (ones, inside, cp_h, first, sup) in zip(cases, brute,
+                                                              untwisted_results(g, cases)):
+        assert ones == inside == want.counted_tuples, (name, h.elements, k)
+        assert first == (identity_shifts(k), want.value)
+        if k == 1:
+            assert cp_h == want.value
+        if g.order ** (k + 1) <= 20_000:
+            reps = left_coset_reps(g, h)
+            best = max(np_bruteforce(g, h, t).value
+                       for t in itertools.product(reps, repeat=k + 1))
+            assert sup[0] == best
 
 
 def test_class_route_counts_in_python_ints():
-    # |G|^7 = 2^77: the counts are object arrays on both routes
+    # |G|^7 = 2^77: the counts are object arrays, and np_k is multiplicative over
+    # direct products, in its counts too
     g = catalog_get("D(64)xD(32)")
-    h = whole_group(g)
-    assert exact._count_dtype(h.order ** 7) is object
-    assert h.order ** 2 > exact.COUNT_BLOCK_CELLS  # np_fast takes the class route
-    forward = exact._forward_count(g, exact._cosets(g, h, identity_shifts(6)))
-    assert np_fast(g, h, identity_shifts(6)).counted_tuples == forward
-    # np_k is multiplicative over direct products
-    factors = [np_k(catalog_get(name), 6).value for name in ("D(64)", "D(32)")]
-    assert np_k(g, 6).value == factors[0] * factors[1]
+    assert exact._count_dtype(g.order ** 7) is object
+    factors = [np_k(catalog_get(name), 6) for name in ("D(64)", "D(32)")]
+    res = np_k(g, 6)
+    assert res.value == factors[0].value * factors[1].value
+    assert res.counted_tuples == factors[0].counted_tuples * factors[1].counted_tuples
+
+
+@pytest.mark.parametrize("name", ["S(4)", "SL(2,3)", "S(3)xS(3)"])
+def test_cached_cells_stay_within_block_cells(monkeypatch, name):
+    # with room for only a few cosets' cells, the rest are computed per call,
+    # and no value changes
+    g = catalog_get(name)
+
+    def evaluate():
+        out = []
+        for h in subgroup_pool(g):
+            for k in (1, 2, 3):
+                reps = left_coset_reps(g, h)
+                if len(reps) ** (k + 1) <= 20_000:
+                    out.append(list(iter_shift_values(g, h, k)))
+                out.append(np_fast(g, h, reps[-1:] * (k + 1)).counted_tuples)
+            out.append(commutator_distribution(g, h, reps[-1:] * 3, 3))
+            cached.append(sum(len(cells[1]) for cells in h._orbits.cells.values()))
+        return out
+
+    cached = []
+    expected = evaluate()
+    assert max(cached) > 2 * g.order
+    monkeypatch.setattr(exact, "BLOCK_CELLS", 2 * g.order)
+    cached = []
+    assert evaluate() == expected
+    assert max(cached) <= 2 * g.order
 
 
 @pytest.mark.parametrize("value, text", [

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from collections import Counter
 import sys
 import tracemalloc
 
@@ -231,44 +232,65 @@ def test_generators_close_to_the_subgroup(name):
         assert len(gens) <= math.log2(len(elems)) + 1
 
 
-def brute_transfer(g, h):
-    """Oracle: H's classes by the conjugation scan, and {(K, L): #{(w, t) in K x H : [w, t] = l}}.
+def brute_transfer(g, h, x):
+    """Oracle: K = core_G(H), the K-orbit of each element by least member, and T_x's entries.
 
-    l is the least member of L, and classes are numbered by least member.
+    The entries are {(O, O'): #{t in xH : [o, t] in O'}} for o the least
+    member of O, from the commutators themselves.
     """
     m, inv = g.mul, g.inv
-    elems = np.array(h.elements)
-    least = m[m[inv[elems]][:, elems], elems[:, None]].min(axis=0)  # min over t of t^-1 y t
+    every, elems = np.arange(g.order), np.array(h.elements)
+    conj = m[m[inv[every]][:, elems], every[:, None]]  # y^-1 c y for y (rows), c in H
+    core = elems[np.isin(conj, elems).all(axis=0)]
+    least = m[m[inv[core]][:, every], core[:, None]].min(axis=0)  # min over c in K of c^-1 y c
     reps = np.unique(least)
-    cls = np.full(g.order, -1)
-    cls[elems] = np.searchsorted(reps, least)
-    counts = np.zeros((len(reps), len(reps)), dtype=np.int64)
-    for rows in row_blocks(len(elems), len(elems), BLOCK_CELLS):
-        w = elems[rows]
-        comm = m[m[inv[w]][:, inv[elems]], m[w][:, elems]]  # [w, t] = w^-1 t^-1 w t
-        hit = comm == reps[cls[comm]]
-        np.add.at(counts, (np.broadcast_to(cls[w][:, None], comm.shape)[hit], cls[comm[hit]]), 1)
-    return len(reps), {(k, l): int(counts[k, l]) for k, l in zip(*np.nonzero(counts))}
+    orbit = np.searchsorted(reps, least)
+    coset = m[x, elems]
+    comm = m[m[inv[reps]][:, inv[coset]], m[reps][:, coset]]  # [o, t] = o^-1 t^-1 o t
+    rows = np.repeat(np.arange(len(reps)), len(coset))
+    return core, orbit, dict(Counter(zip(rows.tolist(), orbit[comm].ravel().tolist())))
+
+
+def kernel_transfer(g, h, x):
+    """T_x's entries from the kernel's cells: each cell of row O adds the row's scale to O'."""
+    counts = Counter()
+    for rows, bounds, orbits, scales in exact._cells(g, h, x, 1):
+        for i, lo, hi, scale in zip(range(rows.start, rows.stop), bounds[:-1].tolist(),
+                                    bounds[1:].tolist(), scales.tolist()):
+            for target in orbits[lo:hi].tolist():
+                counts[i, target] += scale
+    return dict(counts)
 
 
 @pytest.mark.parametrize("name", ["Q8", "S(4)", "SL(2,3)", "D(8)xC(2)", "C(12)"])
 def test_class_transfer_counts_commutator_pairs(name):
+    # the orbits and every coset's transfer cells of every normal and cyclic subgroup
     g = catalog_get(name)
     pool = {h.elements for h in normal_subgroups(g)}
     pool |= {subgroup_closure(g, [x]).elements for x in g.elements()}
+    cores = {}
     for elems in sorted(pool):
-        r, k, l, transfer = subgroup(g, elems)._class_transfer
-        assert (r, dict(zip(zip(k.tolist(), l.tolist()), transfer.tolist()))) == \
-            brute_transfer(g, subgroup(g, elems)), elems
-        if name == "C(12)":  # abelian: each element is a class, and [w, t] = 1
-            assert r == len(elems) and transfer.tolist() == [len(elems)] * r
+        h = subgroup(g, elems)
+        for x in left_coset_reps(g, h):
+            core, orbit, entries = brute_transfer(g, h, x)
+            assert h._orbits.orbit.tolist() == orbit.tolist(), elems
+            assert kernel_transfer(g, h, x) == entries, (elems, x)
+        cores[elems] = tuple(core.tolist())
+        if name == "C(12)":  # abelian: each element is an orbit, and [o, t] = 1
+            assert entries == {(i, 0): len(elems) for i in range(g.order)}
+    if name == "SL(2,3)":
+        # the cyclic subgroups of order 4 are not normal, and their core is the center
+        fours = [elems for elems in pool if len(elems) == 4]
+        assert fours and all(cores[elems] == center(g).elements for elems in fours)
+        assert len(center(g).elements) == 2
 
 
 def test_class_transfer_of_a_large_group():
     g = catalog_get("D(64)xD(32)")
-    r, k, l, transfer = whole_group(g)._class_transfer
-    assert (r, dict(zip(zip(k.tolist(), l.tolist()), transfer.tolist()))) == \
-        brute_transfer(g, whole_group(g))
+    h = whole_group(g)
+    core, orbit, entries = brute_transfer(g, h, 0)
+    assert h._orbits.orbit.tolist() == orbit.tolist()
+    assert kernel_transfer(g, h, 0) == entries
 
 
 def test_class_data_invariants():
@@ -636,9 +658,10 @@ def test_one_row_blocks_change_no_result(monkeypatch, name):
 
     monkeypatch.setattr(structure, "row_blocks", one_row)
     monkeypatch.setattr(exact, "row_blocks", one_row)
+    monkeypatch.setattr(exact, "COUNT_BLOCK_CELLS", 0)  # no coset's cells fit one block
     assert _blocked_results(g) == expected
     assert {"commuting_counts", "coset_labels", "left_coset_reps",
-            "_advance_weights", "_backward_counts"} <= callers
+            "_cells", "_backward_counts"} <= callers
 
 
 def test_lattice_and_coset_reps_allocate_less_than_the_table():

@@ -9,9 +9,10 @@ passes lattice members and central subgroups.  The source is read with
 too.  Rows are split into blocks by one function, ``perms.row_blocks``,
 whose callers name their own cell budgets.  In the same way commuting
 pairs are counted only by ``structure.commuting_counts``, and the cosets
-of a normal subgroup are labelled only by ``structure.coset_labels``.
-Commutator arrays, ``structure.commutators``, are gathered only by the DP
-in ``exact``: the structure layer grows every subgroup from generators.
+of a normal subgroup are labelled only by ``structure.coset_labels``.  No
+module gathers commutator arrays: the structure layer grows every
+subgroup from generators, and ``exact`` counts on conjugation orbits, whose
+transfer cells only its cell function and its stages read.
 """
 
 import ast
@@ -76,12 +77,7 @@ def test_row_blocks_is_defined_once():
 
 
 def test_commuting_pairs_are_counted_in_one_place():
-    assert references("commuting_counts") == [
-        ("exact", "<module>"),  # the import
-        ("exact", "_backward_counts"),
-        ("exact", "_forward_count"),
-        ("structure", "center"),
-    ]
+    assert references("commuting_counts") == [("structure", "center")]
 
 
 def test_cosets_of_a_normal_subgroup_are_labelled_in_one_place():
@@ -91,8 +87,17 @@ def test_cosets_of_a_normal_subgroup_are_labelled_in_one_place():
     ]
 
 
-def test_only_the_dp_gathers_commutators():
-    assert {module for module, _ in references("commutators")} == {"exact"}
+def test_no_module_gathers_commutators():
+    defined = scopes(lambda node: isinstance(node, ast.FunctionDef) and node.name == "commutators")
+    assert references("commutators") == defined == []
+
+
+def test_only_the_stages_read_the_transfer_cells():
+    # the kept cells are read by the cell function, which only the backward
+    # and the forward stage call, and by the backward stage's one-coset path
+    cells = scopes(lambda node: isinstance(node, ast.Attribute) and node.attr == "cells")
+    assert set(cells) == {("exact", "_cells"), ("exact", "_stage")}
+    assert references("_cells") == [("exact", "_scatter"), ("exact", "_stage")]
 
 
 def test_no_table_is_compared_with_its_transpose_elsewhere():
